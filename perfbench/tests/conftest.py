@@ -1,0 +1,12 @@
+"""Make the program (``src``) and the benchmark package importable.
+
+Run from the repository root::
+
+    python3 -m pytest perfbench/tests -q
+"""
+
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[2]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
