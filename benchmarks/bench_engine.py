@@ -99,8 +99,7 @@ def bench_real_sim(scale: float = 0.2, seed: int = 42) -> Dict[str, Any]:
 
 def bench_functional_sim(scale: float = 0.2, seed: int = 42,
                          workload: str = "bfs", scheme: str = "cachecraft",
-                         repeats: int = 1,
-                         columnar: bool = False) -> Dict[str, Any]:
+                         repeats: int = 1) -> Dict[str, Any]:
     """Equivalent events/sec of the functional tier on an irregular cell.
 
     Runs the cell once in event mode (for the deterministic event
@@ -109,19 +108,12 @@ def bench_functional_sim(scale: float = 0.2, seed: int = 42,
     tiers is exact, so dividing the event tier's event count by the
     functional tier's wall time is an apples-to-apples throughput for
     producing the same counters.
-
-    ``columnar`` selects the replay path: False pins the scalar
-    op-list loop (the figure's historical meaning, so the ledger band
-    stays continuous), True replays the compiled columnar artifact
-    (:func:`repro.sim.functional.replay_columnar`).
     """
     wl = make_workload(workload)
 
     def run_once(fidelity: str):
         config = bench_config().with_scheme(scheme).with_fidelity(fidelity)
         system = GpuSystem(config)
-        if fidelity == "functional":
-            system.columnar_enabled = columnar
         system.load_workload(wl, bench_gen_ctx(config, scale=scale,
                                                seed=seed))
         started = time.perf_counter()
@@ -151,7 +143,6 @@ def run_benchmark(raw_events: int, scale: float, repeats: int) -> Dict[str, Any]
     sim = min((bench_real_sim(scale) for _ in range(repeats)),
               key=lambda r: r["seconds"])
     functional = bench_functional_sim(scale, repeats=repeats)
-    columnar = bench_functional_sim(scale, repeats=repeats, columnar=True)
     return {
         "benchmark": "engine_events_per_sec",
         "python": platform.python_version(),
@@ -159,7 +150,6 @@ def run_benchmark(raw_events: int, scale: float, repeats: int) -> Dict[str, Any]
         "raw_engine": raw,
         "real_sim": sim,
         "functional_sim": functional,
-        "columnar_sim": columnar,
     }
 
 
@@ -197,11 +187,6 @@ def main() -> int:
           f"({fn['events']:,} events' worth in {fn['seconds']}s; "
           f"{fn['speedup']}x event mode on "
           f"{fn['workload']}/{fn['scheme']})")
-    col = payload["columnar_sim"]
-    print(f"columnar   : {col['events_per_sec']:>12,} eq events/sec "
-          f"({col['events']:,} events' worth in {col['seconds']}s; "
-          f"{col['speedup']}x event mode on "
-          f"{col['workload']}/{col['scheme']})")
     print(f"wrote {args.output}")
     if not args.no_ledger:
         from repro.obs.ledger import record_from_bench, resolve_ledger

@@ -149,7 +149,7 @@ class ExperimentHarness:
     def _trace_digest(self, workload: str,
                       cfg: SystemConfig) -> Optional[str]:
         """Content address of the columnar trace a functional-tier
-        cell replays (None for event cells or without numpy).
+        cell replays (None for event cells).
 
         Mixing it into the persistent key makes functional results
         addressed by the *actual replayed trace*, so a generator edit
@@ -161,13 +161,10 @@ class ExperimentHarness:
         """
         if cfg.fidelity != "functional":
             return None
-        try:
-            return compiled_digest(
-                self._build_workload(workload), self._gen_ctx(cfg),
-                line_bytes=cfg.gpu.line_bytes,
-                sector_bytes=cfg.gpu.sector_bytes)
-        except ImportError:  # no numpy: fall back to generator keying
-            return None
+        return compiled_digest(
+            self._build_workload(workload), self._gen_ctx(cfg),
+            line_bytes=cfg.gpu.line_bytes,
+            sector_bytes=cfg.gpu.sector_bytes)
 
     def _persistent_key(self, workload: str, cfg: SystemConfig) -> str:
         assert self.result_cache is not None

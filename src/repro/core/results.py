@@ -15,7 +15,9 @@ from typing import Dict, Optional
 #: v5: ``GenContext.scaled_dim`` gained per-dimensionality scaling
 #: (3D volumes now scale linearly with ``scale``), which changes
 #: stencil3d traces — and therefore its traffic — at scale != 1.
-MODEL_VERSION = "5"
+#: v6: the functional tier stalls on a full L1 MSHR file (counts
+#: ``l1mshr.full_stalls``, drains, redoes the lookup) like the event SM.
+MODEL_VERSION = "6"
 
 
 @dataclass

@@ -25,7 +25,7 @@ from repro.resilience.injector import Injector
 from repro.resilience.recovery import RecoveryController
 from repro.sim.engine import Simulator, Watchdog
 from repro.sim.functional import (FunctionalChannel, FunctionalSm,
-                                  ImmediateQueue, replay, replay_columnar)
+                                  ImmediateQueue, replay_columnar)
 from repro.sim.stats import StatsRegistry
 from repro.workloads.base import (GenContext, Workload, materialize,
                                   materialize_compiled)
@@ -170,22 +170,18 @@ class GpuSystem:
             return (line_addr * gpu.line_bytes // chunk) % gpu.num_slices
 
         self.route = route
-        #: Columnar artifact for the functional tier's vectorized
-        #: replay; set by :meth:`load_workload` when the workload can
-        #: be compiled (numpy available).  ``columnar_enabled=False``
-        #: forces the scalar op-list replay (tests, manual add_warp).
+        #: Columnar artifact of the loaded workload (set by
+        #: :meth:`load_workload`): what the functional tier replays and
+        #: what the inspector's trace-level analytics read.
         self.compiled = None
-        self.columnar_enabled = functional_tier
         if functional_tier:
-            # No interconnect timing to model — SMs talk to the slices
-            # directly, through the same receive_* interface.
+            # No interconnect timing to model — the replay drives the
+            # slices directly, through the same receive_* interface.
             self.crossbar = None
             self.sms = [
                 FunctionalSm(
-                    i, self.sim, self.slices, route,
-                    l1_size=gpu.l1_size_kb * 1024, l1_ways=gpu.l1_ways,
+                    i, l1_size=gpu.l1_size_kb * 1024, l1_ways=gpu.l1_ways,
                     line_bytes=gpu.line_bytes,
-                    sector_bytes=gpu.sector_bytes,
                     l1_mshr_entries=gpu.l1_mshr_entries,
                     store_buffer=gpu.store_buffer, stats=self.stats)
                 for i in range(gpu.num_sms)
@@ -223,17 +219,15 @@ class GpuSystem:
         for sm, warp_traces in zip(self.sms, traces):
             for ops in warp_traces:
                 sm.add_warp(ops)
-        if self.columnar_enabled or self.obs.inspect is not None:
+        if self.config.fidelity == "functional" \
+                or self.obs.inspect is not None:
             # The inspector's trace-level analytics also want the
             # columnar artifact, so event-tier inspected runs compile
             # it too (materialization is memoized — no double cost).
-            try:
-                self.compiled = materialize_compiled(
-                    workload, gen_ctx, line_bytes=gpu.line_bytes,
-                    sector_bytes=gpu.sector_bytes)
-            except ImportError:  # no numpy: scalar replay still works
-                self.compiled = None
-        if self.obs.inspect is not None and self.compiled is not None:
+            self.compiled = materialize_compiled(
+                workload, gen_ctx, line_bytes=gpu.line_bytes,
+                sector_bytes=gpu.sector_bytes)
+        if self.obs.inspect is not None:
             self.obs.inspect.set_trace(
                 self.compiled, len(self.sms),
                 self.ctx.layout if self.scheme.has_inline_metadata else None)
@@ -301,37 +295,30 @@ class GpuSystem:
         (``now`` never advances by design), so only its wall-clock
         budget carries over; ``max_events`` bounds queue micro-tasks.
 
-        Replays the columnar artifact (vectorized; see
-        :func:`repro.sim.functional.replay_columnar`) when
-        :meth:`load_workload` compiled one and nothing forces the
-        scalar path — flame profiling wraps ``sm.step`` (which the
-        columnar loop never calls), and warps added manually via
-        ``sm.add_warp`` are absent from the artifact, so both fall
-        back to the bit-identical scalar op-list replay.
+        Replays the artifact :meth:`load_workload` compiled (see
+        :func:`repro.sim.functional.replay_columnar`).  Warps added by
+        hand with ``sm.add_warp`` are absent from it: when the SMs
+        hold any, all their warps are compiled afresh, SM-major, in
+        the order they were added.
         """
         queue = self.sim
         queue.set_budget(
             max_events,
             watchdog.max_wall_seconds if watchdog is not None else None)
+        gpu = self.config.gpu
         compiled = self.compiled
-        use_columnar = (
-            compiled is not None and self.columnar_enabled
-            and self.obs.flame is None
-            and sum(sm.num_warps for sm in self.sms)
-            == int((compiled.warp_sm < len(self.sms)).sum()))
-        if use_columnar:
-            replay_columnar(compiled, self.sms, self.slices, queue,
-                            self.config.gpu.slice_chunk_bytes)
-        else:
-            if self.obs.flame is not None:
-                # The tier's driver is a host-side loop, not scheduled
-                # events, so the root frame (smN.step) is planted here;
-                # the micro-tasks each step drains inherit it through
-                # the instrumented queue.
-                for sm in self.sms:
-                    sm.step = self.obs.flame.wrap_root(
-                        f"sm{sm.sm_id}.step", sm.step)
-            replay(self.sms, queue)
+        # The last load_workload added every warp of its artifact, so
+        # equal counts mean the SMs hold exactly the artifact's warps.
+        if compiled is None or sum(sm.num_warps for sm in self.sms) \
+                != int((compiled.warp_sm < len(self.sms)).sum()):
+            from repro.gpu.columnar import compile_trace
+
+            compiled = compile_trace([sm.warps for sm in self.sms],
+                                     gpu.line_bytes, gpu.sector_bytes)
+        replay_columnar(compiled, self.sms, self.slices, queue,
+                        gpu.slice_chunk_bytes, flame=self.obs.flame)
+        for sm in self.sms:
+            sm.warps.clear()
         if self.config.flush_at_end:
             for sl in self.slices:
                 sl.flush()

@@ -19,7 +19,7 @@ Layout — three parallel levels, all offsets half-open:
   the warp's op range.
 * **ops**: ``op_kind[o]`` is one of :data:`OP_COMPUTE` /
   :data:`OP_LOAD` / :data:`OP_STORE` / :data:`OP_ATOMIC` (atomics are
-  stores — the two flag bits of the scalar IR collapse into the kind
+  stores — the two flag bits of the op-list IR collapse into the kind
   enum), ``op_arg[o]`` carries a compute op's cycles (0 for memory
   ops), ``op_txn_ptr[o] .. op_txn_ptr[o+1]`` the op's coalesced
   transactions (empty for compute ops).
@@ -192,13 +192,13 @@ def round_robin_order(compiled: CompiledTrace,
                       machine_sms: int) -> np.ndarray:
     """Global op execution order of the functional tier's replay loop.
 
-    The scalar :func:`repro.sim.functional.replay` drives warps
-    round-robin, one op per still-active warp per round, in flattened
-    SM-major warp order; because the queue is drained after every
-    memory op, that rotation **is** a total sequential order over ops.
-    This reproduces it vectorized: sort ops by (round = index within
-    warp, warp index), dropping warps mapped beyond the machine's SM
-    count (``load_workload`` zip-truncates those).
+    The functional tier runs warps round-robin, one op per
+    still-active warp per round, in flattened SM-major warp order;
+    because the queue is drained after every memory op, that rotation
+    **is** a total sequential order over ops.  This computes it
+    vectorized: sort ops by (round = index within warp, warp index),
+    dropping warps mapped beyond the machine's SM count
+    (``load_workload`` zip-truncates those).
 
     Returns indices into the op arrays, execution-ordered.
     """

@@ -23,8 +23,8 @@ only host-side sample counts are collected.  Both fidelity tiers are
 supported: :meth:`FlameProfiler.instrument` hooks
 :class:`~repro.sim.engine.Simulator` and the functional tier's
 ``ImmediateQueue`` alike (duck-typed ``schedule``/``schedule_at``/
-``schedule_daemon``), and :meth:`FlameProfiler.wrap_root` roots the
-functional tier's tight loop at ``smN.step``.
+``schedule_daemon``), and :meth:`FlameProfiler.wrap_root` roots each
+memory op of the functional tier's replay loop at ``smN.step``.
 
 Output is the classic *collapsed stack* format (``frame;frame;frame
 count``, one line per stack, sorted) consumed directly by
@@ -33,6 +33,7 @@ count``, one line per stack, sorted) consumed directly by
 
 from __future__ import annotations
 
+import functools
 import os
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Tuple, Union
@@ -55,8 +56,11 @@ def frame_name(fn: Callable[..., Any]) -> str:
     Bound methods are named ``<component>.<method>`` where the
     component identity comes from the owner's ``name`` / ``sm_id`` /
     ``slice_id`` attribute (falling back to the class name); free
-    functions use their qualname with closure noise stripped.
+    functions use their qualname with closure noise stripped; a
+    ``functools.partial`` is named after the callable it wraps.
     """
+    while isinstance(fn, functools.partial):
+        fn = fn.func
     owner = getattr(fn, "__self__", None)
     method = getattr(fn, "__name__", None) or "<callable>"
     if owner is not None:
@@ -163,9 +167,9 @@ class FlameProfiler:
         """Run ``fn`` under an explicit root frame.
 
         The functional tier drives SMs from a host-side loop rather
-        than scheduled events, so its root (``smN.step``) must be
-        planted by the caller; micro-tasks the step drains then inherit
-        it through the instrumented queue.
+        than scheduled events, so its root (``smN.step``, one per
+        memory op) must be planted by the caller; micro-tasks the op
+        drains then inherit it through the instrumented queue.
         """
         def runner(*args: Any, **kwargs: Any) -> Any:
             stack = self._push(self._stack, name)

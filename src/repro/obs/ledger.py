@@ -241,10 +241,6 @@ def record_from_bench(payload: Dict[str, Any],
     if functional:
         metrics["functional_events_per_sec"] = \
             functional.get("events_per_sec", 0)
-    columnar = payload.get("columnar_sim")
-    if columnar:
-        metrics["columnar_events_per_sec"] = \
-            columnar.get("events_per_sec", 0)
     return {
         "kind": "bench",
         "label": label,

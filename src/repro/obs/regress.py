@@ -61,7 +61,6 @@ DEFAULT_TOLERANCES: Dict[str, Tuple[str, float]] = {
     "raw_events_per_sec": ("higher", 0.75),
     "sim_events_per_sec": ("higher", 0.75),
     "functional_events_per_sec": ("higher", 0.75),
-    "columnar_events_per_sec": ("higher", 0.75),
 }
 
 #: Metrics excluded from seeded baselines because they measure the

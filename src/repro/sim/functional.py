@@ -1,10 +1,10 @@
 """The functional fidelity tier: event-free traffic simulation.
 
 ``SystemConfig(fidelity="functional")`` replays the same materialized
-warp traces through the *same* ``SectoredCache`` / MSHR-merge /
-``mdcache`` / protection-scheme state machines as the discrete-event
-tier — but with no event heap, no cycle clock and no per-event
-dispatch overhead.  Three pieces make that possible:
+warp traces through the *same* L2 / MSHR-merge / ``mdcache`` /
+protection-scheme state machines as the discrete-event tier — but with
+no event heap, no cycle clock and no per-event dispatch overhead.
+Four pieces make that possible:
 
 ``ImmediateQueue``
     Duck-types the :class:`~repro.sim.engine.Simulator` scheduling
@@ -24,11 +24,17 @@ dispatch overhead.  Three pieces make that possible:
     callbacks through the queue instead of the FR-FCFS timing model.
 
 ``FunctionalSm``
-    A tight-loop warp replayer with the event SM's exact counter
-    semantics: coalesce once per memory op, probe the same sectored
-    L1, allocate/merge in the same ``MshrFile``, take the same
-    store-buffer credits — then drive each transaction straight into
-    ``L2Slice.receive_load/store/atomic`` and drain the queue.
+    One SM's warps plus the lean front-end state the replay drives: an
+    exact LRU model of the event SM's sectored L1, the pending-fill map
+    that stands in for its L1 MSHR file, and its store-buffer credits.
+    It registers the event SM's statistics tree, so flattened results
+    are key-compatible with the event tier.
+
+:func:`replay_columnar`
+    Replays a compiled trace (:mod:`repro.gpu.columnar`) in the
+    round-robin op order, probing the lean L1 and driving every miss,
+    store and atomic straight into ``L2Slice.receive_load/store/atomic``,
+    draining the queue after each memory op.
 
 **Parity contract** (enforced by ``tests/test_fidelity_parity.py``):
 on a *serialized memory stream* — one SM, one warp, one lane,
@@ -50,20 +56,12 @@ import re
 import time
 from collections import OrderedDict, deque
 from functools import partial
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.cache.mshr import MshrFile
-from repro.cache.sectored import SectoredCache
 from repro.dram.channel import DramRequest, RequestKind
-from repro.gpu.coalescer import coalesce
-from repro.gpu.trace import ComputeOp, MemoryOp, WarpOp
+from repro.gpu.trace import WarpOp
 from repro.sim.engine import SimulationError
-from repro.sim.resources import OccupancyLimiter
 from repro.sim.stats import StatGroup
-
-
-def _noop(*_args) -> None:
-    return None
 
 
 class ImmediateQueue:
@@ -189,234 +187,112 @@ class FunctionalChannel:
         return sum(self._bytes_by_kind.values())
 
 
-class FunctionalSm:
-    """Tight-loop warp replayer with the event SM's counter semantics.
+#: The event SM's statistics tree as (child group, counters), ``""``
+#: naming the ``sm{i}`` group itself.  :class:`FunctionalSm` registers
+#: it in this order so flattened keys equal the event tier's.
+_SM_STATS: Tuple[Tuple[str, Tuple[str, ...]], ...] = (
+    ("", ("instructions", "loads", "stores", "atomics",
+          "load_transactions", "store_transactions", "stall_retries")),
+    ("l1", ("hits", "sector_misses", "line_misses", "line_miss_sectors",
+            "evictions", "writebacks", "metadata_fills", "metadata_hits")),
+    ("l1mshr", ("allocations", "merges", "full_stalls", "merge_stalls")),
+    ("storebuf", ("acquires", "full_rejections")),
+)
 
-    Creates the same per-SM statistics tree (``sm{i}``: instructions /
-    loads / stores / atomics / load_transactions / store_transactions /
-    stall_retries, the sectored L1, the L1 MSHR file and the
-    store-buffer limiter) so the flattened result is key-compatible
-    with the event tier.  Structural stalls cannot occur — the queue
-    is drained after every memory op, so MSHRs and store credits are
-    always free — hence ``stall_retries`` stays 0, matching the event
-    tier on serialized streams.
+_UNFILLED = ("an L2 fill did not complete within its op's drain — the "
+             "serialized-replay contract is broken")
+_NO_CREDIT = ("store-buffer credit unavailable after drain "
+              "(functional-tier invariant violated)")
+
+
+class FunctionalSm:
+    """One SM of the functional tier: its warps and the lean front-end
+    state :func:`replay_columnar` drives.
+
+    Registers the event SM's statistics tree (``sm{i}`` plus its
+    ``l1``, ``l1mshr`` and ``storebuf`` groups, see :data:`_SM_STATS`)
+    so flattened results are key-compatible with the event tier.  The
+    replay counts into plain slots; :meth:`flush` adds them to the tree
+    once per replay.
+
+    The L1 models the event SM's LRU ``SectoredCache`` exactly with one
+    ``OrderedDict`` per set: insertion order is fill order,
+    ``move_to_end`` is the hit promotion, ``popitem(last=False)`` the
+    victim choice (the real cache fills invalid ways first, but every
+    fill becomes MRU regardless of which physical way it landed in, so
+    the two recency orders are the same total order).  Each entry is a
+    one-element list holding the line's valid sector mask; a line whose
+    mask atomics zeroed stays resident (tag match, all sectors miss)
+    and, like the real cache, does not count as an eviction when
+    displaced.  ``pending`` (line -> sectors still awaiting their L2
+    fill) stands in for the L1 MSHR file, ``credits`` for the store
+    buffer.
+
+    Structural stalls resolve by draining the queue, which lands every
+    outstanding fill and ack: a full MSHR file or store buffer counts
+    its stall (``l1mshr.full_stalls``, ``storebuf.full_rejections``),
+    drains, and goes on.  Nothing waits for a later cycle, so
+    ``stall_retries`` stays 0.
     """
 
-    def __init__(self, sm_id: int, sim: ImmediateQueue, slices: List,
-                 route: Callable[[int], int], l1_size: int = 32 * 1024,
-                 l1_ways: int = 4, line_bytes: int = 128,
-                 sector_bytes: int = 32, l1_mshr_entries: int = 64,
-                 store_buffer: int = 64,
-                 stats: Optional[StatGroup] = None):
-        self.sm_id = sm_id
-        self.sim = sim
-        self.slices = slices
-        self.route = route
-        self.line_bytes = line_bytes
-        self.sector_bytes = sector_bytes
+    __slots__ = ("sm_id", "stats", "warps", "sets", "num_sets", "ways",
+                 "pending", "mshr_entries", "credits", "store_buffer",
+                 "hits", "sector_misses", "line_misses",
+                 "line_miss_sectors", "evictions", "mshr_allocs",
+                 "mshr_full_stalls", "store_rejections", "_counters")
 
+    def __init__(self, sm_id: int, l1_size: int = 32 * 1024,
+                 l1_ways: int = 4, line_bytes: int = 128,
+                 l1_mshr_entries: int = 64, store_buffer: int = 64,
+                 stats: Optional[StatGroup] = None):
+        if l1_size % (l1_ways * line_bytes):
+            raise ValueError("L1 size must be a multiple of ways * line_bytes")
+        if l1_mshr_entries < 1 or store_buffer < 1:
+            raise ValueError("l1_mshr_entries and store_buffer must be >= 1")
+        self.sm_id = sm_id
         group = stats.child(f"sm{sm_id}") if stats is not None \
             else StatGroup(f"sm{sm_id}")
         self.stats = group
-        self.l1 = SectoredCache("l1", l1_size, l1_ways, line_bytes=line_bytes,
-                                sector_bytes=sector_bytes, stats=group)
-        self.l1_mshrs = MshrFile("l1mshr", l1_mshr_entries, max_merges=32,
-                                 stats=group)
-        self.store_credits = OccupancyLimiter("storebuf", store_buffer,
-                                              stats=group)
-        self._instructions = group.counter("instructions")
-        self._loads = group.counter("loads")
-        self._stores = group.counter("stores")
-        self._atomics = group.counter("atomics")
-        self._load_txns = group.counter("load_transactions")
-        self._store_txns = group.counter("store_transactions")
-        # Always 0 here; created for stat-key parity with the event SM.
-        group.counter("stall_retries")
+        self._counters = {
+            f"{child}.{name}" if child else name:
+                (group.child(child) if child else group).counter(name)
+            for child, names in _SM_STATS for name in names}
+        self.warps: List[Sequence[WarpOp]] = []
+        self.num_sets = l1_size // (l1_ways * line_bytes)
+        self.ways = l1_ways
+        self.sets: List[OrderedDict] = [
+            OrderedDict() for _ in range(self.num_sets)]
+        self.pending: Dict[int, int] = {}
+        self.mshr_entries = l1_mshr_entries
+        self.credits = 0
+        self.store_buffer = store_buffer
+        self._zero_tallies()
 
-        self._warps: List[Iterator[WarpOp]] = []
+    def _zero_tallies(self) -> None:
+        self.hits = self.sector_misses = self.line_misses = 0
+        self.line_miss_sectors = self.evictions = self.mshr_allocs = 0
+        self.mshr_full_stalls = self.store_rejections = 0
 
     # -- setup (same surface as StreamingMultiprocessor) ---------------------
 
-    def add_warp(self, ops) -> None:
-        self._warps.append(iter(ops))
+    def add_warp(self, ops: Sequence[WarpOp]) -> None:
+        self.warps.append(ops)
 
     @property
     def num_warps(self) -> int:
-        return len(self._warps)
+        return len(self.warps)
 
     @property
     def done(self) -> bool:
-        return not self._warps
+        return not self.warps
 
-    # -- replay --------------------------------------------------------------
-
-    def step(self, warp_index: int) -> bool:
-        """Replay one op of one warp; False when the warp is done."""
-        op = next(self._warps[warp_index], None)
-        if op is None:
-            return False
-        self._instructions.add(1)
-        if isinstance(op, ComputeOp):
-            return True
-        assert isinstance(op, MemoryOp)
-        txns = coalesce(op.addresses, self.line_bytes, self.sector_bytes)
-        if op.is_atomic:
-            self._atomics.add(1)
-            issue = self._atomic_txn
-        elif op.is_store:
-            self._stores.add(1)
-            issue = self._store_txn
-        else:
-            self._loads.add(1)
-            issue = self._load_txn
-        for line_addr, mask in txns:
-            issue(line_addr, mask)
-        # Complete the whole op (fills, writebacks, metadata traffic)
-        # before the next one issues — the serialized-stream condition.
-        self.sim.drain()
-        return True
-
-    # -- loads (mirrors StreamingMultiprocessor._issue_load_txn) -------------
-
-    def _load_txn(self, line_addr: int, mask: int) -> None:
-        hit_mask, _line = self.l1.lookup_mask(line_addr, mask,
-                                              require_verified=False)
-        miss_mask = mask & ~hit_mask
-        self._load_txns.add(1)
-        if not miss_mask:
-            return
-        existing = self.l1_mshrs.get(line_addr)
-        previously = existing.sector_mask if existing else 0
-        entry = self.l1_mshrs.allocate(line_addr, miss_mask, waiter=_noop)
-        if entry is None:
-            # Event semantics: un-count the txn, drain (frees entries —
-            # the functional "retry"), and redo from the lookup.
-            self._load_txns.add(-1)
-            self.sim.drain()
-            self._load_txn(line_addr, mask)
-            return
-        if entry.payload is None:
-            entry.payload = {"filled": 0}
-        new_sectors = miss_mask & ~previously
-        if new_sectors:
-            slice_obj = self.slices[self.route(line_addr)]
-            slice_obj.receive_load(
-                line_addr, new_sectors,
-                lambda granted: self._l1_fill(line_addr, granted))
-
-    def _l1_fill(self, line_addr: int, mask: int) -> None:
-        """Mirror of the event SM's ``_on_l2_response``."""
-        line, evicted = self.l1.allocate(line_addr)
-        del evicted  # L1 is write-through: evictions are silent.
-        new_mask = mask & ~line.valid_mask
-        if new_mask:
-            self.l1.fill_sectors(line, new_mask, dirty=False, verified=True)
-        entry = self.l1_mshrs.get(line_addr)
-        if entry is None:
-            return
-        entry.payload["filled"] |= mask
-        if entry.sector_mask & ~entry.payload["filled"]:
-            return
-        for waiter in self.l1_mshrs.complete(line_addr):
-            waiter()
-
-    # -- stores/atomics ------------------------------------------------------
-
-    def _acquire_store_credit(self) -> None:
-        if self.store_credits.try_acquire():
-            return
-        # Event semantics: park and retry; functionally a drain always
-        # frees credits (acks are queued completions).
-        self.sim.drain()
-        if not self.store_credits.try_acquire():
-            raise SimulationError(
-                "store-buffer credit unavailable after drain "
-                "(functional-tier invariant violated)")
-
-    def _atomic_txn(self, line_addr: int, mask: int) -> None:
-        self._acquire_store_credit()
-        self._store_txns.add(1)
-        line = self.l1.probe(line_addr)
-        if line is not None:
-            line.valid_mask &= ~mask  # L1 copy is now stale
-            line.verified_mask &= ~mask
-        self.slices[self.route(line_addr)].receive_atomic(
-            line_addr, mask, self.store_credits.release)
-
-    def _store_txn(self, line_addr: int, mask: int) -> None:
-        self._acquire_store_credit()
-        self._store_txns.add(1)
-        self.l1.probe(line_addr)  # write-through, no-allocate
-        self.slices[self.route(line_addr)].receive_store(
-            line_addr, mask, self.store_credits.release)
-
-
-def replay(sms: List[FunctionalSm], queue: ImmediateQueue) -> None:
-    """Drive all warps round-robin (one op per warp per round) until
-    every trace is exhausted — the functional analogue of the event
-    tier's ready-warp rotation."""
-    active: List[Tuple[FunctionalSm, int]] = [
-        (sm, w) for sm in sms for w in range(sm.num_warps)]
-    while active:
-        active = [(sm, w) for sm, w in active if sm.step(w)]
-    for sm in sms:
-        sm._warps.clear()
-    queue.drain()
-
-
-# -- columnar (vectorized) replay --------------------------------------------
-
-
-class _ColumnarSmState:
-    """Per-SM lean replay state for :func:`replay_columnar`.
-
-    Replicates the *observable* behavior of the scalar
-    :class:`FunctionalSm` front end — the exact LRU sectored L1,
-    MSHR/store-credit accounting and every flattened counter — with
-    plain dicts and local integers instead of per-access
-    :class:`~repro.sim.stats.Counter` calls and state-machine
-    dispatch.  One ``OrderedDict`` per set models true LRU exactly:
-    insertion order is fill order, ``move_to_end`` is the hit
-    promotion, ``popitem(last=False)`` the victim choice (the scalar
-    cache fills invalid ways first, but every fill becomes MRU
-    regardless of which physical way it landed in, so the dict's
-    recency order and the way-list policy order are the same total
-    order).  Each entry is a one-element list holding the valid
-    sector mask; a line whose mask was zeroed by atomics stays
-    resident (tag match, all sectors miss) and, like the scalar
-    cache, does not count as an eviction when displaced.
-    """
-
-    __slots__ = ("sets", "num_sets", "ways", "pending", "capacity",
-                 "credits", "hits", "sector_misses", "line_misses",
-                 "line_miss_sectors", "evictions", "mshr_allocs",
-                 "rejections")
-
-    def __init__(self, sm: FunctionalSm):
-        l1 = sm.l1
-        self.num_sets = l1.num_sets
-        self.ways = l1.ways
-        self.sets: List[OrderedDict] = [
-            OrderedDict() for _ in range(l1.num_sets)]
-        #: line -> sector mask still awaiting L2 fill (the lean MSHR
-        #: file; must be empty at every op boundary on the serialized
-        #: replay, which :func:`replay_columnar` asserts).
-        self.pending: Dict[int, int] = {}
-        self.capacity = sm.store_credits.capacity
-        self.credits = 0
-        self.hits = 0
-        self.sector_misses = 0
-        self.line_misses = 0
-        self.line_miss_sectors = 0
-        self.evictions = 0
-        self.mshr_allocs = 0
-        self.rejections = 0
+    # -- L2 callbacks ----------------------------------------------------------
 
     def fill(self, line_addr: int, granted: int) -> None:
-        """L2 fill callback — mirror of :meth:`FunctionalSm._l1_fill`:
-        allocate (evicting like the scalar cache, without promotion of
-        an already-resident line), install the granted sectors, retire
-        the pending-fill entry."""
+        """L2 fill: allocate the line (evicting LRU, without promoting
+        an already-resident line), install the granted sectors and
+        retire them from ``pending`` — the event SM's
+        ``_on_l2_response``."""
         sd = self.sets[line_addr % self.num_sets]
         ent = sd.get(line_addr)
         if ent is None:
@@ -439,48 +315,68 @@ class _ColumnarSmState:
         """Store/atomic ack from the L2 — frees one store credit."""
         self.credits -= 1
 
+    def flush(self, instructions: int, loads: int, stores: int,
+              atomics: int, load_txns: int, store_txns: int) -> None:
+        """Add one replay's counts (the static ones passed in, the
+        tallied ones from the slots) to the stat tree; zero the
+        tallies."""
+        counters = self._counters
+        for key, value in (
+                ("instructions", instructions), ("loads", loads),
+                ("stores", stores), ("atomics", atomics),
+                ("load_transactions", load_txns),
+                ("store_transactions", store_txns),
+                ("l1.hits", self.hits),
+                ("l1.sector_misses", self.sector_misses),
+                ("l1.line_misses", self.line_misses),
+                ("l1.line_miss_sectors", self.line_miss_sectors),
+                ("l1.evictions", self.evictions),
+                ("l1mshr.allocations", self.mshr_allocs),
+                ("l1mshr.full_stalls", self.mshr_full_stalls),
+                ("storebuf.acquires", store_txns),
+                ("storebuf.full_rejections", self.store_rejections)):
+            counters[key].add(value)
+        self._zero_tallies()
+
 
 def replay_columnar(compiled, sms: List[FunctionalSm],
                     slices: List, queue: ImmediateQueue,
-                    slice_chunk_bytes: int) -> None:
-    """Vectorized functional replay of a columnar trace artifact.
+                    slice_chunk_bytes: int, flame=None) -> None:
+    """Replay a compiled trace through the SMs and the L2 slices.
 
-    Bit-for-bit equivalent to :func:`replay` over the same traces on
-    **any** configuration: the scalar loop drains the queue after
-    every memory op, so execution is serialized at op granularity and
-    its round-robin rotation is a fixed total order — which
-    :func:`repro.gpu.columnar.round_robin_order` precomputes.  With
-    the order and the per-op coalesced transactions both compile-time
+    Warps run round-robin, one op per still-active warp per round, in
+    flattened SM-major warp order, and the queue drains after every
+    memory op; execution is therefore serialized at op granularity and
+    the rotation is a fixed total order, which
+    :func:`repro.gpu.columnar.round_robin_order` precomputes.  With the
+    order and the per-op coalesced transactions both compile-time
     data, replay reduces to:
 
     * **batched bookkeeping** — instruction/op-kind/transaction
       counters are exact functions of the artifact, summed per SM in
       numpy and added once (compute ops cost *nothing* per-op);
-    * **a lean L1 pass** (:class:`_ColumnarSmState`) over the
-      transaction columns, touching local integers on the hit path;
+    * **a lean L1 pass** (:class:`FunctionalSm`) over the transaction
+      columns, touching local integers on the hit path;
     * **the verbatim L2/scheme machinery** for every miss, store and
-      atomic — exactly the micro-tasks the scalar tier runs, drained
-      at the same op boundaries, so the protection-layer state
+      atomic, drained at op boundaries, so the protection-layer state
       machines (the part the paper is about) are never reimplemented.
 
-    Raises :class:`SimulationError` if an L2 fill fails to complete
-    inside its op's drain (impossible on the serialized contract; the
-    guard keeps a future concurrent L2 model from silently breaking
-    counter parity).
+    With a flame profiler (``flame``) each memory op runs under an
+    ``sm{N}.step`` root frame, so the micro-tasks it schedules stack
+    under its SM; without one no per-op cost is paid.
+
+    Raises :class:`SimulationError` if an L2 fill or a store ack fails
+    to complete inside a drain (impossible on the serialized contract;
+    the guard keeps a future concurrent L2 model from silently
+    breaking counter parity).
     """
     import numpy as np
 
     from repro.gpu.columnar import (OP_ATOMIC, OP_COMPUTE, OP_LOAD,
                                     round_robin_order)
 
-    for sm in sms:
-        if sm.l1._policy_name != "lru":
-            raise ValueError("columnar replay models the functional "
-                             "tier's LRU L1 only")
     n = len(sms)
     if compiled.num_ops == 0 or n == 0:
-        for sm in sms:
-            sm._warps.clear()
         queue.drain()
         return
 
@@ -517,115 +413,103 @@ def replay_columnar(compiled, sms: List[FunctionalSm],
     # The memory-op schedule as plain python lists (plain-int access
     # in the hot loop is much faster than numpy scalar extraction).
     sel = order[kind[order] != OP_COMPUTE]
-    sched_kind = kind[sel].tolist()
     sched_sm = op_sm[sel].tolist()
-    sched_start = compiled.op_txn_ptr[sel].tolist()
-    sched_end = compiled.op_txn_ptr[sel + 1].tolist()
-    tl = compiled.txn_line.tolist()
-    tm = compiled.txn_mask.tolist()
-    rt = routes.tolist()
+    run = partial(_replay_ops, kind[sel].tolist(), sched_sm,
+                  compiled.op_txn_ptr[sel].tolist(),
+                  compiled.op_txn_ptr[sel + 1].tolist(),
+                  compiled.txn_line.tolist(), compiled.txn_mask.tolist(),
+                  routes.tolist(), sms, slices, queue.drain)
+    if flame is None:
+        run(0, len(sched_sm))
+    else:
+        roots = [flame.wrap_root(f"sm{sm.sm_id}.step", run) for sm in sms]
+        for i, sm_index in enumerate(sched_sm):
+            roots[sm_index](i, i + 1)
 
-    states = [_ColumnarSmState(sm) for sm in sms]
-    drain = queue.drain
-    for i in range(len(sched_kind)):
-        st = states[sched_sm[i]]
-        k = sched_kind[i]
-        s = sched_start[i]
-        e = sched_end[i]
+    for i, sm in enumerate(sms):
+        sm.flush(int(instructions[i]), int(loads[i]), int(stores[i]),
+                 int(atomics[i]), int(load_txns[i]), int(store_txns[i]))
+    queue.drain()
+
+
+def _replay_ops(kinds: List[int], sms_of: List[int], starts: List[int],
+                ends: List[int], tl: List[int], tm: List[int],
+                rt: List[int], sms: List[FunctionalSm], slices: List,
+                drain: Callable[[], None], lo: int, hi: int) -> None:
+    """The hot loop of :func:`replay_columnar`: memory ops ``lo..hi``
+    of the schedule (op kind, SM and transaction range per op; line,
+    sector mask and slice per transaction)."""
+    from repro.gpu.columnar import OP_ATOMIC, OP_LOAD
+
+    for i in range(lo, hi):
+        sm = sms[sms_of[i]]
+        k = kinds[i]
+        s = starts[i]
+        e = ends[i]
         if k == OP_LOAD:
-            sets = st.sets
-            nsets = st.num_sets
-            pending = st.pending
+            sets = sm.sets
+            nsets = sm.num_sets
+            pending = sm.pending
+            mshr_entries = sm.mshr_entries
             missed = False
             for t in range(s, e):
                 line = tl[t]
                 mask = tm[t]
                 sd = sets[line % nsets]
-                ent = sd.get(line)
-                if ent is None:
-                    st.line_misses += 1
-                    st.line_miss_sectors += mask.bit_count()
-                    miss = mask
-                else:
-                    valid = ent[0]
-                    hit = mask & valid
-                    miss = mask & ~valid
-                    if hit:
-                        st.hits += hit.bit_count()
-                        sd.move_to_end(line)
-                    if miss:
-                        st.sector_misses += miss.bit_count()
+                while True:
+                    ent = sd.get(line)
+                    if ent is None:
+                        sm.line_misses += 1
+                        sm.line_miss_sectors += mask.bit_count()
+                        miss = mask
                     else:
-                        continue
-                st.mshr_allocs += 1
-                pending[line] = miss
-                missed = True
-                slices[rt[t]].receive_load(line, miss,
-                                           partial(st.fill, line))
+                        valid = ent[0]
+                        hit = mask & valid
+                        miss = mask & ~valid
+                        if hit:
+                            sm.hits += hit.bit_count()
+                            sd.move_to_end(line)
+                        if not miss:
+                            break
+                        sm.sector_misses += miss.bit_count()
+                    if len(pending) < mshr_entries:
+                        sm.mshr_allocs += 1
+                        pending[line] = miss
+                        missed = True
+                        slices[rt[t]].receive_load(line, miss,
+                                                   partial(sm.fill, line))
+                        break
+                    # A full MSHR file stalls like the event SM: drain
+                    # (every pending fill lands), then redo the lookup.
+                    sm.mshr_full_stalls += 1
+                    drain()
+                    if pending:
+                        raise SimulationError(_UNFILLED)
             if missed:
                 drain()
                 if pending:
-                    raise SimulationError(
-                        "columnar replay: an L2 fill did not complete "
-                        "within its op's drain — the serialized-replay "
-                        "contract is broken (use the scalar tier)")
-        elif k == OP_ATOMIC:
-            release = st.release
-            sets = st.sets
-            nsets = st.num_sets
+                    raise SimulationError(_UNFILLED)
+        else:  # OP_STORE / OP_ATOMIC
+            release = sm.release
+            atomic = k == OP_ATOMIC
             for t in range(s, e):
-                if st.credits >= st.capacity:
-                    st.rejections += 1
+                if sm.credits >= sm.store_buffer:
+                    sm.store_rejections += 1
                     drain()
-                    if st.credits >= st.capacity:
-                        st.rejections += 1
-                        raise SimulationError(
-                            "store-buffer credit unavailable after drain "
-                            "(functional-tier invariant violated)")
-                st.credits += 1
+                    if sm.credits >= sm.store_buffer:
+                        sm.store_rejections += 1
+                        raise SimulationError(_NO_CREDIT)
+                sm.credits += 1
                 line = tl[t]
                 mask = tm[t]
-                ent = sets[line % nsets].get(line)
-                if ent is not None:
-                    ent[0] &= ~mask  # L1 copy is now stale
-                slices[rt[t]].receive_atomic(line, mask, release)
+                if atomic:
+                    ent = sm.sets[line % sm.num_sets].get(line)
+                    if ent is not None:
+                        ent[0] &= ~mask  # L1 copy is now stale
+                    slices[rt[t]].receive_atomic(line, mask, release)
+                else:  # write-through, no-allocate: L1 untouched
+                    slices[rt[t]].receive_store(line, mask, release)
             drain()
-        else:  # OP_STORE: write-through, no-allocate — L1 untouched
-            release = st.release
-            for t in range(s, e):
-                if st.credits >= st.capacity:
-                    st.rejections += 1
-                    drain()
-                    if st.credits >= st.capacity:
-                        st.rejections += 1
-                        raise SimulationError(
-                            "store-buffer credit unavailable after drain "
-                            "(functional-tier invariant violated)")
-                st.credits += 1
-                slices[rt[t]].receive_store(tl[t], tm[t], release)
-            drain()
-
-    # Flush the batched counters into the same stat tree the scalar
-    # tier populates — flattened results are key- and bit-compatible.
-    for i, sm in enumerate(sms):
-        st = states[i]
-        sm._instructions.add(int(instructions[i]))
-        sm._loads.add(int(loads[i]))
-        sm._stores.add(int(stores[i]))
-        sm._atomics.add(int(atomics[i]))
-        sm._load_txns.add(int(load_txns[i]))
-        sm._store_txns.add(int(store_txns[i]))
-        l1_stats = sm.l1.stats
-        l1_stats.get("hits").add(st.hits)
-        l1_stats.get("sector_misses").add(st.sector_misses)
-        l1_stats.get("line_misses").add(st.line_misses)
-        l1_stats.get("line_miss_sectors").add(st.line_miss_sectors)
-        l1_stats.get("evictions").add(st.evictions)
-        sm.l1_mshrs.stats.get("allocations").add(st.mshr_allocs)
-        sm.store_credits.acquires.add(int(store_txns[i]))
-        sm.store_credits.full_rejections.add(st.rejections)
-        sm._warps.clear()
-    queue.drain()
 
 
 # -- parity helpers ----------------------------------------------------------

@@ -227,9 +227,7 @@ def materialize_compiled(workload: Workload, ctx: GenContext,
     are frozen — callers must treat it as immutable, exactly like
     :func:`materialize` output (it is shared across runs in this
     process).  Unhashable workload params fall back to an uncached
-    build+compile, mirroring :func:`materialize`.  Raises
-    ``ImportError`` when numpy is unavailable; callers that can fall
-    back to the scalar op-list replay should catch it.
+    build+compile, mirroring :func:`materialize`.
     """
     global _compiled_hits, _compiled_misses
     from repro.gpu.columnar import compile_trace

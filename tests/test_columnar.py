@@ -1,21 +1,27 @@
 """The columnar warp-trace IR: compilation, serialization,
-memoization and vectorized-replay equivalence.
+memoization and replay equivalence.
 
-The bit-for-bit oracle for the replay itself is
-``tests/test_fidelity_parity.py`` (the full workload x scheme grid
-runs the columnar path by default); this file covers the IR's own
-contracts — lossless lowering, digest stability, the binary
-container, the compiled-artifact memo — plus scalar-vs-columnar
-counter equality on *concurrent* (multi-SM, multi-warp) shapes the
-parity grid's serialized machine does not exercise.
+The bit-for-bit oracle against the event tier is
+``tests/test_fidelity_parity.py`` (the full workload x scheme grid on
+the serialized machine); this file covers the IR's own contracts —
+lossless lowering, digest stability, the binary container, the
+compiled-artifact memo — plus, on *concurrent* (multi-SM, multi-warp)
+shapes the parity grid does not exercise, the functional replay
+against a reference replay over the real cache, MSHR and store-buffer
+components (:func:`reference_run`).
 """
 
+import dataclasses
 import io
+import re
 
 import numpy as np
 import pytest
 
+from repro.cache.mshr import MshrFile
+from repro.cache.sectored import SectoredCache
 from repro.core.config import test_config as small_config
+from repro.core.system import GpuSystem
 from repro.gpu.coalescer import coalesce
 from repro.gpu.columnar import (
     ARRAY_SPECS,
@@ -29,8 +35,11 @@ from repro.gpu.columnar import (
 )
 from repro.gpu.trace import ComputeOp, MemoryOp
 from repro.gpu.tracefile import dump_columnar, load_columnar
+from repro.sim.resources import OccupancyLimiter
+from repro.sim.stats import StatGroup
 from repro.workloads.base import (
     GenContext,
+    Workload,
     compiled_digest,
     make_workload,
     materialize,
@@ -107,8 +116,8 @@ class TestCompile:
 
 class TestRoundRobinOrder:
     def test_rotation_matches_scalar_replay(self):
-        # 2 warps on sm0 (3 and 1 ops), 1 on sm1 (2 ops): the scalar
-        # loop visits w0,w1,w2 then w0,w2 then w0.
+        # 2 warps on sm0 (3 and 1 ops), 1 on sm1 (2 ops): the rotation
+        # visits w0,w1,w2 then w0,w2 then w0.
         traces = [
             [[ComputeOp(1)] * 3, [ComputeOp(1)]],
             [[ComputeOp(1)] * 2],
@@ -223,26 +232,177 @@ class TestCompiledMemo:
             == materialize_compiled(wl, ctx).digest
 
 
+class _ReferenceSm:
+    """One SM's front end on the real ``SectoredCache``, ``MshrFile``
+    and ``OccupancyLimiter``, with the event SM's semantics and the
+    queue drained after every memory op.  Its stats go to a private
+    ``sm{i}`` group; :func:`reference_run` drops the system's own,
+    unused ones."""
+
+    def __init__(self, sm_id, system):
+        gpu = system.config.gpu
+        self.queue = system.sim
+        self.slices = system.slices
+        self.route = system.route
+        self.stats = StatGroup(f"sm{sm_id}")
+        self.l1 = SectoredCache("l1", gpu.l1_size_kb * 1024, gpu.l1_ways,
+                                line_bytes=gpu.line_bytes,
+                                sector_bytes=gpu.sector_bytes,
+                                stats=self.stats)
+        self.mshrs = MshrFile("l1mshr", gpu.l1_mshr_entries, max_merges=32,
+                              stats=self.stats)
+        self.credits = OccupancyLimiter("storebuf", gpu.store_buffer,
+                                        stats=self.stats)
+        self.count = {name: self.stats.counter(name) for name in (
+            "instructions", "loads", "stores", "atomics",
+            "load_transactions", "store_transactions", "stall_retries")}
+
+    def op(self, kind, txns):
+        self.count["instructions"].add(1)
+        if kind == OP_COMPUTE:
+            return
+        if kind == OP_LOAD:
+            self.count["loads"].add(1)
+            issue = self.load
+        elif kind == OP_ATOMIC:
+            self.count["atomics"].add(1)
+            issue = self.atomic
+        else:
+            self.count["stores"].add(1)
+            issue = self.store
+        for line, mask in txns:
+            issue(line, mask)
+        self.queue.drain()
+
+    def load(self, line, mask):
+        hit, _ = self.l1.lookup_mask(line, mask, require_verified=False)
+        miss = mask & ~hit
+        self.count["load_transactions"].add(1)
+        if not miss:
+            return
+        existing = self.mshrs.get(line)
+        previously = existing.sector_mask if existing else 0
+        entry = self.mshrs.allocate(line, miss, waiter=lambda: None)
+        if entry is None:  # full: un-count, drain, redo from the lookup
+            self.count["load_transactions"].add(-1)
+            self.queue.drain()
+            self.load(line, mask)
+            return
+        if entry.payload is None:
+            entry.payload = {"filled": 0}
+        if miss & ~previously:
+            self.slices[self.route(line)].receive_load(
+                line, miss & ~previously,
+                lambda granted: self.fill(line, granted))
+
+    def fill(self, line, granted):
+        cached, _evicted = self.l1.allocate(line)
+        if granted & ~cached.valid_mask:
+            self.l1.fill_sectors(cached, granted & ~cached.valid_mask,
+                                 dirty=False, verified=True)
+        entry = self.mshrs.get(line)
+        if entry is None:
+            return
+        entry.payload["filled"] |= granted
+        if not entry.sector_mask & ~entry.payload["filled"]:
+            for waiter in self.mshrs.complete(line):
+                waiter()
+
+    def credit(self):
+        if not self.credits.try_acquire():
+            self.queue.drain()
+            assert self.credits.try_acquire()
+        self.count["store_transactions"].add(1)
+
+    def atomic(self, line, mask):
+        self.credit()
+        cached = self.l1.probe(line)
+        if cached is not None:
+            cached.valid_mask &= ~mask
+            cached.verified_mask &= ~mask
+        self.slices[self.route(line)].receive_atomic(
+            line, mask, self.credits.release)
+
+    def store(self, line, mask):
+        self.credit()
+        self.l1.probe(line)  # write-through, no-allocate
+        self.slices[self.route(line)].receive_store(
+            line, mask, self.credits.release)
+
+
+class _FixedTraces(Workload):
+    """Replays the ``traces`` param (a list, so never memoized)."""
+
+    name = "fixed-traces"
+
+    def warp_trace(self, sm_id, warp_id, ctx):
+        return self.params["traces"][sm_id][warp_id]
+
+    def build(self, ctx):
+        return self.params["traces"]
+
+
+def reference_run(system):
+    """Replay ``system``'s loaded workload through :class:`_ReferenceSm`
+    front ends in :func:`round_robin_order`; returns (traffic, stats)
+    shaped like a result's."""
+    compiled = system.compiled
+    sms = [_ReferenceSm(i, system) for i in range(len(system.sms))]
+    op_warp = np.repeat(np.arange(compiled.num_warps),
+                        np.diff(compiled.warp_ptr))
+    for o in round_robin_order(compiled, len(sms)).tolist():
+        txns = range(int(compiled.op_txn_ptr[o]),
+                     int(compiled.op_txn_ptr[o + 1]))
+        sms[int(compiled.warp_sm[op_warp[o]])].op(
+            int(compiled.op_kind[o]),
+            [(int(compiled.txn_line[t]), int(compiled.txn_mask[t]))
+             for t in txns])
+    queue = system.sim
+    queue.drain()
+    if system.config.flush_at_end:
+        for sl in system.slices:
+            sl.flush()
+        system.scheme.drain()
+        queue.drain()
+    stats = {k: v for k, v in system.stats.flatten().items()
+             if not re.match(r"sm\d+\.", k)}
+    for sm in sms:
+        stats.update(sm.stats.flatten())
+    return system.traffic(), stats
+
+
 class TestReplayEquivalence:
-    """Scalar vs columnar functional replay on concurrent shapes.
+    """The functional replay against :func:`reference_run` on
+    concurrent shapes.
 
     The serialized parity grid pins 1 SM / 1 warp / 1 lane; here the
-    two replay paths must agree on *any* shape, because the columnar
-    order is the scalar rotation and the queue drains at the same op
-    boundaries."""
+    replay must match real components driven with the event SM's
+    semantics on *any* shape, structural stalls included, because the
+    replay order is the round-robin rotation and the queue drains at
+    the same op boundaries."""
 
     CTX = GenContext(num_sms=2, warps_per_sm=3, scale=0.05, seed=7)
 
-    def _run(self, workload, scheme, columnar):
-        from repro.core.system import GpuSystem
-
-        config = small_config(num_sms=2, warps_per_sm=3) \
+    def _system(self, workload, scheme, **gpu):
+        config = small_config(num_sms=2, warps_per_sm=3, **gpu) \
             .with_scheme(scheme).with_fidelity("functional")
         system = GpuSystem(config)
-        system.columnar_enabled = columnar
         system.load_workload(make_workload(workload), self.CTX)
+        return system
+
+    def _assert_matches_reference(self, workload, scheme, **gpu):
+        system = self._system(workload, scheme, **gpu)
         system.run()
-        return system.result(workload, 0)
+        result = system.result(workload, 0)
+        traffic, stats = reference_run(self._system(workload, scheme, **gpu))
+        assert result.traffic == traffic
+        mismatched = {
+            key: (stats.get(key), result.stats.get(key))
+            for key in set(stats) | set(result.stats)
+            if key != "engine.events"
+            and stats.get(key) != result.stats.get(key)}
+        assert not mismatched
+        return result
 
     @pytest.mark.parametrize("workload,scheme", [
         ("vecadd", "none"),
@@ -252,15 +412,21 @@ class TestReplayEquivalence:
         ("stencil3d", "sideband"),
     ])
     def test_counters_and_traffic_match(self, workload, scheme):
-        scalar = self._run(workload, scheme, columnar=False)
-        columnar = self._run(workload, scheme, columnar=True)
-        assert columnar.traffic == scalar.traffic
-        mismatched = {
-            key: (scalar.stats.get(key), columnar.stats.get(key))
-            for key in set(scalar.stats) | set(columnar.stats)
-            if key != "engine.events"
-            and scalar.stats.get(key) != columnar.stats.get(key)}
-        assert not mismatched
+        self._assert_matches_reference(workload, scheme)
+
+    @pytest.mark.parametrize("workload,scheme", [
+        ("bfs", "cachecraft"),
+        ("histogram", "metadata-cache"),
+    ])
+    @pytest.mark.parametrize("structure,stall", [
+        ({"l1_mshr_entries": 2}, "l1mshr.full_stalls"),
+        ({"store_buffer": 2}, "storebuf.full_rejections"),
+    ], ids=["l1_mshr_entries=2", "store_buffer=2"])
+    def test_structural_stalls_match(self, workload, scheme, structure,
+                                     stall):
+        result = self._assert_matches_reference(workload, scheme,
+                                                **structure)
+        assert result.stats[f"sm0.{stall}"] > 0  # the shape does stall
 
     def test_columnar_engages_by_default(self, monkeypatch):
         import repro.core.system as system_mod
@@ -270,43 +436,48 @@ class TestReplayEquivalence:
         monkeypatch.setattr(system_mod, "replay_columnar",
                             lambda *a, **k: (calls.append(1),
                                              real(*a, **k))[1])
-        self._run("vecadd", "none", columnar=True)
+        self._system("vecadd", "none").run()
         assert calls
 
-    def test_flame_profiling_falls_back_to_scalar(self):
-        from repro.core.system import GpuSystem
+    def test_flame_profiling_roots_replay_at_sm_step(self, monkeypatch):
+        import repro.core.system as system_mod
         from repro.obs.flame import FlameProfiler
         from repro.obs.hub import Observability
 
-        config = small_config(num_sms=2, warps_per_sm=3) \
-            .with_scheme("none").with_fidelity("functional")
+        calls = []
+        real = system_mod.replay_columnar
+        monkeypatch.setattr(system_mod, "replay_columnar",
+                            lambda *a, **k: (calls.append(1),
+                                             real(*a, **k))[1])
+        # No end-of-run flush: its writebacks would root outside the
+        # replay.
+        config = dataclasses.replace(
+            small_config(num_sms=2, warps_per_sm=3).with_scheme("none")
+            .with_fidelity("functional"), flush_at_end=False)
         flame = FlameProfiler(sample_every=4)
         system = GpuSystem(config, obs=Observability(flame=flame))
         system.load_workload(make_workload("vecadd"), self.CTX)
-        system.run()  # scalar path: flame wraps sm.step
-        assert flame.sample_count > 0
-        assert any(stack and stack[0].endswith(".step")
-                   for stack in flame.samples)
+        system.run()
+        assert calls
+        assert {stack[0] for stack in flame.samples} == {"sm0.step",
+                                                         "sm1.step"}
 
-    def test_manual_add_warp_falls_back_to_scalar(self):
-        from repro.core.system import GpuSystem
-        from repro.gpu.trace import MemoryOp as M
-
+    def test_manual_add_warp_matches_loaded_warps(self):
         config = small_config(num_sms=2, warps_per_sm=3) \
-            .with_scheme("none").with_fidelity("functional")
-        system = GpuSystem(config)
-        system.load_workload(make_workload("vecadd"), self.CTX)
-        system.sms[0].add_warp([M((0, 4))])  # not in the artifact
-        system.run()  # must not lose the extra warp
-        loads = sum(v for k, v in system.stats.flatten().items()
-                    if k.endswith(".loads"))
-        config2 = small_config(num_sms=2, warps_per_sm=3) \
-            .with_scheme("none").with_fidelity("functional")
-        ref = GpuSystem(config2)
-        ref.columnar_enabled = False
-        ref.load_workload(make_workload("vecadd"), self.CTX)
-        ref.sms[0].add_warp([M((0, 4))])
-        ref.run()
-        ref_loads = sum(v for k, v in ref.stats.flatten().items()
-                        if k.endswith(".loads"))
-        assert loads == ref_loads
+            .with_scheme("cachecraft").with_fidelity("functional")
+        extra = [MemoryOp((0, 4)), MemoryOp((128,), is_store=True),
+                 MemoryOp((0, 160))]
+        traces = [list(sm_traces) for sm_traces
+                  in materialize(make_workload("bfs"), self.CTX)]
+        traces[0].append(extra)
+
+        by_hand = GpuSystem(config)
+        by_hand.load_workload(make_workload("bfs"), self.CTX)
+        by_hand.sms[0].add_warp(extra)  # not in the loaded artifact
+        by_hand.run()
+
+        loaded = GpuSystem(config)
+        loaded.load_workload(_FixedTraces(traces=traces), self.CTX)
+        loaded.run()
+        assert by_hand.traffic() == loaded.traffic()
+        assert by_hand.stats.flatten() == loaded.stats.flatten()
