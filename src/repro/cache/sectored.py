@@ -74,6 +74,12 @@ class Eviction:
 class SectoredCache:
     """Set-associative sectored cache.
 
+    A set's lines and replacement state are built the first time
+    :meth:`allocate` places a line in it; every other path reaches a
+    set through the directory, so it only sees sets that exist.
+    Construction therefore holds one empty slot per set, not every
+    line and policy the modelled capacity could need.
+
     Parameters
     ----------
     name:
@@ -107,14 +113,16 @@ class SectoredCache:
         self.sectors_per_line = line_bytes // sector_bytes
         self.num_sets = size_bytes // (ways * line_bytes)
         self._full_mask = (1 << self.sectors_per_line) - 1
+        # Build one policy now so that a bad name or way count fails
+        # here, not at a set's first fill in the middle of a run.
+        make_policy(policy, ways)
         self._policy_name = policy
 
-        self._sets: List[List[CacheLine]] = [
-            [CacheLine() for _ in range(ways)] for _ in range(self.num_sets)
-        ]
-        self._policies: List[ReplacementPolicy] = [
-            make_policy(policy, ways) for _ in range(self.num_sets)
-        ]
+        # Each set's ways and replacement state; None until the set's
+        # first :meth:`allocate` builds them.
+        self._sets: List[Optional[List[CacheLine]]] = [None] * self.num_sets
+        self._policies: List[Optional[ReplacementPolicy]] = \
+            [None] * self.num_sets
         # line_addr -> (set, way) for O(1) probes.
         self._directory: Dict[int, Tuple[int, int]] = {}
         #: Opt-in per-set introspection view; set exclusively by
@@ -254,6 +262,12 @@ class SectoredCache:
             return existing, None
         set_idx = self.set_of(line_addr)
         ways = self._sets[set_idx]
+        if ways is None:
+            # New sets are identical (empty lines, a fresh policy), so
+            # the order they are built in cannot change a victim.
+            ways = [CacheLine() for _ in range(self.ways)]
+            self._sets[set_idx] = ways
+            self._policies[set_idx] = make_policy(self._policy_name, self.ways)
         policy = self._policies[set_idx]
         if self.metadata_ways:
             allowed = (range(0, self.metadata_ways) if is_metadata

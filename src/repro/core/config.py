@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, Optional, Tuple
 
+from repro.cache.replacement import make_policy
 from repro.dram.timing import DramTiming
 from repro.resilience.recovery import RecoveryPolicy
 
@@ -65,6 +66,9 @@ class GpuConfig:
     def __post_init__(self) -> None:
         if self.warp_scheduler not in ("rr", "gto"):
             raise ValueError("warp_scheduler must be 'rr' or 'gto'")
+        # Raises for an unknown policy name or a way count it rejects,
+        # here rather than in whichever process builds the system.
+        make_policy(self.l2_policy, self.l2_ways)
         if self.line_bytes % self.sector_bytes:
             raise ValueError("line_bytes must be a multiple of sector_bytes")
         if self.slice_chunk_bytes % self.line_bytes:

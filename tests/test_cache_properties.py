@@ -1,10 +1,11 @@
 """Property-based tests for cache structures."""
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cache.replacement import LruPolicy
-from repro.cache.sectored import SectoredCache
+from repro.cache.replacement import LruPolicy, make_policy
+from repro.cache.sectored import CacheLine, Eviction, SectoredCache
 
 
 @st.composite
@@ -28,9 +29,11 @@ def test_cache_directory_invariants(seq):
         line, _ev = cache.allocate(line_addr)
         cache.fill_sector(line, sector, dirty=is_write)
 
+    # Walk the sets built so far; the closing check covers the rest,
+    # since every directory entry must have been seen in a built set.
     seen = set()
     for set_idx, ways in enumerate(cache._sets):
-        for way, line in enumerate(ways):
+        for way, line in enumerate(ways or ()):
             if line.line_addr >= 0:
                 assert cache._directory[line.line_addr] == (set_idx, way)
                 assert line.valid_mask <= cache.full_sector_mask
@@ -87,3 +90,127 @@ def test_lookup_after_fill_always_hits(fills):
     for line_addr, sector in fills:
         hit_mask, _ = cache.lookup_mask(line_addr, 1 << sector)
         assert hit_mask == 1 << sector
+
+
+class EagerReference:
+    """A cache that builds every set's ways and policy up front and
+    picks ways like :meth:`SectoredCache.allocate`: the first free
+    allowed way, else the policy's victim."""
+
+    def __init__(self, num_sets, ways, policy, metadata_ways):
+        self.num_sets, self.ways, self.split = num_sets, ways, metadata_ways
+        self.sets = [[CacheLine() for _ in range(ways)]
+                     for _ in range(num_sets)]
+        self.policies = [make_policy(policy, ways) for _ in range(num_sets)]
+        self.where = {}  # line_addr -> way
+
+    def line(self, line_addr):
+        way = self.where.get(line_addr)
+        return (None if way is None
+                else self.sets[line_addr % self.num_sets][way])
+
+    def allocate(self, line_addr, is_metadata, low_priority):
+        if line_addr in self.where:
+            return None
+        set_idx = line_addr % self.num_sets
+        lines, policy = self.sets[set_idx], self.policies[set_idx]
+        allowed = list(range(self.ways))
+        if self.split:
+            allowed = (allowed[:self.split] if is_metadata
+                       else allowed[self.split:])
+        free = [w for w in allowed if lines[w].line_addr < 0]
+        evicted = None
+        if free:
+            way = free[0]
+        else:
+            way = (policy.victim_among(allowed) if self.split
+                   else policy.victim())
+            old = lines[way]
+            if old.valid_mask:
+                evicted = Eviction(old.line_addr, old.dirty_mask,
+                                   old.valid_mask, old.is_metadata)
+            del self.where[old.line_addr]
+        lines[way] = CacheLine(line_addr, is_metadata=is_metadata)
+        self.where[line_addr] = way
+        policy.on_fill(way, low_priority=low_priority)
+        return evicted
+
+    def fill_sector(self, line_addr, sector, dirty, verified):
+        line, bit = self.line(line_addr), 1 << sector
+        line.valid_mask |= bit
+        if dirty:
+            line.dirty_mask |= bit
+        line.verified_mask = (line.verified_mask | bit if verified
+                              else line.verified_mask & ~bit)
+
+    def lookup_mask(self, line_addr, mask, require_verified):
+        line = self.line(line_addr)
+        if line is None:
+            return 0
+        hit = mask & line.valid_mask
+        if require_verified:
+            hit &= line.verified_mask
+        if hit:
+            self.policies[line_addr % self.num_sets].on_access(
+                self.where[line_addr])
+        return hit
+
+    def invalidate(self, line_addr):
+        way = self.where.pop(line_addr, None)
+        if way is None:
+            return None
+        lines = self.sets[line_addr % self.num_sets]
+        old, lines[way] = lines[way], CacheLine()
+        return (Eviction(old.line_addr, old.dirty_mask, old.valid_mask,
+                         old.is_metadata) if old.dirty_mask else None)
+
+
+NUM_LINES = 24  # over 4 sets of 4 ways, so sets overflow and evict
+LINES = st.integers(0, NUM_LINES - 1)
+
+cache_ops = st.lists(st.one_of(
+    st.tuples(st.just("allocate"), LINES, st.booleans(), st.booleans()),
+    st.tuples(st.just("fill"), LINES, st.integers(0, 3), st.booleans(),
+              st.booleans()),
+    st.tuples(st.just("lookup"), LINES, st.integers(1, 15), st.booleans()),
+    st.tuples(st.just("invalidate"), LINES),
+), min_size=30, max_size=150)
+
+
+@pytest.mark.parametrize("metadata_ways", [0, 1])
+@pytest.mark.parametrize("policy", ["lru", "plru", "srrip", "random"])
+@given(ops=cache_ops)
+@settings(max_examples=40, deadline=None)
+def test_sets_built_on_first_fill_match_eager_reference(
+        policy, metadata_ways, ops):
+    """Building a set at its first fill evicts and hits exactly like
+    building every set up front, under every replacement policy."""
+    cache = SectoredCache("c", 4 * 4 * 128, 4, line_bytes=128,
+                          sector_bytes=32, policy=policy,
+                          metadata_ways=metadata_ways)
+    ref = EagerReference(cache.num_sets, 4, policy, metadata_ways)
+    for op, line_addr, *args in ops:
+        if op == "allocate":
+            is_metadata, low_priority = args
+            _, evicted = cache.allocate(line_addr, is_metadata=is_metadata,
+                                        low_priority=low_priority)
+            assert evicted == ref.allocate(line_addr, is_metadata,
+                                           low_priority)
+        elif op == "fill":
+            sector, dirty, verified = args
+            line = cache.probe(line_addr)
+            if line is not None:
+                cache.fill_sector(line, sector, dirty=dirty,
+                                  verified=verified)
+                ref.fill_sector(line_addr, sector, dirty, verified)
+        elif op == "lookup":
+            mask, require_verified = args
+            hit_mask, _ = cache.lookup_mask(
+                line_addr, mask, require_verified=require_verified)
+            assert hit_mask == ref.lookup_mask(line_addr, mask,
+                                               require_verified)
+        else:
+            assert cache.invalidate(line_addr) == ref.invalidate(line_addr)
+        resident = {la for la in range(NUM_LINES)
+                    if cache.probe(la) is not None}
+        assert resident == set(ref.where)

@@ -28,6 +28,16 @@ class TestGeometry:
         with pytest.raises(ValueError):
             SectoredCache("c", 1000, 4, line_bytes=128, sector_bytes=32)
 
+    def test_unknown_policy_fails_at_construction(self):
+        with pytest.raises(ValueError, match="unknown replacement policy"):
+            make_cache(policy="belady")
+
+    def test_policy_way_count_checked_at_construction(self):
+        # Tree-PLRU needs a power-of-two way count; 3 ways must fail
+        # before any set is filled, not at its first allocation.
+        with pytest.raises(ValueError, match="power-of-two"):
+            make_cache(12, 3, policy="plru")
+
 
 class TestLookupAndFill:
     def test_cold_miss_is_line_miss(self):

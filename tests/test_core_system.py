@@ -1,9 +1,13 @@
 """Integration tests: the full system running real workloads."""
 
+import tracemalloc
+
 import pytest
 
+from repro.analysis.harness import bench_config
 from repro.core.config import (
     ALL_SCHEMES,
+    FIDELITIES,
     GpuConfig,
     ProtectionConfig,
     SystemConfig,
@@ -46,6 +50,24 @@ class TestConfig:
 
     def test_config_hashable(self):
         assert hash(SystemConfig()) == hash(SystemConfig())
+
+
+@pytest.mark.parametrize("fidelity", FIDELITIES)
+def test_construction_allocates_under_1mib_with_16mib_l2(fidelity):
+    """Cache sets are built on first fill, so constructing a system
+    with a 16 MiB L2 stays small.  Counts bytes, not time."""
+    def build(l2_size_kb):
+        GpuSystem(bench_config(l2_size_kb=l2_size_kb)
+                  .with_scheme("cachecraft").with_fidelity(fidelity))
+
+    build(1024)  # one-time imports and memos stay out of the count
+    tracemalloc.start()
+    try:
+        build(16384)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 class TestEndToEnd:

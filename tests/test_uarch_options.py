@@ -95,6 +95,14 @@ class TestGtoScheduler:
         with pytest.raises(ValueError):
             make_test_config().with_gpu(warp_scheduler="fifo")
 
+    def test_invalid_l2_policy_rejected(self):
+        # Rejected with the config, not later in a grid worker that
+        # builds the system.
+        with pytest.raises(ValueError, match="unknown replacement policy"):
+            make_test_config().with_gpu(l2_policy="belady")
+        with pytest.raises(ValueError, match="power-of-two"):
+            make_test_config().with_gpu(l2_policy="plru", l2_ways=12)
+
     def test_gto_completes_all_work(self):
         rr = self.run_sched("rr")
         gto = self.run_sched("gto")
