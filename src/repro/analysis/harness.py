@@ -15,7 +15,7 @@ import os
 from typing import (Any, Callable, Dict, Iterable, List, Optional, Sequence,
                     Tuple, Union)
 
-from repro.analysis.result_cache import ResultCache
+from repro.analysis.result_cache import ResultCache, cache_key
 from repro.core.config import ALL_SCHEMES, FIDELITIES, SystemConfig
 from repro.core.results import RunResult
 from repro.core.system import run_workload
@@ -166,40 +166,48 @@ class ExperimentHarness:
             line_bytes=cfg.gpu.line_bytes,
             sector_bytes=cfg.gpu.sector_bytes)
 
-    def _persistent_key(self, workload: str, cfg: SystemConfig) -> str:
-        assert self.result_cache is not None
-        return self.result_cache.key_for(
-            workload, cfg, self.scale, self.seed,
-            self.workload_params.get(workload, {}),
-            trace_digest=self._trace_digest(workload, cfg))
+    def _store(self) -> Optional[ResultCache]:
+        """The persistent cache this harness reads and writes, if any."""
+        return self.result_cache if self.obs_factory is None else None
 
-    def _persistent_get(self, workload: str,
-                        cfg: SystemConfig) -> Optional[RunResult]:
-        if self.result_cache is None or self.obs_factory is not None:
+    def _persistent_key(self, workload: str,
+                        cfg: SystemConfig) -> Optional[str]:
+        """The cell's content hash, computed once per cell: its
+        result-cache address and its ledger record's ``config_key``
+        (None when neither store is in use)."""
+        store = self._store()
+        if store is None and self.ledger is None:
             return None
-        return self.result_cache.get(self._persistent_key(workload, cfg))
+        args = (workload, cfg, self.scale, self.seed,
+                self.workload_params.get(workload, {}))
+        digest = self._trace_digest(workload, cfg)
+        if store is None:
+            return cache_key(*args, trace_digest=digest)
+        return store.key_for(*args, trace_digest=digest)
 
-    def _persistent_put(self, workload: str, cfg: SystemConfig,
-                        result: RunResult) -> None:
-        if self.result_cache is None or self.obs_factory is not None:
-            return
-        self.result_cache.put(
-            self._persistent_key(workload, cfg), result,
-            meta={"workload": workload, "scheme": cfg.protection.scheme,
-                  "scale": self.scale, "seed": self.seed})
+    def _persistent_get(self, pkey: Optional[str]) -> Optional[RunResult]:
+        store = self._store()
+        return store.get(pkey) if store is not None else None
 
-    def _ledger_record(self, workload: str, cfg: SystemConfig,
-                       result: RunResult, cached: bool, key: Tuple) -> None:
+    def _persistent_put(self, pkey: Optional[str], workload: str,
+                        cfg: SystemConfig, result: RunResult) -> None:
+        store = self._store()
+        if store is not None:
+            store.put(pkey, result,
+                      meta={"workload": workload,
+                            "scheme": cfg.protection.scheme,
+                            "scale": self.scale, "seed": self.seed})
+
+    def _ledger_record(self, result: RunResult, cached: bool, key: Tuple,
+                       pkey: Optional[str]) -> None:
         """Append one ledger record per cell per harness (a failing
         ledger never fails the experiment)."""
         if self.ledger is None or key in self._ledger_logged:
             return
         self._ledger_logged.add(key)
         self.ledger.safe_append(record_from_result(
-            result, label=self.ledger_label, config=cfg,
-            scale=self.scale, seed=self.seed,
-            workload_params=self.workload_params.get(workload, {}),
-            cached=cached,
+            result, label=self.ledger_label, config_key=pkey,
+            scale=self.scale, seed=self.seed, cached=cached,
             log_path=str(self.log.path) if self.log.enabled else None))
 
     def run(self, workload: str, scheme: str,
@@ -213,9 +221,9 @@ class ExperimentHarness:
         cell_id = f"{workload}/{scheme}"
         cached = self._cache.get(key)
         if cached is not None:
-            self._ledger_record(workload, cfg, cached, True, key)
-            return cached
-        result = self._persistent_get(workload, cfg)
+            return cached  # its ledger record went out when first resolved
+        pkey = self._persistent_key(workload, cfg)
+        result = self._persistent_get(pkey)
         from_cache = result is not None
         log = self.log.bind(cell=cell_id) if self.log.enabled else self.log
         if result is None:
@@ -239,7 +247,7 @@ class ExperimentHarness:
                                        error=f"{type(exc).__name__}: {exc}")
                 raise
             self.sims_run += 1
-            self._persistent_put(workload, cfg, result)
+            self._persistent_put(pkey, workload, cfg, result)
             log.info("cell.done", cycles=result.cycles,
                      events=int(result.events_executed),
                      host_seconds=round(result.host_seconds, 3))
@@ -252,7 +260,7 @@ class ExperimentHarness:
             if self.progress is not None:
                 self.progress.cell(cell_id, "cached")
         self._cache[key] = result
-        self._ledger_record(workload, cfg, result, from_cache, key)
+        self._ledger_record(result, from_cache, key, pkey)
         return result
 
     def run_campaign(self, workloads: Sequence[str],
@@ -365,45 +373,47 @@ class ExperimentHarness:
         from repro.resilience.worker import run_cell_result
 
         grid: Dict[str, Dict[str, RunResult]] = {wl: {} for wl in workloads}
-        todo: List[Tuple[str, str, SystemConfig, Tuple]] = []
+        todo: List[Tuple[str, str, SystemConfig, Tuple, Optional[str]]] = []
         for wl in workloads:
             for sc in schemes:
                 cfg = self._apply_fidelity(
                     (config or self.config).with_scheme(sc))
                 key = self._mem_key(wl, cfg)
+                pkey = None
                 cached = self._cache.get(key)
                 if cached is None:
-                    cached = self._persistent_get(wl, cfg)
+                    pkey = self._persistent_key(wl, cfg)
+                    cached = self._persistent_get(pkey)
                     if cached is not None:
                         self._cache[key] = cached
+                        self._ledger_record(cached, True, key, pkey)
                 if cached is not None:
                     grid[wl][sc] = cached
-                    self._ledger_record(wl, cfg, cached, True, key)
                     if self.log.enabled:
                         self.log.info("cell.cached", cell=f"{wl}/{sc}",
                                       source="persistent")
                     if self.progress is not None:
                         self.progress.cell(f"{wl}/{sc}", "cached")
                 else:
-                    todo.append((wl, sc, cfg, key))
+                    todo.append((wl, sc, cfg, key, pkey))
         if todo:
             self.log.info("pool.start", cells=len(todo),
                           workers=min(workers, len(todo)))
             specs = [self._cell_spec(wl, sc, cfg)
-                     for wl, sc, cfg, _key in todo]
+                     for wl, sc, cfg, _key, _pkey in todo]
             with ProcessPoolExecutor(
                     max_workers=min(workers, len(todo))) as pool:
                 # pool.map preserves submission order: zip restores the
                 # (workload, scheme) attribution deterministically.
-                for (wl, sc, cfg, key), result in zip(
+                for (wl, sc, cfg, key, pkey), result in zip(
                         todo, pool.map(run_cell_result, specs)):
                     self.sims_run += 1
                     self._cache[key] = result
-                    self._persistent_put(wl, cfg, result)
+                    self._persistent_put(pkey, wl, cfg, result)
                     # Subprocess workers cannot observe, but cross-run
                     # telemetry must survive the process boundary: the
                     # parent appends on result receipt.
-                    self._ledger_record(wl, cfg, result, False, key)
+                    self._ledger_record(result, False, key, pkey)
                     grid[wl][sc] = result
             self.log.info("pool.done", cells=len(todo))
         return {wl: {sc: grid[wl][sc] for sc in schemes}

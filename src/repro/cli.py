@@ -375,13 +375,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     fsck_p = sub.add_parser(
         "fsck", help="scan (and optionally repair) the on-disk stores: "
-                     "result cache, ledger + index, journals, logs, "
+                     "result cache, ledger, journals, logs, "
                      "progress files")
     fsck_p.add_argument("--repair", action="store_true",
                         help="heal what is safely healable: truncate torn "
                              "tails, drop corrupt records, quarantine bad "
-                             "cache entries, rebuild stale indexes, "
-                             "release journal quarantines")
+                             "cache entries, release journal quarantines")
     fsck_p.add_argument("--cache-dir", default=None, metavar="DIR",
                         help="result-cache directory (default: "
                              "$REPRO_CACHE_DIR or ~/.cache/repro)")
@@ -554,8 +553,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
                                      fidelity=args.fidelity))
     log.info("run.start", scale=args.scale, seed=args.seed)
     try:
-        result = run_workload(make_workload(args.workload), config,
-                              gen_ctx=gen_ctx, obs=obs)
+        workload = make_workload(args.workload)
+        result = run_workload(workload, config, gen_ctx=gen_ctx, obs=obs)
     except Exception as exc:
         log.error("run.failed", error=f"{type(exc).__name__}: {exc}")
         raise
@@ -567,10 +566,21 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 inspect_meta=(args.workload, args.scheme, args.fidelity))
     ledger = _ledger_from_args(args)
     if ledger is not None:
+        from repro.analysis.result_cache import cache_key
         from repro.obs.ledger import record_from_result
+        from repro.workloads.base import compiled_digest
 
+        # The key a harness would file this cell under: functional
+        # cells are addressed by their compiled trace (memoized by the
+        # run above).
+        digest = (compiled_digest(workload, gen_ctx,
+                                  line_bytes=config.gpu.line_bytes,
+                                  sector_bytes=config.gpu.sector_bytes)
+                  if config.fidelity == "functional" else None)
         ledger.safe_append(record_from_result(
-            result, label="cli.run", config=config,
+            result, label="cli.run",
+            config_key=cache_key(args.workload, config, args.scale,
+                                 args.seed, trace_digest=digest),
             scale=args.scale, seed=args.seed,
             log_path=str(log.path) if log.enabled else None))
     if args.json:
@@ -1089,7 +1099,8 @@ def _cmd_obs(args: argparse.Namespace) -> int:
         return datetime.fromtimestamp(ts).strftime("%Y-%m-%d %H:%M:%S")
 
     if args.obs_command == "history":
-        records = ledger.records()
+        all_records = ledger.records()
+        records = all_records
         if args.kind:
             records = [r for r in records if r.get("kind") == args.kind]
         if args.workload:
@@ -1122,8 +1133,9 @@ def _cmd_obs(args: argparse.Namespace) -> int:
             ["run id", "when", "kind", "label", "cell", "cycles",
              "DRAM bytes", "events/s", "src", "git"],
             rows, title=f"run ledger: {ledger.path}"))
-        idx = ledger.index()
-        print(f"{idx['count']} records, {len(idx['cells'])} distinct cells")
+        cells = {rec.get("cell") or rec.get("kind", "?")
+                 for rec in all_records}
+        print(f"{len(all_records)} records, {len(cells)} distinct cells")
         return 0
 
     if args.obs_command == "diff":

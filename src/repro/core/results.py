@@ -19,6 +19,13 @@ from typing import Dict, Optional
 #: ``l1mshr.full_stalls``, drains, redoes the lookup) like the event SM.
 MODEL_VERSION = "6"
 
+#: Stat-key suffixes :meth:`RunResult.key_metrics` sums (hit rates,
+#: DRAM row locality, CacheCraft reconstruction efficacy).
+_KEY_METRIC_SUFFIXES = ("l1.hits", "l1.sector_misses", "l1.line_misses",
+                        "cache.hits", "cache.sector_misses",
+                        "cache.line_misses", "row_hits", "row_misses",
+                        "granules_verified", "granules_no_extra_fetch")
+
 
 @dataclass
 class RunResult:
@@ -97,11 +104,28 @@ class RunResult:
                 found = True
         return total if found else default
 
-    def l2_hit_rate(self) -> Optional[float]:
-        hits = self.stat("cache.hits")
-        misses = self.stat("cache.sector_misses") + self.stat("cache.line_misses")
-        total = hits + misses
+    def _suffix_sums(self) -> Dict[str, float]:
+        """:meth:`stat` of every suffix in :data:`_KEY_METRIC_SUFFIXES`
+        from one pass over the stats (same values, same summation
+        order)."""
+        sums = dict.fromkeys(_KEY_METRIC_SUFFIXES, 0.0)
+        for key, value in self.stats.items():
+            if key.endswith(_KEY_METRIC_SUFFIXES):
+                for suffix in _KEY_METRIC_SUFFIXES:
+                    if key.endswith(suffix):
+                        sums[suffix] += value
+        return sums
+
+    @staticmethod
+    def _hit_rate(hits: float, sector_misses: float,
+                  line_misses: float) -> Optional[float]:
+        total = hits + (sector_misses + line_misses)
         return hits / total if total else None
+
+    def l2_hit_rate(self) -> Optional[float]:
+        return self._hit_rate(self.stat("cache.hits"),
+                              self.stat("cache.sector_misses"),
+                              self.stat("cache.line_misses"))
 
     @property
     def events_executed(self) -> int:
@@ -116,10 +140,9 @@ class RunResult:
         return round(self.events_executed / self.host_seconds)
 
     def l1_hit_rate(self) -> Optional[float]:
-        hits = self.stat("l1.hits")
-        misses = self.stat("l1.sector_misses") + self.stat("l1.line_misses")
-        total = hits + misses
-        return hits / total if total else None
+        return self._hit_rate(self.stat("l1.hits"),
+                              self.stat("l1.sector_misses"),
+                              self.stat("l1.line_misses"))
 
     def to_json(self, include_stats: bool = False) -> str:
         """Serialize for tooling (``include_stats`` adds the full
@@ -196,10 +219,13 @@ class RunResult:
             # Functional-tier runs have no clock; a constant cycles=0
             # would be a meaningless (and band-breaking) "metric".
             metrics["cycles"] = int(self.cycles)
-        l1 = self.l1_hit_rate()
+        sums = self._suffix_sums()
+        l1 = self._hit_rate(sums["l1.hits"], sums["l1.sector_misses"],
+                            sums["l1.line_misses"])
         if l1 is not None:
             metrics["l1_hit_rate"] = round(l1, 6)
-        l2 = self.l2_hit_rate()
+        l2 = self._hit_rate(sums["cache.hits"], sums["cache.sector_misses"],
+                            sums["cache.line_misses"])
         if l2 is not None:
             metrics["l2_hit_rate"] = round(l2, 6)
         events = self.events_executed
@@ -207,18 +233,18 @@ class RunResult:
             metrics["events"] = events
             if self.host_seconds > 0:
                 metrics["events_per_sec"] = self.events_per_sec
-        row_hits = self.stat("row_hits")
-        row_total = row_hits + self.stat("row_misses")
+        row_hits = sums["row_hits"]
+        row_total = row_hits + sums["row_misses"]
         if row_total:
             # Event tier only (functional channels model no banks).
             metrics["row_hit_rate"] = round(row_hits / row_total, 6)
-        verified = self.stat("granules_verified")
+        verified = sums["granules_verified"]
         if verified:
             # CacheCraft: fraction of granule verifications the
             # reconstructed chunk layout served without any extra
             # DRAM fetch — the paper's reconstruction-efficacy claim.
             metrics["reconstruction_efficacy"] = round(
-                self.stat("granules_no_extra_fetch") / verified, 6)
+                sums["granules_no_extra_fetch"] / verified, 6)
         for key, value in self.inspect_metrics.items():
             metrics.setdefault(key, value)
         return metrics

@@ -19,10 +19,10 @@ Durability contract (same discipline as the campaign journal):
   trailing newline, or a partial JSON line) is skipped on read and
   *healed* on the next append, which starts a fresh line instead of
   gluing onto the fragment.
-* **The index is derived** — ``<ledger>.idx.json`` is a pure cache of
-  per-cell counts and latest records, rewritten atomically; when its
-  recorded byte size disagrees with the JSONL it is rebuilt by a full
-  scan, so it can always be deleted with no data loss.
+* **The JSONL is the only state** — there is no derived index to keep
+  in step; readers that want per-cell counts fold the records they
+  load.  A ``ledger.idx.json`` left by an older version is inert and
+  may be deleted.
 
 Disable ledger writes entirely with ``REPRO_LEDGER=off`` (or point
 ``REPRO_LEDGER`` at an alternate path).
@@ -92,24 +92,28 @@ def git_sha() -> Optional[str]:
 
 
 def record_from_result(result, *, label: str = "harness",
-                       config=None, scale: Optional[float] = None,
+                       config_key: Optional[str] = None,
+                       scale: Optional[float] = None,
                        seed: Optional[int] = None,
-                       workload_params: Optional[Dict[str, Any]] = None,
                        cached: bool = False,
                        log_path: Optional[str] = None) -> Dict[str, Any]:
     """A ledger record for one finished
     :class:`~repro.core.results.RunResult`.
 
-    ``config`` (a :class:`~repro.core.config.SystemConfig`) adds the
-    content hash the persistent result cache would file this cell
-    under — the strongest provenance link a record can carry.
+    ``config_key`` is the content hash the persistent result cache
+    files this cell under (:meth:`ResultCache.key_for
+    <repro.analysis.result_cache.ResultCache.key_for>`, trace digest
+    included on the functional tier) — the strongest provenance link
+    a record can carry.  Callers pass the key they computed for the
+    cell (the harness reuses its lookup key), so the record names the
+    cell's cache file.
     ``log_path`` links the record to the structured log
     (:mod:`repro.obs.structlog`) that narrates the run, so
     ``obs history`` can point from a cell straight to its events.
 
     Functional-fidelity results are distinct cells: their records
-    carry ``fidelity`` and an ``@functional``-suffixed cell id, so the
-    ledger index and the regression sentinel never conflate a
+    carry ``fidelity`` and an ``@functional``-suffixed cell id, so
+    ``obs history`` and the regression sentinel never conflate a
     counters-only run with a timed one.
     """
     fidelity = getattr(result, "fidelity", "event")
@@ -131,13 +135,8 @@ def record_from_result(result, *, label: str = "harness",
     }
     if log_path:
         record["log"] = str(log_path)
-    if config is not None:
-        from repro.analysis.result_cache import cache_key
-
-        record["config_key"] = cache_key(result.workload, config,
-                                         scale if scale is not None else 0.0,
-                                         seed if seed is not None else 0,
-                                         workload_params or {})
+    if config_key is not None:
+        record["config_key"] = config_key
     if result.latency:
         record["latency"] = {
             k: result.latency[k]
@@ -253,7 +252,7 @@ def record_from_bench(payload: Dict[str, Any],
 
 
 class RunLedger:
-    """Append-only JSONL run history with a derived index."""
+    """Append-only JSONL run history."""
 
     def __init__(self, path: Union[str, os.PathLike], fsync: bool = True):
         self.path = Path(path)
@@ -265,10 +264,6 @@ class RunLedger:
         """The environment-configured ledger, or None when disabled."""
         path = default_ledger_path()
         return cls(path) if path is not None else None
-
-    @property
-    def index_path(self) -> Path:
-        return self.path.with_name(self.path.stem + ".idx.json")
 
     # -- writing -------------------------------------------------------------
 
@@ -291,12 +286,14 @@ class RunLedger:
         rec.setdefault("git_sha", git_sha())
         rec.setdefault("model_version", MODEL_VERSION)
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        prev_size, _torn_tail = self._tail_state()
+        try:
+            prev_size = self.path.stat().st_size
+        except OSError:
+            prev_size = 0
         rec.setdefault("run_id", hashlib.blake2s(
             f"{rec['ts']}|{prev_size}|{json.dumps(rec, sort_keys=True, default=str)}"
             .encode("utf-8"), digest_size=6).hexdigest())
-        written = append_jsonl(self.path, rec, fsync=self.fsync)
-        self._update_index(rec, prev_size, prev_size + written)
+        append_jsonl(self.path, rec, fsync=self.fsync)
         return rec["run_id"]
 
     def safe_append(self, record: Dict[str, Any]) -> Optional[str]:
@@ -309,18 +306,6 @@ class RunLedger:
                 print(f"warning: ledger append to {self.path} failed: {exc}",
                       file=sys.stderr)
             return None
-
-    def _tail_state(self) -> tuple:
-        """(current size, True when the last byte is not a newline)."""
-        try:
-            size = self.path.stat().st_size
-        except OSError:
-            return 0, False
-        if size == 0:
-            return 0, False
-        with self.path.open("rb") as fh:
-            fh.seek(-1, os.SEEK_END)
-            return size, fh.read(1) != b"\n"
 
     # -- reading -------------------------------------------------------------
 
@@ -356,95 +341,6 @@ class RunLedger:
                     f"run id prefix {run_id_prefix!r} is ambiguous: "
                     + ", ".join(sorted(full)))
         return matches[-1]
-
-    # -- the derived index ----------------------------------------------------
-
-    def index(self) -> Dict[str, Any]:
-        """The derived index, rebuilt when stale or missing."""
-        try:
-            size = self.path.stat().st_size
-        except OSError:
-            size = 0
-        try:
-            with self.index_path.open() as fh:
-                idx = json.load(fh)
-            if isinstance(idx, dict) and idx.get("bytes") == size:
-                return idx
-        except (OSError, ValueError):
-            pass
-        return self.rebuild_index()
-
-    def rebuild_index(self) -> Dict[str, Any]:
-        """Regenerate the index by scanning the JSONL; atomic write."""
-        idx = self._index_of(self.records())
-        self._write_index(idx)
-        return idx
-
-    def _index_of(self, records: List[Dict[str, Any]]) -> Dict[str, Any]:
-        try:
-            size = self.path.stat().st_size
-        except OSError:
-            size = 0
-        idx: Dict[str, Any] = {
-            "format": LEDGER_FORMAT, "bytes": size,
-            "count": len(records), "kinds": {}, "cells": {},
-            "last_run_id": None, "last_ts": None,
-        }
-        for rec in records:
-            self._index_add(idx, rec)
-        return idx
-
-    @staticmethod
-    def _index_add(idx: Dict[str, Any], rec: Dict[str, Any]) -> None:
-        kind = rec.get("kind", "?")
-        idx["kinds"][kind] = idx["kinds"].get(kind, 0) + 1
-        idx["last_run_id"] = rec.get("run_id")
-        idx["last_ts"] = rec.get("ts")
-        cell = rec.get("cell") or kind
-        entry = idx["cells"].setdefault(
-            cell, {"count": 0, "last_run_id": None, "last_ts": None})
-        entry["count"] += 1
-        entry["last_run_id"] = rec.get("run_id")
-        entry["last_ts"] = rec.get("ts")
-        cycles = (rec.get("metrics") or {}).get("cycles")
-        if cycles is not None:
-            entry["last_cycles"] = cycles
-
-    def _update_index(self, rec: Dict[str, Any], prev_size: int,
-                      new_size: int) -> None:
-        """Incrementally fold one appended record into the index; any
-        disagreement with the JSONL's pre-append size forces a full
-        rebuild (e.g. another process appended in between)."""
-        idx = None
-        try:
-            with self.index_path.open() as fh:
-                idx = json.load(fh)
-        except (OSError, ValueError):
-            idx = None
-        if (not isinstance(idx, dict) or "cells" not in idx
-                or idx.get("bytes") != prev_size):
-            self.rebuild_index()
-            return
-        idx["bytes"] = new_size
-        idx["count"] = idx.get("count", 0) + 1
-        self._index_add(idx, rec)
-        self._write_index(idx)
-
-    def _write_index(self, idx: Dict[str, Any]) -> None:
-        import tempfile
-
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=str(self.path.parent), suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as fh:
-                json.dump(idx, fh, sort_keys=True)
-            os.replace(tmp, self.index_path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
 
 
 def resolve_ledger(ledger: Union[None, bool, str, os.PathLike, RunLedger]

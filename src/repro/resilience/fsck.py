@@ -1,12 +1,12 @@
 """Storage fsck: scan and heal the execution stack's on-disk state.
 
 Every durable artifact this repo writes — the content-addressed result
-cache, the run ledger and its derived index, campaign journals, the
-structured log, progress files — is built to *tolerate* corruption
-(torn tails skipped on read, checksums verified, corrupt cache entries
-quarantined).  This module adds the offline complement: ``repro fsck
-[--repair]`` walks those stores, reports a typed list of
-:class:`Issue` objects, and heals what is safely healable.
+cache, the run ledger, campaign journals, the structured log, progress
+files — is built to *tolerate* corruption (torn tails skipped on read,
+checksums verified, corrupt cache entries quarantined).  This module
+adds the offline complement: ``repro fsck [--repair]`` walks those
+stores, reports a typed list of :class:`Issue` objects, and heals what
+is safely healable.
 
 Issue kinds and their repairs:
 
@@ -18,22 +18,19 @@ kind                severity ``--repair`` action
 ``bad_checksum``    error    drop the corrupted record (rewrite)
 ``bad_entry``       error    quarantine the cache entry to ``.bad``
 ``orphan_tmp``      error    delete the leftover ``.tmp`` file
-``stale_index``     error    rebuild the ledger index
-``orphan_index``    error    delete the index (ledger is gone)
 ``quarantined_entry`` info   none (inventory of ``.bad`` siblings)
 ``quarantined_cell`` info    release the journal quarantine record
 =================== ======== =======================================
 
 Repairs only ever *remove* records that no reader would trust anyway
-(every JSONL reader already skips them) or rebuild derived state, so
-``--repair`` cannot lose good data.  Releasing journal quarantines is
-the one deliberate exception to "mirror the readers": quarantine
-exists to stop *automatic* retry loops, and an explicit ``fsck
---repair`` is the operator's "try again" signal — the quarantine
-record is rewritten to a ``status="released"`` record that keeps the
-cell's attempt count (so a deterministic chaos policy draws fresh
-fault decisions on the rerun) and the cell reruns on the next resumed
-campaign.
+(every JSONL reader already skips them), so ``--repair`` cannot lose
+good data.  Releasing journal quarantines is the one deliberate
+exception to "mirror the readers": quarantine exists to stop
+*automatic* retry loops, and an explicit ``fsck --repair`` is the
+operator's "try again" signal — the quarantine record is rewritten to
+a ``status="released"`` record that keeps the cell's attempt count (so
+a deterministic chaos policy draws fresh fault decisions on the rerun)
+and the cell reruns on the next resumed campaign.
 """
 
 from __future__ import annotations
@@ -245,68 +242,6 @@ def fsck_cache(cache_dir: Union[str, os.PathLike], report: FsckReport,
             report.issues.append(issue)
 
 
-# -- the ledger and its derived index -----------------------------------------
-
-
-def fsck_ledger(path: Union[str, os.PathLike], report: FsckReport,
-                repair: bool = False) -> None:
-    """Scan a ledger JSONL plus its ``.idx.json``: record-level issues
-    first (their repair changes the file size), then index staleness
-    against the healed bytes."""
-    from repro.obs.ledger import RunLedger
-
-    ledger = RunLedger(path)
-    fsck_jsonl(ledger.path, "ledger", report, repair=repair)
-    idx_path = ledger.index_path
-    if not idx_path.exists():
-        return
-    report._count("ledger")
-    if not ledger.path.exists():
-        issue = Issue("ledger", str(idx_path), "orphan_index",
-                      "index exists but its ledger is gone",
-                      repairable=True)
-        if repair:
-            try:
-                idx_path.unlink()
-                issue.repaired = True
-            except OSError:
-                pass
-        report.issues.append(issue)
-        return
-    size = ledger.path.stat().st_size
-    detail = None
-    try:
-        idx = json.loads(idx_path.read_text(encoding="utf-8"))
-        if not isinstance(idx, dict):
-            detail = "non-object index"
-        elif idx.get("bytes") != size:
-            detail = (f"index bytes {idx.get('bytes')} != "
-                      f"ledger bytes {size}")
-        else:
-            expected = ledger._index_of(ledger.records())
-            if (idx.get("count") != expected["count"]
-                    or set(idx.get("cells", {})) != set(expected["cells"])):
-                orphans = sorted(set(idx.get("cells", {}))
-                                 - set(expected["cells"]))
-                detail = ("orphan index entries: " + ", ".join(orphans)
-                          if orphans else "index disagrees with ledger")
-    except ValueError:
-        detail = "unparseable index JSON"
-    except OSError:
-        return
-    if detail is None:
-        return
-    issue = Issue("ledger", str(idx_path), "stale_index", detail,
-                  repairable=True)
-    if repair:
-        try:
-            ledger.rebuild_index()
-            issue.repaired = True
-        except OSError:
-            pass
-    report.issues.append(issue)
-
-
 # -- whole-stack entry point --------------------------------------------------
 
 
@@ -319,7 +254,7 @@ def fsck_all(cache_dir: Union[None, str, os.PathLike] = None,
     """One fsck pass over every store the caller names (or the
     environment defaults for the cache and ledger)."""
     from repro.analysis.result_cache import default_cache_dir
-    from repro.obs.ledger import RunLedger, default_ledger_path
+    from repro.obs.ledger import default_ledger_path
 
     report = FsckReport()
     cache_root = Path(cache_dir) if cache_dir is not None \
@@ -329,9 +264,7 @@ def fsck_all(cache_dir: Union[None, str, os.PathLike] = None,
     ledger_path = Path(ledger) if ledger is not None \
         else default_ledger_path()
     if ledger_path is not None:
-        probe = RunLedger(ledger_path)
-        if probe.path.exists() or probe.index_path.exists():
-            fsck_ledger(ledger_path, report, repair=repair)
+        fsck_jsonl(ledger_path, "ledger", report, repair=repair)
     for journal in journals or []:
         fsck_jsonl(journal, "journal", report, repair=repair,
                    drop_status="quarantined")

@@ -7,7 +7,7 @@ import pytest
 from repro.obs.ledger import RunLedger
 from repro.obs.structlog import append_jsonl, read_jsonl
 from repro.resilience.fsck import (FsckReport, fsck_all, fsck_cache,
-                                   fsck_jsonl, fsck_ledger)
+                                   fsck_jsonl)
 
 
 def kinds(report):
@@ -180,42 +180,16 @@ class TestCacheScan:
 
 
 class TestLedgerScan:
-    def _seeded_ledger(self, tmp_path):
+    def test_clean_ledger(self, tmp_path):
+        """A ledger scans clean, and an index file an older version
+        left beside it is neither read nor reported."""
         ledger = RunLedger(tmp_path / "ledger.jsonl")
         ledger.append({"kind": "run", "workload": "vecadd",
                        "scheme": "none", "cycles": 10})
-        return ledger
-
-    def test_clean_ledger_and_index(self, tmp_path):
-        self._seeded_ledger(tmp_path)
-        report = FsckReport()
-        fsck_ledger(tmp_path / "ledger.jsonl", report)
+        (tmp_path / "ledger.idx.json").write_text('{"bytes": 0}')
+        report = fsck_all(cache_dir=tmp_path / "nope", ledger=ledger.path)
         assert report.ok and not report.issues
-
-    def test_stale_index_rebuilt_on_repair(self, tmp_path):
-        ledger = self._seeded_ledger(tmp_path)
-        # Grow the ledger behind the index's back.
-        with ledger.path.open("a") as fh:
-            fh.write(json.dumps({"kind": "run", "workload": "spmv",
-                                 "scheme": "none", "cycles": 5}) + "\n")
-        report = FsckReport()
-        fsck_ledger(ledger.path, report)
-        assert kinds(report) == ["stale_index"]
-        fixed = FsckReport()
-        fsck_ledger(ledger.path, fixed, repair=True)
-        assert fixed.ok and fixed.issues[0].repaired
-        again = FsckReport()
-        fsck_ledger(ledger.path, again)
-        assert not again.issues
-
-    def test_orphan_index_deleted_on_repair(self, tmp_path):
-        ledger = self._seeded_ledger(tmp_path)
-        idx = ledger.index_path
-        ledger.path.unlink()
-        report = FsckReport()
-        fsck_ledger(tmp_path / "ledger.jsonl", report, repair=True)
-        assert kinds(report) == ["orphan_index"]
-        assert not idx.exists()
+        assert report.scanned == {"ledger": 1}
 
 
 class TestFsckAll:

@@ -113,52 +113,31 @@ class TestFind:
             ledger.find("aa")
 
 
-# -- the derived index --------------------------------------------------------
+# -- the JSONL is the only state ---------------------------------------------
 
 
-class TestIndex:
-    def test_index_tracks_counts_and_cells(self, ledger):
-        ledger.append({"kind": "run", "cell": "a/b",
-                       "metrics": {"cycles": 7}})
-        ledger.append({"kind": "run", "cell": "a/b",
-                       "metrics": {"cycles": 9}})
+class TestJsonlOnly:
+    def test_append_leaves_only_the_jsonl(self, ledger):
+        for i in range(3):
+            ledger.append({"kind": "run", "cell": f"w/{i}", "metrics": {}})
+        assert sorted(p.name for p in ledger.path.parent.iterdir()) \
+            == ["ledger.jsonl"]
+
+    def test_history_counts_records_from_jsonl(self, ledger, capsys):
+        """``obs history`` totals every record the JSONL holds, one
+        appended out of band included."""
+        from repro.cli import main
+
+        ledger.append({"kind": "run", "cell": "a/b", "metrics": {}})
+        ledger.append({"kind": "run", "cell": "a/b", "metrics": {}})
         ledger.append({"kind": "bench", "metrics": {}})
-        idx = ledger.index()
-        assert idx["count"] == 3
-        assert idx["kinds"] == {"run": 2, "bench": 1}
-        assert idx["cells"]["a/b"]["count"] == 2
-        assert idx["cells"]["a/b"]["last_cycles"] == 9
-
-    def test_index_is_a_pure_cache(self, ledger):
-        """Deleting the index loses nothing — it is rebuilt by scan."""
-        ledger.append({"kind": "run", "cell": "a/b", "metrics": {}})
-        assert ledger.index_path.exists()
-        ledger.index_path.unlink()
-        assert ledger.index()["count"] == 1
-
-    def test_stale_index_rebuilt_from_jsonl(self, ledger):
-        """An out-of-band append desyncs the byte count; the next read
-        must notice and rescan rather than serve stale aggregates."""
-        ledger.append({"kind": "run", "cell": "a/b", "metrics": {}})
         with ledger.path.open("a") as fh:
             fh.write(json.dumps({"kind": "run", "cell": "c/d",
                                  "run_id": "x", "metrics": {}}) + "\n")
-        idx = ledger.index()
-        assert idx["count"] == 2
-        assert set(idx["cells"]) == {"a/b", "c/d"}
-
-    def test_corrupt_index_rebuilt(self, ledger):
-        ledger.append({"kind": "run", "cell": "a/b", "metrics": {}})
-        ledger.index_path.write_text("{corrupt")
-        assert ledger.index()["count"] == 1
-
-    def test_incremental_update_matches_full_rebuild(self, ledger):
-        for i in range(4):
-            ledger.append({"kind": "run", "cell": f"w/{i % 2}",
-                           "metrics": {"cycles": i}})
-        incremental = ledger.index()
-        rebuilt = ledger.rebuild_index()
-        assert incremental == rebuilt
+        for extra in ([], ["--kind", "bench"]):
+            assert main(["obs", "history", "--ledger", str(ledger.path)]
+                        + extra) == 0
+            assert "4 records, 3 distinct cells" in capsys.readouterr().out
 
 
 # -- configuration ------------------------------------------------------------
@@ -202,7 +181,7 @@ class TestRecordBuilders:
                                     seed=tiny_gen.seed,
                                     ledger=False)
         result = harness.run("vecadd", "none")
-        rec = record_from_result(result, label="t", config=small_config,
+        rec = record_from_result(result, label="t", config_key="ab" * 32,
                                  scale=tiny_gen.scale, seed=tiny_gen.seed)
         assert rec["kind"] == "run"
         assert rec["cell"] == "vecadd/none"
@@ -211,7 +190,7 @@ class TestRecordBuilders:
         assert rec["metrics"]["total_dram_bytes"] > 0
         assert rec["metrics"]["events"] > 0
         assert rec["metrics"]["events_per_sec"] > 0
-        assert len(rec["config_key"]) == 64  # result-cache content hash
+        assert rec["config_key"] == "ab" * 32
 
     def test_record_from_cell_derives_traffic_split(self):
         rec = record_from_cell(
@@ -252,11 +231,11 @@ class TestRecordBuilders:
         harness = ExperimentHarness(small_config, scale=tiny_gen.scale,
                                     seed=tiny_gen.seed, ledger=False)
         result = harness.run("vecadd", "none")
-        rec = record_from_result(result, label="t", config=small_config,
+        rec = record_from_result(result, label="t",
                                  scale=tiny_gen.scale, seed=tiny_gen.seed,
                                  log_path="/tmp/run.log.jsonl")
         assert rec["log"] == "/tmp/run.log.jsonl"
-        bare = record_from_result(result, label="t", config=small_config,
+        bare = record_from_result(result, label="t",
                                   scale=tiny_gen.scale, seed=tiny_gen.seed)
         assert "log" not in bare
 
@@ -328,6 +307,23 @@ class TestHarnessLedger:
         harness.matrix(["vecadd"], ["none", "sideband"], workers=2)
         cells = sorted(r["cell"] for r in ledger.records())
         assert cells == ["vecadd/none", "vecadd/sideband"]
+
+    @pytest.mark.parametrize("fidelity", ["event", "functional"])
+    def test_config_key_names_the_cache_file(self, ledger, tmp_path,
+                                             small_config, tiny_gen,
+                                             fidelity):
+        """The record's ``config_key`` is the key the harness filed the
+        result under, on both tiers and on a warm lookup too."""
+        cache_dir = tmp_path / "cache"
+        for _ in range(2):  # simulate, then serve from the cache
+            ExperimentHarness(small_config, scale=tiny_gen.scale,
+                              seed=tiny_gen.seed, cache_dir=cache_dir,
+                              ledger=ledger, fidelity=fidelity
+                              ).run("vecadd", "cachecraft")
+        (entry,) = cache_dir.glob("*/*.json")
+        records = ledger.records()
+        assert [r["cached"] for r in records] == [False, True]
+        assert [r["config_key"] for r in records] == [entry.stem] * 2
 
     def test_ledger_false_disables(self, small_config, tiny_gen,
                                    monkeypatch, tmp_path):
