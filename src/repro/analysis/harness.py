@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import math
 import os
-from typing import (Any, Callable, Dict, Iterable, List, Optional, Sequence,
-                    Tuple, Union)
+import tempfile
+from typing import (Callable, Dict, Iterable, List, Optional, Sequence, Tuple,
+                    Union)
 
 from repro.analysis.result_cache import ResultCache, cache_key
 from repro.core.config import ALL_SCHEMES, FIDELITIES, SystemConfig
@@ -109,8 +110,8 @@ class ExperimentHarness:
         self.ledger_label = ledger_label
         self._ledger_logged: set = set()
         #: Structured event log (see :mod:`repro.obs.structlog`):
-        #: cell lifecycle, cache traffic and pool fan-out narrate into
-        #: a JSONL file shared by every process of the run.
+        #: cell lifecycle, cache traffic and parallel fan-out narrate
+        #: into a JSONL file shared by every process of the run.
         #: ``None``/``True`` uses the environment default
         #: (``REPRO_LOG``); ``False`` opts out.
         self.log = resolve_log(log)
@@ -185,18 +186,41 @@ class ExperimentHarness:
             return cache_key(*args, trace_digest=digest)
         return store.key_for(*args, trace_digest=digest)
 
-    def _persistent_get(self, pkey: Optional[str]) -> Optional[RunResult]:
+    def _lookup(self, workload: str, cfg: SystemConfig
+                ) -> Tuple[Tuple, Optional[str], Optional[RunResult]]:
+        """``(memory key, persistent key, cached result or None)`` for
+        one cell: the in-memory dict, then the persistent cache.  A
+        persistent hit is kept in memory and recorded in the ledger."""
+        key = self._mem_key(workload, cfg)
+        result = self._cache.get(key)
+        if result is not None:
+            # Its ledger record went out when it was first resolved.
+            return key, None, result
+        pkey = self._persistent_key(workload, cfg)
         store = self._store()
-        return store.get(pkey) if store is not None else None
+        result = store.get(pkey) if store is not None else None
+        if result is not None:
+            cell_id = f"{workload}/{cfg.protection.scheme}"
+            self.log.info("cell.cached", cell=cell_id, source="persistent")
+            if self.progress is not None:
+                self.progress.cell(cell_id, "cached")
+            self._cache[key] = result
+            self._ledger_record(result, True, key, pkey)
+        return key, pkey, result
 
-    def _persistent_put(self, pkey: Optional[str], workload: str,
-                        cfg: SystemConfig, result: RunResult) -> None:
+    def _keep(self, workload: str, cfg: SystemConfig, key: Tuple,
+              pkey: Optional[str], result: RunResult) -> None:
+        """The store step for a simulated cell: count it, keep it in
+        memory and in the persistent cache, record it in the ledger."""
+        self.sims_run += 1
         store = self._store()
         if store is not None:
             store.put(pkey, result,
                       meta={"workload": workload,
                             "scheme": cfg.protection.scheme,
                             "scale": self.scale, "seed": self.seed})
+        self._cache[key] = result
+        self._ledger_record(result, False, key, pkey)
 
     def _ledger_record(self, result: RunResult, cached: bool, key: Tuple,
                        pkey: Optional[str]) -> None:
@@ -217,50 +241,37 @@ class ExperimentHarness:
         cfg = self._apply_fidelity(
             (config or self.config).with_scheme(scheme,
                                                 **protection_overrides))
-        key = self._mem_key(workload, cfg)
+        key, pkey, result = self._lookup(workload, cfg)
+        if result is not None:
+            return result
         cell_id = f"{workload}/{scheme}"
-        cached = self._cache.get(key)
-        if cached is not None:
-            return cached  # its ledger record went out when first resolved
-        pkey = self._persistent_key(workload, cfg)
-        result = self._persistent_get(pkey)
-        from_cache = result is not None
         log = self.log.bind(cell=cell_id) if self.log.enabled else self.log
-        if result is None:
-            log.info("cell.start", scale=self.scale, seed=self.seed)
+        log.info("cell.start", scale=self.scale, seed=self.seed)
+        if self.progress is not None:
+            self.progress.cell(cell_id, "start")
+        obs = self.obs_factory(workload, scheme) if self.obs_factory else None
+        watchdog = None
+        if self.max_wall_seconds is not None:
+            watchdog = Watchdog(max_wall_seconds=self.max_wall_seconds)
+        try:
+            result = run_workload(self._build_workload(workload), cfg,
+                                  gen_ctx=self._gen_ctx(cfg), obs=obs,
+                                  max_events=self.max_events,
+                                  watchdog=watchdog)
+        except Exception as exc:
+            log.error("cell.failed", error=f"{type(exc).__name__}: {exc}")
             if self.progress is not None:
-                self.progress.cell(cell_id, "start")
-            obs = (self.obs_factory(workload, scheme)
-                   if self.obs_factory else None)
-            watchdog = None
-            if self.max_wall_seconds is not None:
-                watchdog = Watchdog(max_wall_seconds=self.max_wall_seconds)
-            try:
-                result = run_workload(self._build_workload(workload), cfg,
-                                      gen_ctx=self._gen_ctx(cfg), obs=obs,
-                                      max_events=self.max_events,
-                                      watchdog=watchdog)
-            except Exception as exc:
-                log.error("cell.failed", error=f"{type(exc).__name__}: {exc}")
-                if self.progress is not None:
-                    self.progress.cell(cell_id, "failed",
-                                       error=f"{type(exc).__name__}: {exc}")
-                raise
-            self.sims_run += 1
-            self._persistent_put(pkey, workload, cfg, result)
-            log.info("cell.done", cycles=result.cycles,
-                     events=int(result.events_executed),
-                     host_seconds=round(result.host_seconds, 3))
-            if self.progress is not None:
-                self.progress.cell(cell_id, "done",
-                                   events=int(result.events_executed),
-                                   host_seconds=round(result.host_seconds, 3))
-        else:
-            log.info("cell.cached", source="persistent")
-            if self.progress is not None:
-                self.progress.cell(cell_id, "cached")
-        self._cache[key] = result
-        self._ledger_record(result, from_cache, key, pkey)
+                self.progress.cell(cell_id, "failed",
+                                   error=f"{type(exc).__name__}: {exc}")
+            raise
+        log.info("cell.done", cycles=result.cycles,
+                 events=int(result.events_executed),
+                 host_seconds=round(result.host_seconds, 3))
+        if self.progress is not None:
+            self.progress.cell(cell_id, "done",
+                               events=int(result.events_executed),
+                               host_seconds=round(result.host_seconds, 3))
+        self._keep(workload, cfg, key, pkey, result)
         return result
 
     def run_campaign(self, workloads: Sequence[str],
@@ -274,19 +285,20 @@ class ExperimentHarness:
                      retry_backoff_max: float = 30.0,
                      degrade: bool = False,
                      progress=None):
-        """Run the workload x scheme grid in isolated subprocess workers.
+        """Run the workload x scheme grid as a resumable campaign.
 
-        Unlike :meth:`matrix` this survives crashed or hung cells: each
-        runs in its own process with a timeout, failures are classified
+        The same runner as a parallel :meth:`matrix`, but the JSONL
+        journal at ``journal_path`` is kept, so a killed campaign
+        resumes with only the unfinished cells.  Each cell runs in its
+        own worker process with a timeout; failures are classified
         (transient / persistent / crash-looping) and retried with
-        jittered backoff or quarantined, and the JSONL journal at
-        ``journal_path`` lets a killed campaign resume with only the
-        unfinished cells.  ``degrade=True`` rescues a cell that
-        exhausts its budget with one functional-tier attempt.  Returns
-        a :class:`repro.resilience.campaign.CampaignSummary`.
+        jittered backoff or quarantined.  ``degrade=True`` rescues a
+        cell that exhausts its budget with one functional-tier attempt.
+        Cells run on this harness's machine, scale, seed and workload
+        parameters.  Returns a
+        :class:`repro.resilience.campaign.CampaignSummary`.
         """
-        # Imported lazily: campaign pulls in subprocess machinery that
-        # in-process experiments never need.
+        # Imported lazily: in-process experiments never need the runner.
         from repro.resilience.campaign import CampaignRunner, build_cells
 
         if self.fidelity != "event":
@@ -295,8 +307,9 @@ class ExperimentHarness:
                 "exercise fault injection/recovery, which is timed")
 
         cells = build_cells(
-            workloads, schemes, scale=self.scale, seed=self.seed,
-            resilience=resilience,
+            workloads, schemes, config=self._apply_fidelity(self.config),
+            scale=self.scale, seed=self.seed,
+            workload_params=self.workload_params, resilience=resilience,
             max_events=max_events if max_events is not None
             else self.max_events,
             max_wall_seconds=self.max_wall_seconds)
@@ -316,16 +329,23 @@ class ExperimentHarness:
                ) -> Dict[str, Dict[str, RunResult]]:
         """``{workload: {scheme: result}}`` for a full grid.
 
-        ``workers=N`` (N > 1) fans the independent (workload, scheme)
-        cells out over a ``ProcessPoolExecutor``.  Each cell runs the
-        exact same simulation the serial path would, so the returned
-        results are identical (modulo ``host_seconds``, which measures
-        the wall clock); iteration order of the returned dicts matches
-        the serial path regardless of completion order.  Results fill
-        the same in-memory/persistent caches as serial runs.
+        ``workers=N`` (N > 1) hands the cells no cache holds to a
+        :class:`~repro.resilience.campaign.CampaignRunner` with N
+        forked workers and a temporary journal, so a dying or hung
+        worker costs only its own cell and gets the runner's retries
+        and quarantine.  Each cell runs the exact same simulation the
+        serial path would, so the returned results are identical
+        (modulo ``host_seconds``, which measures the wall clock);
+        iteration order of the returned dicts matches the serial path
+        regardless of completion order.  Cells are looked up and
+        stored exactly as :meth:`run` does, in the same in-memory and
+        persistent caches and ledger.  If a cell fails or is
+        quarantined, the healthy cells are stored and then
+        ``RuntimeError`` names the lost ones.
         """
+        workloads, schemes = list(workloads), list(schemes)
         if self.progress is not None:
-            self.progress.plan(len(list(workloads)) * len(list(schemes)),
+            self.progress.plan(len(workloads) * len(schemes),
                                label=self.ledger_label)
         if workers is None or workers <= 1:
             return {
@@ -336,86 +356,47 @@ class ExperimentHarness:
             raise ValueError(
                 "parallel matrix cannot observe runs (obs hubs bind to "
                 "in-process systems); use workers=1 with obs_factory")
-        return self._matrix_parallel(list(workloads), list(schemes),
-                                     config, workers)
-
-    def _cell_spec(self, workload: str, scheme: str,
-                   cfg: SystemConfig) -> Dict[str, Any]:
-        """A worker cell spec (see :mod:`repro.resilience.worker`),
-        carrying the fully-built config since it travels by pickle."""
-        spec: Dict[str, Any] = {
-            "cell": f"{workload}/{scheme}", "workload": workload,
-            "scheme": scheme, "scale": self.scale, "seed": self.seed,
-            "config": cfg,
-            "workload_params": self.workload_params.get(workload, {}),
-        }
-        if self.max_events is not None:
-            spec["max_events"] = self.max_events
-        if self.max_wall_seconds is not None:
-            spec["max_wall_seconds"] = self.max_wall_seconds
-        # Telemetry channels cross the process boundary by path: the
-        # worker opens its own appender on each (O_APPEND keeps the
-        # interleaving whole-record atomic).
-        if self.log.enabled:
-            spec["log"] = str(self.log.path)
-            spec["log_level"] = getattr(self.log, "level", "debug")
-        if self.progress is not None:
-            spec["progress_dir"] = str(self.progress.dir)
-        return spec
-
-    def _matrix_parallel(self, workloads: List[str], schemes: List[str],
-                         config: Optional[SystemConfig], workers: int
-                         ) -> Dict[str, Dict[str, RunResult]]:
-        # Imported lazily: the pool machinery is only needed here, and
-        # the worker import would otherwise be circular at module load.
-        from concurrent.futures import ProcessPoolExecutor
-
-        from repro.resilience.worker import run_cell_result
+        # Imported lazily: in-process experiments never need the runner.
+        from repro.resilience.campaign import (CampaignRunner,
+                                               CampaignSummary, build_cells)
 
         grid: Dict[str, Dict[str, RunResult]] = {wl: {} for wl in workloads}
-        todo: List[Tuple[str, str, SystemConfig, Tuple, Optional[str]]] = []
-        for wl in workloads:
-            for sc in schemes:
-                cfg = self._apply_fidelity(
-                    (config or self.config).with_scheme(sc))
-                key = self._mem_key(wl, cfg)
-                pkey = None
-                cached = self._cache.get(key)
-                if cached is None:
-                    pkey = self._persistent_key(wl, cfg)
-                    cached = self._persistent_get(pkey)
-                    if cached is not None:
-                        self._cache[key] = cached
-                        self._ledger_record(cached, True, key, pkey)
-                if cached is not None:
-                    grid[wl][sc] = cached
-                    if self.log.enabled:
-                        self.log.info("cell.cached", cell=f"{wl}/{sc}",
-                                      source="persistent")
-                    if self.progress is not None:
-                        self.progress.cell(f"{wl}/{sc}", "cached")
-                else:
-                    todo.append((wl, sc, cfg, key, pkey))
-        if todo:
-            self.log.info("pool.start", cells=len(todo),
-                          workers=min(workers, len(todo)))
-            specs = [self._cell_spec(wl, sc, cfg)
-                     for wl, sc, cfg, _key, _pkey in todo]
-            with ProcessPoolExecutor(
-                    max_workers=min(workers, len(todo))) as pool:
-                # pool.map preserves submission order: zip restores the
-                # (workload, scheme) attribution deterministically.
-                for (wl, sc, cfg, key, pkey), result in zip(
-                        todo, pool.map(run_cell_result, specs)):
-                    self.sims_run += 1
-                    self._cache[key] = result
-                    self._persistent_put(pkey, wl, cfg, result)
-                    # Subprocess workers cannot observe, but cross-run
-                    # telemetry must survive the process boundary: the
-                    # parent appends on result receipt.
-                    self._ledger_record(result, False, key, pkey)
-                    grid[wl][sc] = result
-            self.log.info("pool.done", cells=len(todo))
+        misses: Dict[str, Tuple[Tuple, Optional[str]]] = {}
+        specs = []
+        for spec in build_cells(
+                workloads, schemes,
+                config=self._apply_fidelity(config or self.config),
+                scale=self.scale, seed=self.seed,
+                workload_params=self.workload_params,
+                max_events=self.max_events,
+                max_wall_seconds=self.max_wall_seconds):
+            key, pkey, result = self._lookup(spec["workload"],
+                                             spec["config"])
+            if result is None:
+                misses[spec["cell"]] = (key, pkey)
+                specs.append(spec)
+            else:
+                grid[spec["workload"]][spec["scheme"]] = result
+        if specs:
+            summary = CampaignSummary()
+            with tempfile.TemporaryDirectory(prefix="repro-matrix-") as tmp:
+                runner = CampaignRunner(
+                    os.path.join(tmp, "journal.jsonl"), workers=workers,
+                    log=self.log,
+                    progress_dir=(self.progress.dir
+                                  if self.progress is not None else None))
+                for spec, result in runner.completions(specs, summary,
+                                                       resume=False):
+                    self._keep(spec["workload"], spec["config"],
+                               *misses[spec["cell"]], result)
+                    grid[spec["workload"]][spec["scheme"]] = result
+            lost = summary.failed + summary.quarantined
+            if lost:
+                raise RuntimeError(
+                    f"{len(lost)} of {len(specs)} parallel cells did not "
+                    "complete: " + "; ".join(
+                        f"{cell} ({summary.records[cell].get('error')})"
+                        for cell in lost))
         return {wl: {sc: grid[wl][sc] for sc in schemes}
                 for wl in workloads}
 

@@ -13,7 +13,7 @@ Subcommands:
 * ``experiment`` — regenerate one of the reproduced tables/figures;
 * ``sweep`` — one-parameter sensitivity sweep (l2/granule/mdcache);
 * ``faults`` — fault-injection coverage campaign for any code;
-* ``campaign`` — resilient multi-cell sweep in subprocess workers with
+* ``campaign`` — resilient multi-cell sweep in forked workers with
   timeouts, retries and a resumable JSONL journal (docs/RESILIENCE.md);
 * ``obs`` — cross-run telemetry: ``history``/``diff`` over the run
   ledger, the ``regress`` sentinel against a committed baseline,
@@ -317,7 +317,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     camp_p = sub.add_parser(
         "campaign",
-        help="resilient workload x scheme sweep (subprocess workers, "
+        help="resilient workload x scheme sweep (forked workers, "
              "timeouts, retries, resumable journal)")
     camp_p.add_argument("--workloads", "-w", default="vecadd,spmv",
                         help="comma-separated workload list")
@@ -329,7 +329,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="JSONL journal path (default campaign.jsonl); "
                              "rerunning resumes from it")
     camp_p.add_argument("--workers", type=int, default=2,
-                        help="parallel subprocess workers (default 2)")
+                        help="parallel worker processes (default 2)")
     camp_p.add_argument("--timeout", type=float, default=300.0,
                         help="per-cell timeout in host seconds "
                              "(default 300)")
@@ -868,7 +868,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         except (OSError, ValueError) as exc:
             raise SystemExit(
                 f"error: bad --chaos-policy {args.chaos_policy!r}: {exc}")
-        # Export through the environment so subprocess workers inherit
+        # Export through the environment so forked workers inherit
         # the same policy (and the append seams in this process arm).
         os.environ[CHAOS_ENV] = args.chaos_policy
         print(f"chaos policy armed: {policy.to_json()}")

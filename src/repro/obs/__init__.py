@@ -24,8 +24,8 @@ See ``docs/OBSERVABILITY.md``.
 from repro.obs.hub import OBS_OFF, Observability, make_observability
 from repro.obs.latency import LatencyAttributor, LoadToken
 from repro.obs.ledger import (RunLedger, default_ledger_path,
-                              record_from_bench, record_from_cell,
-                              record_from_result, resolve_ledger)
+                              record_from_bench, record_from_result,
+                              resolve_ledger)
 from repro.obs.regress import (RegressionReport, check, load_baseline,
                                make_baseline, save_baseline)
 from repro.obs.htmlreport import render_html, write_html
@@ -46,7 +46,6 @@ __all__ = [
     "default_ledger_path",
     "resolve_ledger",
     "record_from_result",
-    "record_from_cell",
     "record_from_bench",
     "RegressionReport",
     "check",

@@ -147,59 +147,6 @@ def record_from_result(result, *, label: str = "harness",
     return record
 
 
-def record_from_cell(cell_result: Dict[str, Any], *,
-                     label: str = "campaign",
-                     scale: Optional[float] = None,
-                     seed: Optional[int] = None,
-                     log_path: Optional[str] = None) -> Dict[str, Any]:
-    """A ledger record from a campaign worker's JSON result object.
-
-    Subprocess workers report a summary (cycles, traffic,
-    host_seconds) rather than a full ``RunResult``; the parent builds
-    the ledger record from it on receipt, so campaign cells leave the
-    same cross-run trail as in-process ones.
-
-    A cell rescued by the runner's graceful-degradation hook (rerun
-    on the functional tier after the event tier kept dying) carries
-    ``fidelity`` and ``degraded`` plus the ``@functional`` cell-id
-    suffix — the same never-conflate rule as
-    :func:`record_from_result`.
-    """
-    traffic = {k: int(v) for k, v in
-               (cell_result.get("traffic") or {}).items()}
-    metrics: Dict[str, Any] = {"cycles": int(cell_result.get("cycles", 0))}
-    if traffic:
-        metrics["total_dram_bytes"] = sum(traffic.values())
-        metrics["demand_bytes"] = traffic.get("data", 0)
-        metrics["overhead_bytes"] = (traffic.get("metadata", 0)
-                                     + traffic.get("verify_fill", 0)
-                                     + traffic.get("metadata_write", 0))
-    workload = cell_result.get("workload", "?")
-    scheme = cell_result.get("scheme", "?")
-    fidelity = cell_result.get("fidelity", "event")
-    cell = cell_result.get("cell", f"{workload}/{scheme}")
-    if fidelity != "event" and not cell.endswith(f"@{fidelity}"):
-        cell += f"@{fidelity}"
-    record = {
-        "kind": "run",
-        "label": label,
-        "workload": workload,
-        "scheme": scheme,
-        "fidelity": fidelity,
-        "cell": cell,
-        "cached": False,
-        "scale": scale,
-        "seed": seed,
-        "host_seconds": cell_result.get("host_seconds", 0.0),
-        "metrics": metrics,
-    }
-    if cell_result.get("degraded"):
-        record["degraded"] = True
-    if log_path:
-        record["log"] = str(log_path)
-    return record
-
-
 def record_from_session(label: str, summary: Dict[str, Any], *,
                         log_path: Optional[str] = None,
                         progress_dir: Optional[str] = None

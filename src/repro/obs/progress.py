@@ -10,8 +10,8 @@ the last cell returned.  The channel is a *progress directory*:
   no server and no cross-process coordination of any kind;
 * **cell lifecycle** records (``start`` / ``done`` / ``failed`` /
   ``cached`` / ``retry``) are written by whoever learns the fact first
-  — pool workers write their own start/done, the campaign parent
-  journals its workers' outcomes, cache hits are recorded parent-side;
+  — workers write their own start/done, the runner parent journals
+  its workers' outcomes, cache hits are recorded parent-side;
 * **heartbeat** records are appended every ``interval`` host seconds
   by a daemon thread in each worker while a cell is in flight, so a
   hung or killed worker is visible as a *stale* pid;
@@ -43,9 +43,6 @@ from typing import Any, Dict, List, Optional, Union
 
 from repro.obs.structlog import append_jsonl, read_jsonl
 
-#: Environment variable pointing workers at the progress directory.
-PROGRESS_ENV = "REPRO_PROGRESS_DIR"
-
 #: Environment variable overriding the heartbeat interval (seconds).
 HEARTBEAT_ENV = "REPRO_HEARTBEAT_INTERVAL"
 
@@ -61,9 +58,9 @@ class ProgressWriter:
     """Appends progress records to this process's file in the
     progress directory.
 
-    ``role`` distinguishes the parent (``parent``), pool workers
-    (``worker``) and campaign subprocesses in the file name — purely
-    for humans; the aggregator reads every ``*.jsonl`` file.
+    ``role`` distinguishes the parent (``parent``) from the runner's
+    workers (``worker``) in the file name — purely for humans; the
+    aggregator reads every ``*.jsonl`` file.
     """
 
     def __init__(self, progress_dir: Union[str, os.PathLike],
@@ -102,10 +99,9 @@ class ProgressWriter:
 class HeartbeatThread:
     """Daemon thread appending heartbeats while host work is in flight.
 
-    Wall-clock based and entirely outside the simulated machine; start
-    it around a cell (pool workers) or a whole worker process
-    (campaign subprocesses).  ``stop()`` writes one final heartbeat so
-    the last-seen timestamp covers the full busy window.
+    Wall-clock based and entirely outside the simulated machine; a
+    worker starts it around its cell.  ``stop()`` writes one final
+    heartbeat so the last-seen timestamp covers the full busy window.
     """
 
     def __init__(self, writer: ProgressWriter, interval: float = 1.0):
@@ -131,14 +127,6 @@ class HeartbeatThread:
             self._thread.join(timeout=2.0)
             self._thread = None
         self.writer.heartbeat()
-
-
-def writer_from_env(role: str = "worker") -> Optional[ProgressWriter]:
-    """A writer for ``$REPRO_PROGRESS_DIR``, or None when unset."""
-    progress_dir = os.environ.get(PROGRESS_ENV, "").strip()
-    if not progress_dir:
-        return None
-    return ProgressWriter(progress_dir, role=role)
 
 
 def heartbeat_interval() -> float:

@@ -12,9 +12,8 @@ durability contract as the run ledger
 (:mod:`repro.obs.ledger`):
 
 * **Appends are atomic** — one ``O_APPEND`` ``write()`` of one
-  complete line, so concurrent appenders (pool workers, campaign
-  subprocesses, the parent) interleave whole records, never
-  half-records;
+  complete line, so concurrent appenders (the runner's workers and
+  the parent) interleave whole records, never half-records;
 * **A torn tail is tolerated** — a record cut short by a kill is
   skipped on read and healed on the next append (a fresh line instead
   of gluing onto the fragment);

@@ -9,11 +9,12 @@ Two layers:
   :mod:`repro.resilience.recovery` gives the protection path recovery
   semantics (correction latency, bounded re-fetch with backoff,
   poisoning, metadata invalidation).
-* **Campaign resilience** — :mod:`repro.resilience.campaign` fans runs
-  out to subprocess workers with timeouts, crash isolation, a failure
+* **Campaign resilience** — :mod:`repro.resilience.campaign` is the
+  one cell executor (campaigns and parallel grids alike): it fans runs
+  out to forked workers with timeouts, crash isolation, a failure
   taxonomy (transient / persistent / crash-looping with quarantine)
   and a JSONL journal for checkpoint/resume
-  (:mod:`repro.resilience.worker` is the subprocess entry point).
+  (:mod:`repro.resilience.worker` runs one cell in a worker).
 * **Host chaos + fsck** — :mod:`repro.resilience.chaos` injects
   deterministic *host* faults (worker kills, torn writes, bit flips)
   at instrumented seams when armed via ``REPRO_CHAOS``;

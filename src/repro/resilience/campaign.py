@@ -1,21 +1,27 @@
-"""Resilient campaign runner: subprocess fan-out with checkpoint/resume.
+"""Resilient campaign runner: forked workers with checkpoint/resume.
 
-A *campaign* is a list of JSON cell specs (see
-:mod:`repro.resilience.worker`).  The :class:`CampaignRunner` executes
-them in parallel subprocess workers with:
+A *campaign* is a list of cell specs (see :func:`build_cells`).  The
+:class:`CampaignRunner` is the repo's only cell executor — ``repro
+campaign``, :meth:`~repro.analysis.harness.ExperimentHarness.run_campaign`
+and every parallel :meth:`~repro.analysis.harness.ExperimentHarness.matrix`
+(``compare --workers``) run through it.  Each attempt is one forked
+worker process that runs :func:`repro.resilience.worker.run_cell_result`
+and sends the full :class:`~repro.core.results.RunResult` back over a
+pipe; the parent builds the journal summary and the ledger record from
+it.  The runner adds:
 
 * **crash isolation** — a worker that dies (segfault, ``os._exit``,
-  unhandled exception) fails only its own cell;
+  SIGKILL) fails only its own cell;
 * **per-run timeouts** — a hung worker is killed after ``timeout``
   host seconds;
 * **a failure taxonomy** — every failure is classified:
 
-  - *transient* (the process died: signal, hard exit, timeout) —
-    retried up to ``max_attempts`` times with exponential backoff,
-    a configurable cap (``retry_backoff_max``) and deterministic
-    per-cell jitter so retry stampedes desynchronize;
-  - *persistent* (the worker ran and reported its own error JSON) —
-    retried a bounded number of times (at most
+  - *transient* (the process died without a word: signal, hard exit,
+    timeout) — retried up to ``max_attempts`` times with exponential
+    backoff, a configurable cap (``retry_backoff_max``) and
+    deterministic per-cell jitter so retry stampedes desynchronize;
+  - *persistent* (the worker caught its own exception and sent it as
+    an error message) — retried a bounded number of times (at most
     :attr:`CampaignRunner.persistent_max_attempts`) regardless of
     ``max_attempts``, because the same input will keep producing the
     same error;
@@ -42,50 +48,72 @@ them in parallel subprocess workers with:
 
 from __future__ import annotations
 
-import json
+import gc
+import multiprocessing
 import os
-import subprocess
 import sys
 import time
 from dataclasses import dataclass, field
+from multiprocessing.connection import wait
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import (Any, Dict, Iterator, List, Optional, Sequence, Tuple,
+                    Union)
 
-from repro.obs.progress import PROGRESS_ENV, ProgressWriter
-from repro.obs.structlog import (LOG_ENV, LOG_LEVEL_ENV, NullLog,
-                                 append_jsonl, read_jsonl, resolve_log,
-                                 run_context)
+from repro.analysis.harness import bench_config
+from repro.core.config import ResilienceConfig, SystemConfig
+from repro.core.results import RunResult
+from repro.obs.progress import ProgressWriter
+from repro.obs.structlog import (NullLog, append_jsonl, read_jsonl,
+                                 resolve_log, run_context)
 from repro.resilience.chaos import active_chaos, stream_unit
+from repro.resilience.faults import make_process
+from repro.resilience.recovery import RecoveryPolicy
+from repro.resilience.worker import run_cell_result
 
 
 def build_cells(workloads: Sequence[str], schemes: Sequence[str],
+                config: Optional[SystemConfig] = None,
                 scale: float = 0.3, seed: int = 42,
-                gpu: Optional[Dict[str, Any]] = None,
+                workload_params: Optional[Dict[str, dict]] = None,
                 protection: Optional[Dict[str, Any]] = None,
                 resilience: Optional[Dict[str, Any]] = None,
                 max_events: Optional[int] = None,
                 max_wall_seconds: Optional[float] = None,
                 sabotage: Optional[Dict[str, str]] = None
                 ) -> List[Dict[str, Any]]:
-    """The standard workload x scheme grid as a list of cell specs.
+    """The workload x scheme grid as a list of cell specs.
 
+    Each spec carries its fully built :class:`SystemConfig` under
+    ``"config"``: the machine ``config`` (default :func:`bench_config`)
+    with the cell's scheme, the ``protection`` overrides and the
+    ``resilience`` description (``recovery`` policy fields,
+    ``fault_processes`` dicts, ``inject_seed``, ``inject_interval``).
+    ``workload_params`` maps workload names to generator parameters.
     ``sabotage`` maps cell ids (``"workload/scheme"``) to a sabotage
     mode — a testing aid for exercising the runner's fault handling.
     """
+    machine = config or bench_config()
+    if resilience is not None:
+        machine = machine.with_resilience(ResilienceConfig(
+            recovery=RecoveryPolicy(**resilience.get("recovery", {})),
+            fault_processes=tuple(
+                make_process(**dict(p))
+                for p in resilience.get("fault_processes", ())),
+            inject_seed=resilience.get("inject_seed", 1),
+            inject_interval=resilience.get("inject_interval", 500),
+        ))
     cells = []
     for workload in workloads:
+        params = (workload_params or {}).get(workload)
         for scheme in schemes:
             cell_id = f"{workload}/{scheme}"
             spec: Dict[str, Any] = {
                 "cell": cell_id, "workload": workload, "scheme": scheme,
                 "scale": scale, "seed": seed,
+                "config": machine.with_scheme(scheme, **(protection or {})),
             }
-            if gpu:
-                spec["gpu"] = dict(gpu)
-            if protection:
-                spec["protection"] = dict(protection)
-            if resilience is not None:
-                spec["resilience"] = resilience
+            if params:
+                spec["workload_params"] = dict(params)
             if max_events is not None:
                 spec["max_events"] = max_events
             if max_wall_seconds is not None:
@@ -96,9 +124,48 @@ def build_cells(workloads: Sequence[str], schemes: Sequence[str],
     return cells
 
 
+def result_summary(cell: Dict[str, Any], result: RunResult,
+                   degraded: bool = False) -> Dict[str, Any]:
+    """The JSON summary of one finished cell: the ``result`` of its
+    journal record and its entry in :attr:`CampaignSummary.records`."""
+    out = {
+        "cell": cell["cell"],
+        "status": "ok",
+        "workload": result.workload,
+        "scheme": cell["scheme"],
+        "fidelity": result.fidelity,
+        "cycles": result.cycles,
+        "traffic": result.traffic,
+        "resilience": {k: v for k, v in result.stats.items()
+                       if k.startswith(("resilience.", "injector."))},
+        "host_seconds": round(result.host_seconds, 3),
+    }
+    if degraded:
+        out["degraded"] = True
+    return out
+
+
+def _serve(conn, spec: Dict[str, Any], log: NullLog,
+           progress_dir: Optional[str]) -> None:
+    """Worker process body: run one cell and send the parent exactly
+    one message, ``("ok", RunResult)`` or ``("error", description)``.
+    A worker that dies before sending reads as EOF in the parent."""
+    try:
+        message = ("ok", run_cell_result(spec, log, progress_dir))
+    except Exception as exc:  # noqa: BLE001 — reported to the parent
+        message = ("error", f"{type(exc).__name__}: {exc}")
+    conn.send(message)
+    conn.close()
+    # Leave without the interpreter's exit steps: they would flush the
+    # parent's stdio buffers, whose locks another parent thread (the
+    # --live renderer) may have held at the fork.
+    os._exit(0)
+
+
 @dataclass
 class CampaignSummary:
-    """Outcome of one :meth:`CampaignRunner.run` invocation."""
+    """Outcome of one :meth:`CampaignRunner.run` (or
+    :meth:`~CampaignRunner.completions`) invocation."""
 
     done: List[str] = field(default_factory=list)
     failed: List[str] = field(default_factory=list)
@@ -122,19 +189,19 @@ class CampaignSummary:
 class _Running:
     """Bookkeeping for one in-flight worker process."""
 
-    def __init__(self, cell: Dict[str, Any], attempt: int,
-                 proc: subprocess.Popen, deadline: Optional[float],
-                 degraded: bool = False):
+    def __init__(self, cell: Dict[str, Any], attempt: int, proc, conn,
+                 deadline: Optional[float], degraded: bool = False):
         self.cell = cell
         self.attempt = attempt
         self.proc = proc
+        self.conn = conn
         self.deadline = deadline
         self.degraded = degraded
         self.started = time.monotonic()
 
 
 class CampaignRunner:
-    """Fans cell specs out to subprocess workers; journals outcomes."""
+    """Fans cell specs out to forked workers; journals outcomes."""
 
     #: Attempt ceiling for *persistent* failures (the worker ran and
     #: reported its own error): the same input keeps producing the
@@ -150,7 +217,6 @@ class CampaignRunner:
                  retry_backoff: float = 0.5,
                  retry_backoff_max: float = 30.0,
                  degrade: bool = False,
-                 python: Optional[str] = None,
                  ledger=None,
                  log: Union[None, bool, str, os.PathLike, NullLog] = None,
                  progress_dir: Union[None, str, os.PathLike] = None):
@@ -167,10 +233,9 @@ class CampaignRunner:
         self.retry_backoff = retry_backoff
         self.retry_backoff_max = retry_backoff_max
         self.degrade = degrade
-        self.python = python or sys.executable
         #: Structured event log (:mod:`repro.obs.structlog`); workers
-        #: inherit it through ``REPRO_LOG`` so one file narrates the
-        #: whole campaign across processes.
+        #: narrate into the same file, so one log tells the whole
+        #: campaign across processes.
         self.log = resolve_log(log)
         if self.log.enabled:
             self.log = self.log.bind(**run_context(run="campaign",
@@ -178,16 +243,16 @@ class CampaignRunner:
         #: Live progress channel (:mod:`repro.obs.progress`): the
         #: parent journals plan/retry/timeout/failure transitions — it
         #: is the authority on outcomes — while workers contribute
-        #: their own start/done records and heartbeats via
-        #: ``REPRO_PROGRESS_DIR``.
+        #: their own start/done records and heartbeats to the same
+        #: directory.
         self.progress: Optional[ProgressWriter] = (
             ProgressWriter(progress_dir, role="parent")
             if progress_dir else None)
         #: Optional cross-run telemetry ledger
-        #: (:class:`repro.obs.ledger.RunLedger`).  Subprocess workers
-        #: cannot write it themselves — the parent appends one record
-        #: per completed cell on result receipt, so campaign cells
-        #: leave the same run-history trail as in-process experiments.
+        #: (:class:`repro.obs.ledger.RunLedger`).  The parent appends
+        #: one record per completed cell on result receipt, so campaign
+        #: cells leave the same run-history trail as in-process
+        #: experiments.
         self.ledger = ledger
         self._journal_warned = False
         #: Failure-class history per cell for the current invocation.
@@ -259,35 +324,35 @@ class CampaignRunner:
     def classify_failure(result: Dict[str, Any]) -> str:
         """``"transient"`` or ``"persistent"`` for one failed harvest.
 
-        The worker *reporting its own error* (exit 1 with a
-        ``status="error"`` JSON object) means the input is bad in a
+        The worker *reporting its own error* (it caught the exception
+        and sent it as an error message) means the input is bad in a
         repeatable way — persistent.  Everything else (signal death,
         hard exit without a report, timeout) is the host's fault —
         transient, worth a full retry budget.
         """
-        if result.get("timeout"):
-            return "transient"
-        if result.get("worker_reported") and result.get("returncode") == 1:
-            return "persistent"
-        return "transient"
+        return "persistent" if result.get("worker_reported") \
+            else "transient"
 
     def _degradable(self, cell: Dict[str, Any]) -> bool:
         """Can this cell be rescued on the functional tier?  Only
         event-fidelity cells without a resilience config — the
         functional tier rejects fault injection by design."""
-        return (cell.get("resilience") is None
-                and cell.get("fidelity", "event") == "event")
+        config = cell["config"]
+        return config.resilience is None and config.fidelity == "event"
 
-    def _ledger_append(self, cell: Dict[str, Any],
-                       result: Dict[str, Any]) -> None:
+    def _ledger_append(self, run: _Running, result: RunResult) -> None:
         """Cross-run telemetry for one completed cell (parent-side)."""
         if self.ledger is None:
             return
         # Imported lazily: the ledger is optional equipment here.
-        from repro.obs.ledger import record_from_cell
+        from repro.obs.ledger import record_from_result
 
-        self.ledger.safe_append(record_from_cell(
-            result, scale=cell.get("scale"), seed=cell.get("seed")))
+        record = record_from_result(result, label="campaign",
+                                    scale=run.cell["scale"],
+                                    seed=run.cell["seed"])
+        if run.degraded:
+            record["degraded"] = True
+        self.ledger.safe_append(record)
 
     # -- workers ---------------------------------------------------------------
 
@@ -298,73 +363,55 @@ class CampaignRunner:
             # Rescue attempts run the counters-only tier and are
             # exempt from worker chaos: the point is to salvage a
             # result, not to keep attacking it.
-            spec = dict(cell)
-            spec["fidelity"] = "functional"
-            spec["degraded"] = True
-            spec.pop("chaos_attempt", None)
+            spec = dict(cell, config=cell["config"].with_fidelity(
+                "functional"))
         elif active_chaos() is not None:
-            spec = dict(cell)
-            spec["chaos_attempt"] = (
-                self._attempt_offset.get(cell["cell"], 0) + attempt)
-        env = dict(os.environ)
-        src_dir = str(Path(__file__).resolve().parents[2])
-        existing = env.get("PYTHONPATH")
-        env["PYTHONPATH"] = (src_dir if not existing
-                             else src_dir + os.pathsep + existing)
-        # Telemetry channels cross the subprocess boundary by path.
-        if self.log.enabled:
-            env[LOG_ENV] = str(self.log.path)
-            env[LOG_LEVEL_ENV] = getattr(self.log, "level", "debug")
-        if self.progress is not None:
-            env[PROGRESS_ENV] = str(self.progress.dir)
-        proc = subprocess.Popen(
-            [self.python, "-m", "repro.resilience.worker"],
-            stdin=subprocess.PIPE, stdout=subprocess.PIPE,
-            stderr=subprocess.PIPE, text=True, env=env)
-        assert proc.stdin is not None
-        proc.stdin.write(json.dumps(spec))
-        proc.stdin.close()
-        # communicate() must not try to flush the already-closed pipe.
-        proc.stdin = None
+            spec = dict(cell, chaos_attempt=(
+                self._attempt_offset.get(cell["cell"], 0) + attempt))
+        # Forked, not spawned: a worker starts with the parent's imports
+        # and trace memos instead of re-importing the program.  The
+        # parent's objects are frozen across the fork so that the
+        # worker's garbage collector never walks them, which would copy
+        # their pages into the worker.
+        fork = multiprocessing.get_context("fork")
+        conn, child_conn = fork.Pipe(duplex=False)
+        proc = fork.Process(
+            target=_serve, daemon=True,
+            args=(child_conn, spec, self.log,
+                  str(self.progress.dir) if self.progress else None))
+        gc.freeze()
+        try:
+            proc.start()
+        finally:
+            gc.unfreeze()
+        # Only the worker may hold the write end, so that its death
+        # reads as EOF.
+        child_conn.close()
         deadline = (time.monotonic() + self.timeout
                     if self.timeout is not None else None)
-        return _Running(cell, attempt, proc, deadline, degraded)
+        return _Running(cell, attempt, proc, conn, deadline, degraded)
 
     @staticmethod
     def _harvest(run: _Running) -> Dict[str, Any]:
-        """Collect a finished worker's result (or error description).
+        """Collect a worker's message, or how it died.
 
         Error results carry the raw material the failure taxonomy
-        classifies on: the exit status and whether the worker managed
-        to report its own ``status="error"`` object (ran-but-rejected,
-        versus died-without-a-word).
+        classifies on: whether the worker reported its own error
+        (ran-but-raised) or died without a word.  A worker that sent
+        its message is not waited for here: its exit overlaps the next
+        cell, and :meth:`completions` reaps it at the end.
         """
-        stdout, stderr = run.proc.communicate()
-        rc = run.proc.returncode
-        if rc == 0:
-            for line in stdout.splitlines():
-                line = line.strip()
-                if line.startswith("{"):
-                    try:
-                        return json.loads(line)
-                    except ValueError:
-                        break
-        error = f"worker exited with status {rc}"
-        worker_reported = False
-        for line in stdout.splitlines():  # worker's own error object
-            line = line.strip()
-            if line.startswith("{"):
-                try:
-                    parsed = json.loads(line)
-                    if parsed.get("error"):
-                        error = parsed["error"]
-                        worker_reported = True
-                except ValueError:
-                    pass
-        if stderr.strip():
-            error += f"; stderr: {stderr.strip().splitlines()[-1]}"
-        return {"status": "error", "error": error, "returncode": rc,
-                "worker_reported": worker_reported}
+        try:
+            status, payload = run.conn.recv()
+        except EOFError:
+            run.proc.join()
+            status = "died"
+            payload = f"worker exited with status {run.proc.exitcode}"
+        run.conn.close()
+        if status == "ok":
+            return {"status": "ok", "result": payload}
+        return {"status": "error", "error": payload,
+                "worker_reported": status == "error"}
 
     # -- the sweep --------------------------------------------------------------
 
@@ -376,6 +423,17 @@ class CampaignRunner:
         human-readable status per event (spawn/done/fail/retry).
         """
         summary = CampaignSummary()
+        for _done in self.completions(cells, summary, resume, progress):
+            pass
+        return summary
+
+    def completions(self, cells: Sequence[Dict[str, Any]],
+                    summary: CampaignSummary, resume: bool = True,
+                    progress=None
+                    ) -> Iterator[Tuple[Dict[str, Any], RunResult]]:
+        """Execute a campaign as :meth:`run` does, filling ``summary``
+        and yielding ``(cell, result)`` as each cell completes, so that
+        the caller can keep results while the workers still run."""
         started_at = time.monotonic()
         say = progress or (lambda _line: None)
         self._fail_classes = {}
@@ -416,10 +474,14 @@ class CampaignRunner:
                       journal=str(self.journal_path))
         self.journal_path.parent.mkdir(parents=True, exist_ok=True)
         running: List[_Running] = []
+        spawned: List[_Running] = []
+        finished: List[Tuple[_Running, Dict[str, Any]]] = []
         try:
-            while pending or running:
+            while pending or running or finished:
                 now = time.monotonic()
-                # Launch while capacity and due work exist.
+                # Launch while capacity and due work exist — before
+                # settling, so the journal and ledger writes for the
+                # last results overlap the new workers.
                 while len(running) < self.workers:
                     due = next((i for i, entry in enumerate(pending)
                                 if entry[0] <= now), None)
@@ -428,139 +490,54 @@ class CampaignRunner:
                     _nb, attempt, cell, degraded = pending.pop(due)
                     run = self._spawn(cell, attempt, degraded)
                     running.append(run)
+                    spawned.append(run)
                     self.log.info("campaign.worker.spawn",
                                   cell=cell["cell"], attempt=attempt,
                                   degraded=degraded,
                                   worker_pid=run.proc.pid)
                     say(f"start {cell['cell']} (attempt {attempt}"
                         + (", degraded rescue)" if degraded else ")"))
-                # Poll in-flight workers.
+                for run, result in finished:
+                    if self._settle(run, result, pending, summary, say):
+                        yield run.cell, result["result"]
+                finished = []
+                # Sleep until a worker reports or dies, a deadline
+                # passes, or (with a free slot) a backoff ends.
+                wake = [run.deadline for run in running
+                        if run.deadline is not None]
+                if len(running) < self.workers:
+                    wake += [entry[0] for entry in pending]
+                timeout = (max(0.0, min(wake) - time.monotonic())
+                           if wake else None)
+                if not running:
+                    time.sleep(timeout or 0.0)
+                    continue
+                ready = wait([run.conn for run in running], timeout)
+                now = time.monotonic()
                 still: List[_Running] = []
                 for run in running:
-                    code = run.proc.poll()
-                    timed_out = (code is None and run.deadline is not None
-                                 and now >= run.deadline)
-                    if code is None and not timed_out:
-                        still.append(run)
-                        continue
-                    if timed_out:
+                    if run.conn in ready:
+                        finished.append((run, self._harvest(run)))
+                    elif run.deadline is not None and now >= run.deadline:
                         run.proc.kill()
-                        run.proc.communicate()
-                        result = {"status": "error",
-                                  "error": f"timeout after {self.timeout}s",
-                                  "timeout": True}
+                        run.conn.close()
                         self.log.warn("campaign.worker.timeout",
                                       cell=run.cell["cell"],
                                       attempt=run.attempt,
                                       worker_pid=run.proc.pid,
                                       timeout=self.timeout)
+                        finished.append((run, {
+                            "status": "error", "timeout": True,
+                            "error": f"timeout after {self.timeout}s"}))
                     else:
-                        result = self._harvest(run)
-                    elapsed = round(time.monotonic() - run.started, 3)
-                    cell_id = run.cell["cell"]
-                    if result.get("status") == "ok":
-                        record = {"cell": cell_id, "status": "done",
-                                  "attempts": run.attempt,
-                                  "elapsed": elapsed, "result": result}
-                        if run.degraded:
-                            record["degraded"] = True
-                        self._journal(record)
-                        summary.done.append(cell_id)
-                        if run.degraded:
-                            summary.degraded.append(cell_id)
-                        summary.records[cell_id] = result
-                        self._ledger_append(run.cell, result)
-                        self.log.info("campaign.cell.done", cell=cell_id,
-                                      attempts=run.attempt, elapsed=elapsed,
-                                      degraded=run.degraded)
-                        say(f"done  {cell_id} ({elapsed}s"
-                            + (", degraded)" if run.degraded else ")"))
-                        continue
-                    error = result.get("error", "unknown failure")
-                    fclass = self.classify_failure(result)
-                    history = self._fail_classes.setdefault(cell_id, [])
-                    history.append(fclass)
-                    budget = (self.max_attempts if fclass == "transient"
-                              else min(self.max_attempts,
-                                       self.persistent_max_attempts))
-                    if not run.degraded and run.attempt < budget:
-                        delay = self.retry_delay(cell_id, run.attempt)
-                        self._journal({"cell": cell_id,
-                                       "status": "attempt_failed",
-                                       "attempts": run.attempt,
-                                       "class": fclass,
-                                       "error": error, "retry_in": delay})
-                        pending.append((time.monotonic() + delay,
-                                        run.attempt + 1, run.cell, False))
-                        self.log.warn("campaign.cell.retry", cell=cell_id,
-                                      attempt=run.attempt, error=error,
-                                      failure_class=fclass, retry_in=delay)
-                        if self.progress is not None:
-                            self.progress.cell(cell_id, "retry", error=error,
-                                               attempt=run.attempt + 1)
-                        say(f"retry {cell_id}: {error} [{fclass}] "
-                            f"(attempt {run.attempt + 1} in {delay}s)")
-                    elif (self.degrade and not run.degraded
-                          and self._degradable(run.cell)):
-                        # Graceful degradation: one rescue attempt on
-                        # the functional tier before giving up.
-                        self._journal({"cell": cell_id,
-                                       "status": "degrading",
-                                       "attempts": run.attempt,
-                                       "class": fclass, "error": error})
-                        pending.append((time.monotonic(),
-                                        run.attempt + 1, run.cell, True))
-                        self.log.warn("campaign.cell.degrade", cell=cell_id,
-                                      attempt=run.attempt, error=error)
-                        if self.progress is not None:
-                            self.progress.cell(cell_id, "retry", error=error,
-                                               attempt=run.attempt + 1)
-                        say(f"degrade {cell_id}: {error} "
-                            f"(functional-tier rescue)")
-                    else:
-                        crash_looping = (
-                            len(history) >= self.quarantine_after
-                            and all(c == "transient" for c in history))
-                        status = ("quarantined" if crash_looping
-                                  else "failed")
-                        record = {"cell": cell_id, "status": status,
-                                  "attempts": run.attempt, "error": error,
-                                  "classes": list(history),
-                                  "elapsed": elapsed}
-                        if crash_looping:
-                            record["class"] = "crash-looping"
-                        self._journal(record)
-                        summary.records[cell_id] = record
-                        if crash_looping:
-                            summary.quarantined.append(cell_id)
-                            self.log.error("campaign.cell.quarantined",
-                                           cell=cell_id,
-                                           attempts=run.attempt, error=error)
-                            if self.progress is not None:
-                                self.progress.cell(cell_id, "quarantined",
-                                                   error=error)
-                            say(f"QUAR  {cell_id}: {error} "
-                                f"(crash-looping; `repro fsck --repair` "
-                                f"releases)")
-                        else:
-                            summary.failed.append(cell_id)
-                            self.log.error("campaign.cell.failed",
-                                           cell=cell_id,
-                                           attempts=run.attempt, error=error)
-                            if self.progress is not None:
-                                self.progress.cell(cell_id, "failed",
-                                                   error=error)
-                            say(f"FAIL  {cell_id}: {error}")
+                        still.append(run)
                 running = still
-                if pending or running:
-                    time.sleep(0.02)
         finally:
             for run in running:  # interrupted: leave no orphans behind
-                try:
-                    run.proc.kill()
-                    run.proc.communicate()
-                except (OSError, ValueError):
-                    pass
+                run.proc.kill()
+                run.conn.close()
+            for run in spawned:
+                run.proc.join()
         wall_seconds = round(time.monotonic() - started_at, 3)
         self.log.info("campaign.done", done=len(summary.done),
                       failed=len(summary.failed),
@@ -569,7 +546,96 @@ class CampaignRunner:
                       degraded=len(summary.degraded),
                       wall_seconds=wall_seconds)
         self._session_record(summary, wall_seconds)
-        return summary
+
+    def _settle(self, run: _Running, result: Dict[str, Any],
+                pending: List[tuple], summary: CampaignSummary,
+                say) -> bool:
+        """Journal one finished attempt and decide what comes next:
+        done (returns True), a retry, a degraded rescue, failure or
+        quarantine."""
+        elapsed = round(time.monotonic() - run.started, 3)
+        cell_id = run.cell["cell"]
+        if result.get("status") == "ok":
+            outcome = result_summary(run.cell, result["result"],
+                                     run.degraded)
+            record = {"cell": cell_id, "status": "done",
+                      "attempts": run.attempt, "elapsed": elapsed,
+                      "result": outcome}
+            if run.degraded:
+                record["degraded"] = True
+            self._journal(record)
+            summary.done.append(cell_id)
+            if run.degraded:
+                summary.degraded.append(cell_id)
+            summary.records[cell_id] = outcome
+            self._ledger_append(run, result["result"])
+            self.log.info("campaign.cell.done", cell=cell_id,
+                          attempts=run.attempt, elapsed=elapsed,
+                          degraded=run.degraded)
+            say(f"done  {cell_id} ({elapsed}s"
+                + (", degraded)" if run.degraded else ")"))
+            return True
+        error = result.get("error", "unknown failure")
+        fclass = self.classify_failure(result)
+        history = self._fail_classes.setdefault(cell_id, [])
+        history.append(fclass)
+        budget = (self.max_attempts if fclass == "transient"
+                  else min(self.max_attempts, self.persistent_max_attempts))
+        if not run.degraded and run.attempt < budget:
+            delay = self.retry_delay(cell_id, run.attempt)
+            self._journal({"cell": cell_id, "status": "attempt_failed",
+                           "attempts": run.attempt, "class": fclass,
+                           "error": error, "retry_in": delay})
+            pending.append((time.monotonic() + delay,
+                            run.attempt + 1, run.cell, False))
+            self.log.warn("campaign.cell.retry", cell=cell_id,
+                          attempt=run.attempt, error=error,
+                          failure_class=fclass, retry_in=delay)
+            if self.progress is not None:
+                self.progress.cell(cell_id, "retry", error=error,
+                                   attempt=run.attempt + 1)
+            say(f"retry {cell_id}: {error} [{fclass}] "
+                f"(attempt {run.attempt + 1} in {delay}s)")
+        elif (self.degrade and not run.degraded
+              and self._degradable(run.cell)):
+            # Graceful degradation: one rescue attempt on the
+            # functional tier before giving up.
+            self._journal({"cell": cell_id, "status": "degrading",
+                           "attempts": run.attempt, "class": fclass,
+                           "error": error})
+            pending.append((time.monotonic(),
+                            run.attempt + 1, run.cell, True))
+            self.log.warn("campaign.cell.degrade", cell=cell_id,
+                          attempt=run.attempt, error=error)
+            if self.progress is not None:
+                self.progress.cell(cell_id, "retry", error=error,
+                                   attempt=run.attempt + 1)
+            say(f"degrade {cell_id}: {error} (functional-tier rescue)")
+        else:
+            crash_looping = (len(history) >= self.quarantine_after
+                             and all(c == "transient" for c in history))
+            status = "quarantined" if crash_looping else "failed"
+            record = {"cell": cell_id, "status": status,
+                      "attempts": run.attempt, "error": error,
+                      "classes": list(history), "elapsed": elapsed}
+            if crash_looping:
+                record["class"] = "crash-looping"
+            self._journal(record)
+            summary.records[cell_id] = record
+            if crash_looping:
+                summary.quarantined.append(cell_id)
+                self.log.error("campaign.cell.quarantined", cell=cell_id,
+                               attempts=run.attempt, error=error)
+                say(f"QUAR  {cell_id}: {error} (crash-looping; "
+                    f"`repro fsck --repair` releases)")
+            else:
+                summary.failed.append(cell_id)
+                self.log.error("campaign.cell.failed", cell=cell_id,
+                               attempts=run.attempt, error=error)
+                say(f"FAIL  {cell_id}: {error}")
+            if self.progress is not None:
+                self.progress.cell(cell_id, status, error=error)
+        return False
 
     def _session_record(self, summary: CampaignSummary,
                         wall_seconds: float) -> None:

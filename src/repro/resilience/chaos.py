@@ -9,8 +9,8 @@ seed — whether a given *site* suffers a fault:
 
 * **worker faults** — SIGKILL, an indefinite hang (the runner timeout
   must reap it), or an artificial slowdown, injected at the top of
-  :func:`repro.resilience.worker.run_cell_result` for campaign
-  subprocess attempts;
+  :func:`repro.resilience.worker.run_cell_result` for every worker
+  attempt of the campaign runner (campaign and parallel-grid cells);
 * **append faults** — a torn (truncated) write or a simulated
   ``ENOSPC`` in :func:`repro.obs.structlog.append_jsonl`, the shared
   seam under the ledger, journal, log and progress stores;
@@ -31,7 +31,7 @@ fresh decision rather than the identical doom.
 Activation is explicit: the ``REPRO_CHAOS`` environment variable (a
 path to a policy JSON file, or inline JSON starting with ``{``) or the
 ``--chaos-policy`` CLI flag, which just sets the variable so
-subprocess workers inherit it.  When unset, :func:`active_chaos`
+forked workers inherit it.  When unset, :func:`active_chaos`
 returns ``None`` after one cached environment lookup — production
 paths pay no other cost.
 """
@@ -69,7 +69,7 @@ class ChaosPolicy:
     """
 
     seed: int = 1
-    #: Worker process faults (campaign subprocess attempts only).
+    #: Worker process faults (campaign runner attempts only).
     kill_prob: float = 0.0
     hang_prob: float = 0.0
     slow_prob: float = 0.0

@@ -8,8 +8,8 @@ import pytest
 from repro.analysis.harness import ExperimentHarness
 from repro.core.results import MODEL_VERSION
 from repro.obs.ledger import (LEDGER_ENV, RunLedger, default_ledger_path,
-                              record_from_bench, record_from_cell,
-                              record_from_result, resolve_ledger)
+                              record_from_bench, record_from_result,
+                              resolve_ledger)
 
 
 @pytest.fixture
@@ -192,25 +192,36 @@ class TestRecordBuilders:
         assert rec["metrics"]["events_per_sec"] > 0
         assert rec["config_key"] == "ab" * 32
 
-    def test_record_from_cell_derives_traffic_split(self):
-        rec = record_from_cell(
-            {"cell": "vecadd/cachecraft", "workload": "vecadd",
-             "scheme": "cachecraft", "cycles": 500, "host_seconds": 0.1,
-             "traffic": {"data": 100, "metadata": 30, "verify_fill": 10,
-                         "metadata_write": 5}},
-            scale=0.1, seed=3)
-        assert rec["metrics"]["total_dram_bytes"] == 145
-        assert rec["metrics"]["demand_bytes"] == 100
-        assert rec["metrics"]["overhead_bytes"] == 45
-        assert rec["scale"] == 0.1 and rec["seed"] == 3
+    def test_campaign_record_derives_traffic_split(self, ledger, tmp_path):
+        from repro.resilience.campaign import CampaignRunner, build_cells
+
+        summary = CampaignRunner(tmp_path / "j.jsonl", workers=1,
+                                 ledger=ledger).run(build_cells(
+                                     ["vecadd"], ["cachecraft"],
+                                     scale=0.04, seed=3))
+        (rec,) = [r for r in ledger.records() if r["kind"] == "run"]
+        traffic = summary.records["vecadd/cachecraft"]["traffic"]
+        assert rec["metrics"]["total_dram_bytes"] == sum(traffic.values())
+        assert rec["metrics"]["demand_bytes"] == traffic["data"]
+        overhead = (traffic["metadata"] + traffic["verify_fill"]
+                    + traffic["metadata_write"])
+        assert overhead > 0
+        assert rec["metrics"]["overhead_bytes"] == overhead
+        assert rec["scale"] == 0.04 and rec["seed"] == 3
         assert rec["fidelity"] == "event" and "degraded" not in rec
 
-    def test_record_from_cell_flags_degraded_rescue(self):
-        rec = record_from_cell(
-            {"cell": "vecadd/none", "workload": "vecadd",
-             "scheme": "none", "cycles": 500, "host_seconds": 0.1,
-             "fidelity": "functional", "degraded": True,
-             "traffic": {"data": 100}})
+    def test_campaign_record_flags_degraded_rescue(self, ledger, tmp_path,
+                                                   monkeypatch):
+        from repro.resilience.campaign import CampaignRunner, build_cells
+        from repro.resilience.chaos import CHAOS_ENV
+
+        # Every chaos-armed attempt dies; the rescue runs functional.
+        monkeypatch.setenv(CHAOS_ENV, '{"seed": 1, "kill_prob": 1.0}')
+        CampaignRunner(tmp_path / "j.jsonl", workers=1, max_attempts=1,
+                       degrade=True, ledger=ledger).run(
+            build_cells(["vecadd"], ["none"], scale=0.02))
+        monkeypatch.setenv(CHAOS_ENV, "off")
+        (rec,) = [r for r in ledger.records() if r["kind"] == "run"]
         # A functional-tier rescue must never alias the event-tier
         # cell's history: the id carries the tier, the flag the cause.
         assert rec["cell"] == "vecadd/none@functional"
@@ -308,18 +319,24 @@ class TestHarnessLedger:
         cells = sorted(r["cell"] for r in ledger.records())
         assert cells == ["vecadd/none", "vecadd/sideband"]
 
-    @pytest.mark.parametrize("fidelity", ["event", "functional"])
+    @pytest.mark.parametrize("fidelity,workers", [
+        pytest.param("event", 1, id="event"),
+        pytest.param("functional", 1, id="functional"),
+        pytest.param("event", 2, id="event-workers2"),
+        pytest.param("functional", 2, id="functional-workers2")])
     def test_config_key_names_the_cache_file(self, ledger, tmp_path,
                                              small_config, tiny_gen,
-                                             fidelity):
+                                             fidelity, workers):
         """The record's ``config_key`` is the key the harness filed the
-        result under, on both tiers and on a warm lookup too."""
+        result under, on both tiers, serial or parallel, and on a warm
+        lookup too."""
         cache_dir = tmp_path / "cache"
         for _ in range(2):  # simulate, then serve from the cache
             ExperimentHarness(small_config, scale=tiny_gen.scale,
                               seed=tiny_gen.seed, cache_dir=cache_dir,
                               ledger=ledger, fidelity=fidelity
-                              ).run("vecadd", "cachecraft")
+                              ).matrix(["vecadd"], ["cachecraft"],
+                                       workers=workers)
         (entry,) = cache_dir.glob("*/*.json")
         records = ledger.records()
         assert [r["cached"] for r in records] == [False, True]

@@ -1,6 +1,6 @@
 """Tests for the resilient campaign runner, worker and journal resume.
 
-Subprocess cells run the tiniest useful configuration (vecadd at scale
+Worker cells run the tiniest useful configuration (vecadd at scale
 0.02) so the whole module stays in the seconds range.
 """
 
@@ -8,9 +8,10 @@ import json
 
 import pytest
 
-from repro.analysis.harness import ExperimentHarness
-from repro.resilience.campaign import CampaignRunner, CampaignSummary, build_cells
-from repro.resilience.worker import build_cell_config, run_cell
+from repro.analysis.harness import ExperimentHarness, bench_config
+from repro.resilience.campaign import (CampaignRunner, CampaignSummary,
+                                       build_cells, result_summary)
+from repro.resilience.worker import run_cell_result
 
 TINY = {"scale": 0.02, "max_events": 5_000_000}
 
@@ -43,7 +44,7 @@ class TestCellSpecs:
                             {"kind": "transient", "rate_per_kcycle": 1.0}],
                         "inject_seed": 7},
             protection={"functional": True})[0]
-        config = build_cell_config(spec)
+        config = spec["config"]
         assert config.protection.scheme == "cachecraft"
         assert config.protection.functional
         assert config.resilience.recovery.max_retries == 5
@@ -51,7 +52,8 @@ class TestCellSpecs:
         assert config.resilience.fault_processes[0].rate_per_kcycle == 1.0
 
     def test_run_cell_in_process(self):
-        out = run_cell(tiny_cells()[0])
+        spec = tiny_cells()[0]
+        out = result_summary(spec, run_cell_result(spec))
         assert out["status"] == "ok"
         assert out["cell"] == "vecadd/none"
         assert out["cycles"] > 0
@@ -62,7 +64,7 @@ class TestCellSpecs:
             resilience={"fault_processes": [
                 {"kind": "transient", "rate_per_kcycle": 50.0}]},
             protection={"functional": True})[0]
-        out = run_cell(spec)
+        out = result_summary(spec, run_cell_result(spec))
         assert out["status"] == "ok"
         assert out["resilience"]["injector.data_flips"] > 0
 
@@ -228,11 +230,11 @@ class TestFailureTaxonomy:
 class TestGracefulDegradation:
     def test_degradable_gate(self, tmp_path):
         runner = CampaignRunner(tmp_path / "j.jsonl")
-        assert runner._degradable({"cell": "a/b"})
-        assert not runner._degradable({"cell": "a/b",
-                                       "resilience": {"inject_seed": 1}})
-        assert not runner._degradable({"cell": "a/b",
-                                       "fidelity": "functional"})
+        assert runner._degradable(tiny_cells()[0])
+        assert not runner._degradable(
+            tiny_cells(resilience={"inject_seed": 1})[0])
+        assert not runner._degradable(tiny_cells(
+            config=bench_config().with_fidelity("functional"))[0])
 
     def test_functional_rescue_after_chaos_kills(self, tmp_path,
                                                  monkeypatch):
@@ -277,3 +279,17 @@ class TestHarnessIntegration:
             ["vecadd"], schemes=["none"],
             journal_path=str(tmp_path / "h.jsonl"), timeout=120)
         assert summary.ok and summary.done == ["vecadd/none"]
+
+    def test_run_campaign_uses_the_harness_machine(self, tmp_path):
+        # The campaign cell must simulate what harness.run does: the
+        # harness's machine and workload params, not bench_config().
+        harness = ExperimentHarness(
+            config=bench_config(l2_size_kb=256, num_sms=2), scale=0.02,
+            workload_params={"vecadd": {"iters_per_warp": 600}}, ledger=False)
+        summary = harness.run_campaign(
+            ["vecadd"], schemes=["cachecraft"],
+            journal_path=str(tmp_path / "m.jsonl"), timeout=120)
+        direct = harness.run("vecadd", "cachecraft")
+        record = summary.records["vecadd/cachecraft"]
+        assert record["cycles"] == direct.cycles
+        assert record["traffic"] == direct.traffic
