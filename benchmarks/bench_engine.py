@@ -5,7 +5,7 @@ Measures the discrete-event core two ways and writes the figures to
 
 * **raw** — a synthetic event chain (each event reschedules its
   successor) drained through :meth:`Simulator.run`.  This isolates the
-  heap-pop/dispatch loop itself: no cache model, no workload, just the
+  queue and dispatch loop itself: no cache model, no workload, just the
   engine hot path.
 * **sim** — a real small simulation (vecadd under cachecraft), with
   events/sec derived from ``sim.events_executed`` over host wall time.
@@ -49,7 +49,7 @@ DEFAULT_OUTPUT = os.path.join(os.path.dirname(__file__), "results",
 def bench_raw_engine(events: int = 2_000_000, chains: int = 64) -> Dict[str, Any]:
     """Drain ``events`` no-op events through the engine hot loop.
 
-    ``chains`` independent self-rescheduling callbacks keep the heap at
+    ``chains`` independent self-rescheduling callbacks keep the queue at
     a realistic (small, mixed-deadline) size instead of degenerating to
     a single-entry queue.
     """

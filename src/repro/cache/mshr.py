@@ -2,16 +2,19 @@
 
 An MSHR entry tracks one outstanding line-granular miss; sector misses
 to the same line merge into the existing entry (secondary misses) up to
-a merge limit.  When the file is full the requester must stall — the
-GPU front end models that stall by re-trying on a later cycle.
+a merge limit.  When the file is full (or the entry is out of merge
+slots) the requester must stall — the GPU front end models that stall
+by re-trying on a later cycle.  A stalled allocate changes nothing but
+one stall counter, which :meth:`MshrFile.stall_counts` names, so a
+retry can be replayed without re-running it until the file changes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.sim.stats import StatGroup
+from repro.sim.stats import Counter, StatGroup
 
 
 @dataclass
@@ -88,6 +91,14 @@ class MshrFile:
         self._allocs.add(1)
         self.peak = max(self.peak, len(self._entries))
         return entry
+
+    def stall_counts(self, key: int) -> Tuple[Tuple[Counter, int], ...]:
+        """What a stalled :meth:`allocate` of ``key`` adds to the
+        counters: a merge stall when the line has an entry (out of merge
+        slots), else a full stall."""
+        if key in self._entries:
+            return ((self._merge_stalls, 1),)
+        return ((self._full_stalls, 1),)
 
     def complete(self, key: int) -> List[Callable[[], None]]:
         """Remove the entry; returns the waiters for the caller to fire."""

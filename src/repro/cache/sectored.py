@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.cache.replacement import ReplacementPolicy, make_policy
-from repro.sim.stats import StatGroup
+from repro.sim.stats import Counter, StatGroup
 
 
 class LookupResult(enum.Enum):
@@ -229,6 +229,19 @@ class SectoredCache:
         if requested - hits:
             self._sector_misses.add(requested - hits)
         return hit_mask, line
+
+    def miss_counts(self, line: Optional[CacheLine], sector_mask: int
+                    ) -> Optional[Tuple[Tuple[Counter, int], ...]]:
+        """What a :meth:`lookup_mask` of ``sector_mask`` that hit no
+        sector adds to the counters, given the ``line`` it returned
+        (``None``: a tag miss).  ``None`` while an inspector is attached,
+        because the inspector records every access as well."""
+        if self._insp is not None:
+            return None
+        sectors = sector_mask.bit_count()
+        if line is None:
+            return ((self._line_misses, 1), (self._line_miss_sectors, sectors))
+        return ((self._sector_misses, sectors),)
 
     def probe(self, line_addr: int) -> Optional[CacheLine]:
         """Non-intrusive tag probe: no stats, no replacement update."""

@@ -100,6 +100,12 @@ class MemoryChannel:
         self._bus_free_at = 0
         self._last_was_write = False
         self._wakeup_scheduled = False
+        #: Idle-until memo: the soonest bank-ready cycle of the queued
+        #: windows, recorded when the scheduler found nothing issuable.
+        #: Until a request arrives or issues or a refresh fires, a tick
+        #: before it would find nothing either, so it only re-books its
+        #: wake.  0 means unknown.
+        self._idle_until = 0
         self._next_refresh = timing.t_refi if timing.refresh_enabled else None
         #: Opt-in per-bank row-locality view; set exclusively by
         #: :class:`repro.obs.inspect.MemoryInspector`.  The hook in
@@ -132,6 +138,7 @@ class MemoryChannel:
         frame = request.addr // self.timing.row_bytes
         request.bank = frame % self.timing.banks
         request.row = frame // self.timing.banks
+        self._idle_until = 0
         (self._write_q if request.is_write else self._read_q).append(request)
         self._read_depth.set(len(self._read_q))
         self._write_depth.set(len(self._write_q))
@@ -180,6 +187,9 @@ class MemoryChannel:
         self._wakeup_scheduled = False
         now = self.sim.now
         self._maybe_refresh(now)
+        if now < self._idle_until:
+            self._wake(self._idle_until - now)
+            return
         while self._read_q or self._write_q:
             self._update_mode()
             queue = self._write_q if self._write_mode else self._read_q
@@ -215,11 +225,13 @@ class MemoryChannel:
         pending = (self._read_q[: self.SCHED_WINDOW]
                    + self._write_q[: self.SCHED_WINDOW])
         soonest = min(banks[r.bank].ready_at for r in pending)
+        self._idle_until = soonest
         self._wake(max(1, soonest - now))
 
     def _issue(self, req: DramRequest, now: int) -> None:
         t = self.timing
         bank = self._banks[req.bank]
+        self._idle_until = 0
 
         access_start = max(now, bank.ready_at, self._bus_free_at - t.t_cl)
         if bank.open_row == req.row:
@@ -289,6 +301,7 @@ class MemoryChannel:
         for bank in self._banks:
             bank.ready_at = max(bank.ready_at, end)
             bank.open_row = -1
+        self._idle_until = 0
         self._refreshes.add(1)
         self._next_refresh = now + t.t_refi
 

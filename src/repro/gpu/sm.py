@@ -27,7 +27,7 @@ from repro.cache.sectored import SectoredCache
 from repro.gpu.coalescer import coalesce, coalesce_summary
 from repro.gpu.crossbar import Crossbar
 from repro.gpu.trace import ComputeOp, MemoryOp, WarpOp
-from repro.sim.engine import Simulator
+from repro.sim.engine import Poll, Simulator
 from repro.sim.resources import OccupancyLimiter
 from repro.sim.stats import StatGroup
 
@@ -105,6 +105,9 @@ class StreamingMultiprocessor:
         self._load_txns = group.counter("load_transactions")
         self._store_txns = group.counter("store_transactions")
         self._stall_retries = group.counter("stall_retries")
+        #: Bumped on every change to the L1 or its MSHR file: the
+        #: source a parked load retry watches (see :meth:`_stall`).
+        self.epoch = 0
 
         self._warps: List[_Warp] = []
         self._ready: Deque[_Warp] = deque()
@@ -223,7 +226,8 @@ class StreamingMultiprocessor:
     # -- memory op progression ------------------------------------------------------
 
     def _advance_mem_op(self, warp: _Warp) -> None:
-        """Issue remaining transactions; park on structural stalls."""
+        """Issue remaining transactions; retry later on structural
+        stalls (the issue path that stalled queues the retry)."""
         while warp.next_txn < len(warp.txns):
             line_addr, mask = warp.txns[warp.next_txn]
             if warp.is_atomic_op:
@@ -233,8 +237,6 @@ class StreamingMultiprocessor:
             else:
                 issued = self._issue_load_txn(warp, line_addr, mask)
             if not issued:
-                self._stall_retries.add(1)
-                self.sim.schedule(self.RETRY_CYCLES, self._advance_mem_op, warp)
                 return
             warp.next_txn += 1
         if (warp.is_store_op and not self.blocking_stores) \
@@ -243,11 +245,28 @@ class StreamingMultiprocessor:
             # everything hit.
             self._warp_ready(warp)
 
+    def _stall(self, warp: _Warp, source=None, counts=()) -> None:
+        """Retry ``warp``'s stalled transaction ``RETRY_CYCLES`` from now.
+
+        With a ``source`` (this SM for loads, the store buffer for
+        stores and atomics) the retry is parked: until ``source.epoch``
+        moves, each turn replays ``counts``, the failed attempt's counter
+        increments, instead of re-running an attempt that would fail the
+        same way.
+        """
+        self._stall_retries.add(1)
+        if source is None:
+            self.sim.schedule(self.RETRY_CYCLES, self._advance_mem_op, warp)
+            return
+        self.sim.park(self.RETRY_CYCLES, Poll(
+            source, self.RETRY_CYCLES, counts + ((self._stall_retries, 1),),
+            self._advance_mem_op, warp))
+
     # -- loads ------------------------------------------------------------------------
 
     def _issue_load_txn(self, warp: _Warp, line_addr: int, mask: int) -> bool:
-        hit_mask, _line = self.l1.lookup_mask(line_addr, mask,
-                                              require_verified=False)
+        hit_mask, line = self.l1.lookup_mask(line_addr, mask,
+                                             require_verified=False)
         miss_mask = mask & ~hit_mask
         self._load_txns.add(1)
         if not miss_mask:
@@ -260,7 +279,16 @@ class StreamingMultiprocessor:
                                        waiter=lambda: self._load_credit(warp))
         if entry is None:
             self._load_txns.add(-1)
+            # A lookup that hit moved LRU order, so only a miss-only
+            # lookup can be replayed by its counts.
+            counts = None if hit_mask else self.l1.miss_counts(line, mask)
+            if counts is None:
+                self._stall(warp)
+            else:
+                self._stall(warp, self,
+                            counts + self.l1_mshrs.stall_counts(line_addr))
             return False
+        self.epoch += 1
         warp.outstanding += 1
         if entry.payload is None:
             entry.payload = {"filled": 0}
@@ -292,6 +320,7 @@ class StreamingMultiprocessor:
     def _on_l2_response(self, line_addr: int, mask: int, token=None) -> None:
         if token is not None:
             self._attributor.complete(token)
+        self.epoch += 1
         line, evicted = self.l1.allocate(line_addr)
         # L1 is write-through: evictions are silent, nothing to do.
         del evicted
@@ -331,13 +360,16 @@ class StreamingMultiprocessor:
                           mask: int) -> bool:
         """Atomics bypass the L1 (they execute at the L2's atomic unit)
         and invalidate any stale L1 copy of the touched sectors."""
-        if not self.store_credits.try_acquire():
+        credits = self.store_credits
+        if not credits.try_acquire():
+            self._stall(warp, credits, credits.rejection_counts)
             return False
         self._store_txns.add(1)
         line = self.l1.probe(line_addr)
         if line is not None:
             line.valid_mask &= ~mask  # L1 copy is now stale
             line.verified_mask &= ~mask
+            self.epoch += 1
         slice_id = self.route(line_addr)
         slice_obj = self.slices[slice_id]
         ack = self._store_ack_cb(warp)
@@ -348,13 +380,13 @@ class StreamingMultiprocessor:
 
     def _issue_store_txn(self, warp: _Warp, line_addr: int,
                          mask: int) -> bool:
-        if not self.store_credits.try_acquire():
+        credits = self.store_credits
+        if not credits.try_acquire():
+            self._stall(warp, credits, credits.rejection_counts)
             return False
+        # Write-through, no-allocate: a resident L1 copy is updated in
+        # place, which changes no modelled state.
         self._store_txns.add(1)
-        # Write-through, no-allocate: refresh L1 copy if present.
-        line = self.l1.probe(line_addr)
-        if line is not None and line.valid:
-            pass  # data updated in place; no state change needed
         slice_id = self.route(line_addr)
         slice_obj = self.slices[slice_id]
         sectors = mask.bit_count()

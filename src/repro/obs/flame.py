@@ -19,7 +19,9 @@ hardware pipeline.
 The profiler wraps the scheduling surface 1:1 — each scheduled ``fn``
 becomes one wrapper frame, one queue entry, executed once — so
 ``events_executed`` and **every simulation counter are unchanged**;
-only host-side sample counts are collected.  Both fidelity tiers are
+only host-side sample counts are collected.  A retry parked with
+``Simulator.park`` is scheduled as its real retry instead, so every
+turn of it is a frame too.  Both fidelity tiers are
 supported: :meth:`FlameProfiler.instrument` hooks
 :class:`~repro.sim.engine.Simulator` and the functional tier's
 ``ImmediateQueue`` alike (duck-typed ``schedule``/``schedule_at``/
@@ -106,7 +108,9 @@ class FlameProfiler:
 
         Each original ``schedule*(delay, fn, *args)`` is shadowed by a
         version that enqueues a frame wrapper around ``fn`` — still
-        exactly one queue entry per call.
+        exactly one queue entry per call.  ``park(delay, poll)`` becomes
+        a (wrapped) ``schedule`` of the poll's real retry, which is what
+        each turn of the poll stands for.
         """
         if self._sim is not None:
             raise RuntimeError(
@@ -119,6 +123,13 @@ class FlameProfiler:
                 continue
             self._saved[method] = sim.__dict__.get(method)
             setattr(sim, method, self._make_schedule(orig))
+        if getattr(sim, "park", None) is not None:
+            self._saved["park"] = sim.__dict__.get("park")
+            schedule = sim.schedule
+
+            def park(delay: int, poll: Any) -> None:
+                schedule(delay, poll.fn, *poll.args)
+            sim.park = park
 
     def _make_schedule(self, orig: Callable[..., Any]) -> Callable[..., Any]:
         def schedule(delay: int, fn: Callable[..., None],

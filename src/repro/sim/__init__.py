@@ -7,8 +7,8 @@ statistics registry every component reports into
 (:mod:`repro.sim.stats`).
 
 The kernel is deliberately minimal: a monotonic clock measured in GPU
-core cycles, a binary-heap event queue with deterministic FIFO
-tie-breaking, and a handful of reusable resource models.  Components
+core cycles, a calendar event queue with deterministic FIFO order
+within a cycle, and a handful of reusable resource models.  Components
 schedule plain callables; there is no process/coroutine machinery to
 keep the hot path cheap (the simulator executes hundreds of thousands
 of events per run).

@@ -7,14 +7,22 @@ cycles at configuration time).
 
 Events are plain ``(callable, args)`` pairs.  Two events scheduled for
 the same cycle fire in the order they were scheduled, which keeps runs
-bit-for-bit reproducible regardless of heap internals.
+bit-for-bit reproducible.  The queue is a calendar: one FIFO list per
+cycle that has events, plus a heap of those cycles, so scheduling is a
+dict lookup and an append, and only a new cycle touches the heap.
+
+A component whose retry would fail the same way until its own state
+changes queues that retry as a :class:`Poll` (:meth:`Simulator.park`);
+the engine then replays the failure's counter increments instead of
+calling the component.
 """
 
 from __future__ import annotations
 
 import heapq
+import sys
 import time
-from typing import Any, Callable, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 
 class SimulationError(RuntimeError):
@@ -25,8 +33,8 @@ class Watchdog:
     """Livelock / wall-clock guard for :meth:`Simulator.run`.
 
     Two independent trip conditions, both checked every
-    ``check_every_events`` executed events (cheap: one counter increment
-    per event between checks):
+    ``check_every_events`` executed events (the run loop calls
+    :meth:`check`; events in between cost nothing):
 
     * **No progress** — the clock has not advanced across
       ``max_stalled_checks`` consecutive checks.  A handful of events
@@ -50,24 +58,19 @@ class Watchdog:
         self.check_every_events = check_every_events
         self.max_stalled_checks = max_stalled_checks
         self.max_wall_seconds = max_wall_seconds
-        self._since_check = 0
         self._last_now: Optional[int] = None
         self._stalled_checks = 0
         self._started_at = 0.0
 
     def start(self) -> None:
         """Reset state at the beginning of a run."""
-        self._since_check = 0
         self._last_now = None
         self._stalled_checks = 0
         self._started_at = time.monotonic()
 
-    def on_event(self, now: int) -> None:
-        """Record one executed event; raise if a trip condition holds."""
-        self._since_check += 1
-        if self._since_check < self.check_every_events:
-            return
-        self._since_check = 0
+    def check(self, now: int) -> None:
+        """Raise if a trip condition holds; called once every
+        ``check_every_events`` executed events of a run."""
         if self._last_now is not None and now == self._last_now:
             self._stalled_checks += 1
             if self._stalled_checks >= self.max_stalled_checks:
@@ -88,8 +91,43 @@ class Watchdog:
                 )
 
 
+class Poll:
+    """A stalled retry, queued with :meth:`Simulator.park`.
+
+    ``source`` is the component whose state decides whether the retry
+    ``fn(*args)`` can succeed.  It keeps an integer ``epoch`` and bumps
+    it on every change to that state, so while ``source.epoch`` still
+    equals the epoch recorded here, the retry would fail exactly as the
+    attempt that parked it did.  ``counts`` lists that failure's counter
+    increments as ``(counter, amount)`` pairs, the retry's own included;
+    each component names its own counters.  ``period`` is the retry
+    interval in cycles.
+    """
+
+    __slots__ = ("source", "epoch", "period", "counts", "fn", "args")
+
+    def __init__(self, source: Any, period: int,
+                 counts: Tuple[Tuple[Any, int], ...],
+                 fn: Callable[..., None], *args: Any):
+        self.source = source
+        self.epoch = source.epoch
+        self.period = period
+        self.counts = counts
+        self.fn = fn
+        self.args = args
+
+
 class Simulator:
     """A single-clock discrete-event simulator.
+
+    The queue is a calendar: ``_buckets`` maps each cycle that has
+    events to a FIFO list of ``(fn, args)`` (``(None, poll)`` for a
+    parked :class:`Poll`), and ``_times`` is a heap of those cycles.
+    ``_head`` counts the executed entries of the earliest bucket; a
+    bucket is dropped once its last entry has run, so between calls the
+    earliest bucket always holds an unexecuted entry.  An event
+    scheduled for the current cycle joins the bucket being run, after
+    everything already in it.
 
     Example
     -------
@@ -98,16 +136,19 @@ class Simulator:
     >>> sim.schedule(10, fired.append, "a")
     >>> sim.schedule(5, fired.append, "b")
     >>> sim.run()
+    10
     >>> fired
     ['b', 'a']
-    >>> sim.now
-    10
     """
 
     def __init__(self) -> None:
         self._now: int = 0
-        self._seq: int = 0
-        self._queue: List[Tuple[int, int, Callable[..., None], Tuple[Any, ...]]] = []
+        self._buckets: Dict[int, List[Tuple[Optional[Callable[..., None]],
+                                            Any]]] = {}
+        self._times: List[int] = []
+        self._head = 0
+        #: Queued (not yet executed) events, daemons included.
+        self._pending = 0
         self._running = False
         #: Queued events that are *daemons* (observability ticks etc.);
         #: they never keep a run alive on their own.
@@ -120,6 +161,16 @@ class Simulator:
         """Current simulation time in core cycles."""
         return self._now
 
+    def _enqueue(self, when: int, fn: Optional[Callable[..., None]],
+                 args: Any) -> None:
+        bucket = self._buckets.get(when)
+        if bucket is None:
+            self._buckets[when] = [(fn, args)]
+            heapq.heappush(self._times, when)
+        else:
+            bucket.append((fn, args))
+        self._pending += 1
+
     def schedule(self, delay: int, fn: Callable[..., None], *args: Any) -> None:
         """Schedule ``fn(*args)`` to run ``delay`` cycles from now.
 
@@ -128,8 +179,7 @@ class Simulator:
         """
         if delay < 0:
             raise SimulationError(f"cannot schedule {delay} cycles in the past")
-        self._seq += 1
-        heapq.heappush(self._queue, (self._now + int(delay), self._seq, fn, args))
+        self._enqueue(self._now + int(delay), fn, args)
 
     def schedule_at(self, when: int, fn: Callable[..., None], *args: Any) -> None:
         """Schedule ``fn(*args)`` at absolute time ``when`` (>= now)."""
@@ -137,8 +187,7 @@ class Simulator:
             raise SimulationError(
                 f"cannot schedule at {when}, current time is {self._now}"
             )
-        self._seq += 1
-        heapq.heappush(self._queue, (int(when), self._seq, fn, args))
+        self._enqueue(int(when), fn, args)
 
     def schedule_daemon(self, delay: int, fn: Callable[..., None],
                         *args: Any) -> None:
@@ -153,22 +202,46 @@ class Simulator:
         if delay < 0:
             raise SimulationError(f"cannot schedule {delay} cycles in the past")
         self._daemons += 1
-        self._seq += 1
-        heapq.heappush(self._queue,
-                       (self._now + int(delay), self._seq, self._run_daemon,
-                        (fn, args)))
+        self._enqueue(self._now + int(delay), self._run_daemon, (fn, args))
 
     def _run_daemon(self, fn: Callable[..., None], args: Tuple[Any, ...]) -> None:
         self._daemons -= 1
         fn(*args)
 
+    def park(self, delay: int, poll: Poll) -> None:
+        """Queue ``poll``'s retry ``delay`` cycles from now.
+
+        When its turn comes and ``poll.source.epoch`` still equals the
+        epoch the poll recorded, the engine adds ``poll.counts`` and
+        queues the poll again ``poll.period`` cycles later, without
+        calling any component.  Otherwise it calls ``poll.fn(*poll.args)``
+        at that same queue position.  Either way the turn is one
+        executed event, so ``events_executed``, ``max_events`` and the
+        watchdog see exactly the events that scheduling the retry each
+        time would have run.
+        """
+        if delay < 0:
+            raise SimulationError(f"cannot schedule {delay} cycles in the past")
+        # A parked poll is queued as ``(None, poll)``; :meth:`run`
+        # handles those entries inline and :meth:`step` through
+        # :meth:`_turn`.
+        self._enqueue(self._now + int(delay), None, poll)
+
+    def _turn(self, poll: Poll) -> None:
+        if poll.source.epoch != poll.epoch:
+            poll.fn(*poll.args)
+            return
+        for counter, amount in poll.counts:
+            counter.value += amount
+        self._enqueue(self._now + poll.period, None, poll)
+
     def pending(self) -> int:
         """Number of events still queued (daemons included)."""
-        return len(self._queue)
+        return self._pending
 
     def pending_work(self) -> int:
         """Number of queued non-daemon events."""
-        return len(self._queue) - self._daemons
+        return self._pending - self._daemons
 
     def run(self, until: Optional[int] = None, max_events: Optional[int] = None,
             watchdog: Optional[Watchdog] = None) -> int:
@@ -182,7 +255,8 @@ class Simulator:
             Safety valve against runaway simulations; raises
             :class:`SimulationError` when exceeded.
         watchdog:
-            Optional :class:`Watchdog` consulted after every event for
+            Optional :class:`Watchdog`, checked every
+            ``watchdog.check_every_events`` executed events for
             no-progress and wall-clock trip conditions.
 
         Returns the simulation time after the run.
@@ -190,40 +264,73 @@ class Simulator:
         if self._running:
             raise SimulationError("run() re-entered from inside an event")
         self._running = True
-        executed = 0
+        horizon = float("inf") if until is None else until
+        budget = sys.maxsize if max_events is None else max_events
+        every = sys.maxsize
         if watchdog is not None:
             watchdog.start()
-        # Hoisted hot-loop state.  ``self._daemons`` and ``self._queue``
-        # contents mutate inside fn(*args), so the loop condition reads
-        # them fresh each iteration; only the bindings that cannot
-        # change (the queue list object, heappop) are hoisted.
-        queue = self._queue
+            every = watchdog.check_every_events
+        # One local comparison per event covers the budget and the
+        # watchdog: ``checkpoint`` is the next executed-event count at
+        # which either needs a look.
+        checkpoint = min(budget + 1, every)
+        executed = 0
+        buckets = self._buckets
+        times = self._times
         heappop = heapq.heappop
+        heappush = heapq.heappush
+        i = self._head
         try:
-            if until is None and max_events is None and watchdog is None:
-                # Fast path: no stop-time check, no budget, no guard.
-                while len(queue) > self._daemons:
-                    when, _seq, fn, args = heappop(queue)
-                    self._now = when
-                    fn(*args)
-                    executed += 1
-            else:
-                while len(queue) > self._daemons:
-                    when, _seq, fn, args = queue[0]
-                    if until is not None and when > until:
+            # ``_pending`` and ``_daemons`` change inside fn(*args), so
+            # the stop condition reads them fresh for every event.
+            while self._pending > self._daemons:
+                when = times[0]
+                if when > horizon:
+                    break
+                self._now = when
+                bucket = buckets[when]
+                while i < len(bucket):
+                    if self._daemons and self._pending <= self._daemons:
                         break
-                    heappop(queue)
-                    self._now = when
-                    fn(*args)
+                    fn, args = bucket[i]
+                    i += 1
+                    self._pending -= 1
+                    if fn is not None:
+                        fn(*args)
+                    elif args.source.epoch != args.epoch:
+                        args.fn(*args.args)
+                    else:
+                        # :meth:`_turn` inlined: replayed turns can be
+                        # half the events of a stall-bound run.
+                        for counter, amount in args.counts:
+                            counter.value += amount
+                        later = when + args.period
+                        queued = buckets.get(later)
+                        if queued is None:
+                            buckets[later] = [(None, args)]
+                            heappush(times, later)
+                        else:
+                            queued.append((None, args))
+                        self._pending += 1
                     executed += 1
-                    if max_events is not None and executed > max_events:
-                        raise SimulationError(
-                            f"exceeded max_events={max_events}; "
-                            f"likely a livelock"
-                        )
-                    if watchdog is not None:
-                        watchdog.on_event(self._now)
+                    if executed == checkpoint:
+                        if executed > budget:
+                            raise SimulationError(
+                                f"exceeded max_events={max_events}; "
+                                f"likely a livelock"
+                            )
+                        watchdog.check(when)
+                        checkpoint = min(budget + 1, executed + every)
+                else:
+                    del buckets[when]
+                    heappop(times)
+                    i = 0
         finally:
+            if times and i == len(buckets[times[0]]):
+                # The bucket's last event raised: drop the bucket.
+                del buckets[heappop(times)]
+                i = 0
+            self._head = i
             self._running = False
             self.events_executed += executed
         if until is not None and self._now < until:
@@ -245,16 +352,26 @@ class Simulator:
         """
         if self._running:
             raise SimulationError("step() re-entered from inside an event")
-        if not include_daemons and len(self._queue) <= self._daemons:
+        if not include_daemons and self._pending <= self._daemons:
             return False
-        if not self._queue:
+        if not self._pending:
             return False
         self._running = True
+        when = self._times[0]
+        bucket = self._buckets[when]
+        fn, args = bucket[self._head]
+        self._head += 1
+        self._pending -= 1
         try:
-            when, _seq, fn, args = heapq.heappop(self._queue)
             self._now = when
-            fn(*args)
+            if fn is None:
+                self._turn(args)
+            else:
+                fn(*args)
             self.events_executed += 1
         finally:
+            if self._head == len(bucket):
+                del self._buckets[heapq.heappop(self._times)]
+                self._head = 0
             self._running = False
         return True

@@ -105,7 +105,9 @@ class OccupancyLimiter:
 
     The limiter does not itself block callers — the event-driven
     components check :meth:`available` and park themselves; this class
-    just does the accounting and exposes stall statistics.
+    just does the accounting and exposes stall statistics.  ``epoch``
+    moves on every acquire and release, so a retry parked on a full
+    limiter (:class:`~repro.sim.engine.Poll`) knows when to run again.
     """
 
     def __init__(self, name: str, capacity: int, stats: Optional[StatGroup] = None):
@@ -117,6 +119,9 @@ class OccupancyLimiter:
         self.peak = 0
         self.acquires = Counter("acquires")
         self.full_rejections = Counter("full_rejections")
+        #: What a rejected :meth:`try_acquire` adds to the counters.
+        self.rejection_counts = ((self.full_rejections, 1),)
+        self.epoch = 0
         if stats is not None:
             stats.child(name).add(self.acquires, self.full_rejections)
 
@@ -135,6 +140,7 @@ class OccupancyLimiter:
         self._in_use += count
         self.peak = max(self.peak, self._in_use)
         self.acquires.add(count)
+        self.epoch += 1
         return True
 
     def release(self, count: int = 1) -> None:
@@ -143,3 +149,4 @@ class OccupancyLimiter:
                 f"{self.name}: releasing {count} slots with only {self._in_use} in use"
             )
         self._in_use -= count
+        self.epoch += 1

@@ -97,3 +97,84 @@ def test_coalescer_covers_exactly_the_touched_sectors(addresses):
             if mask & (1 << sector):
                 produced.add((line, sector))
     assert produced == expected
+
+
+class _UnmemoizedChannel(MemoryChannel):
+    """A channel whose idle-until memo is always invalid: every tick
+    rescans the queues."""
+
+    def _sleep_until_ready(self, now):
+        super()._sleep_until_ready(now)
+        self._idle_until = 0
+
+
+#: Refreshes every 100 cycles, so blackouts land on idle ticks too.
+REFRESHING = DramTiming(t_refi=100, t_rfc=30)
+
+
+@st.composite
+def contended_batches(draw):
+    """Dense (addr, is_write, enqueue_delay) streams over four banks
+    and four rows each: row conflicts keep the scheduler idle between
+    issues while new requests keep arriving."""
+    timing = REFRESHING
+    n = draw(st.integers(1, 60))
+    return [
+        (((draw(st.integers(0, 3)) * timing.banks + draw(st.integers(0, 3)))
+          * timing.row_bytes + draw(st.integers(0, 63)) * 32),
+         draw(st.booleans()),
+         draw(st.integers(0, 120)))
+        for _ in range(n)
+    ]
+
+
+def _issue_log(channel_cls, batch, memo_hits=None):
+    """Run ``batch`` through a fresh channel; returns every issue as
+    ``(cycle, addr, is_write)`` plus the clock, event count and stats.
+    ``memo_hits`` collects the cycles of ticks that found the memo
+    valid."""
+    sim = Simulator()
+    channel = channel_cls("ch", sim, REFRESHING)
+    issued = []
+    issue = channel._issue
+    tick = channel._tick
+
+    def logged(req, now):
+        issued.append((now, req.addr, req.is_write))
+        issue(req, now)
+
+    def counted():
+        if memo_hits is not None and sim.now < channel._idle_until:
+            memo_hits.append(sim.now)
+        tick()
+    channel._issue = logged
+    channel._tick = counted
+
+    for addr, is_write, delay in batch:
+        sim.schedule(delay, channel.enqueue,
+                     DramRequest(addr, is_write, RequestKind.DATA))
+    sim.run()
+    return issued, sim.now, sim.events_executed, channel.stats.flatten()
+
+
+@given(contended_batches())
+@settings(max_examples=150, deadline=None)
+def test_idle_until_memo_changes_no_decision(batch):
+    """Random read/write streams under frequent refreshes issue in the
+    same order at the same cycles whether or not idle ticks reuse the
+    memo, and leave the same clock, event count and counters."""
+    assert _issue_log(MemoryChannel, batch) \
+        == _issue_log(_UnmemoizedChannel, batch)
+
+
+def test_idle_ticks_reuse_the_memo():
+    """Row conflicts on one bank leave the scheduler idle between
+    issues, across several refreshes; those ticks take the memo and
+    still issue identically."""
+    batch = [(i * 4 * REFRESHING.row_bytes * REFRESHING.banks, i % 3 == 0, 0)
+             for i in range(24)]
+    hits = []
+    memoized = _issue_log(MemoryChannel, batch, hits)
+    assert memoized == _issue_log(_UnmemoizedChannel, batch)
+    assert memoized[3]["ch.refreshes"] > 1
+    assert len(hits) > 5

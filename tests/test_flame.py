@@ -1,5 +1,6 @@
 """Deterministic self-profiler: sampling, stacks, counter neutrality."""
 
+from repro.analysis.harness import bench_config, bench_gen_ctx
 from repro.cli import main
 from repro.core.system import run_workload
 from repro.obs.flame import FlameProfiler, frame_name
@@ -131,6 +132,28 @@ class TestCounterNeutrality:
         assert profiled.cycles == bare.cycles
         assert profiled.stats == bare.stats
         assert profiled.traffic == bare.traffic
+
+    def test_every_parked_turn_is_a_frame(self):
+        """Stall retries parked with ``Simulator.park`` run as frames of
+        their real retry, so the profiler sees every executed event and
+        the counters match an unprofiled run.  pchase/cachecraft on the
+        benchmark machine retries stalled transactions ~97,000 times."""
+        config = bench_config().with_scheme("cachecraft")
+        gen_ctx = bench_gen_ctx(config, scale=0.01, seed=42)
+        bare = run_workload(make_workload("pchase"), config, gen_ctx=gen_ctx)
+        flame = FlameProfiler(sample_every=1)
+        profiled = run_workload(make_workload("pchase"), config,
+                                gen_ctx=gen_ctx,
+                                obs=Observability(flame=flame))
+        assert sum(v for k, v in bare.stats.items()
+                   if k.endswith("stall_retries")) > 50_000
+        assert flame.frames_executed == profiled.events_executed
+        assert profiled.events_executed == bare.events_executed
+        assert profiled.stats == bare.stats
+        assert profiled.cycles == bare.cycles
+        frames = {frame for stack in flame.samples for frame in stack}
+        assert any(f.endswith(".advance_mem_op") for f in frames)
+        assert not any("turn" in f for f in frames)
 
     def test_functional_counters_unchanged(self, small_config, tiny_gen):
         config = small_config.with_scheme("cachecraft") \

@@ -1,8 +1,13 @@
 """Unit tests for the discrete-event engine."""
 
-import pytest
+import heapq
 
-from repro.sim.engine import SimulationError, Simulator
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.sim.engine import Poll, SimulationError, Simulator, Watchdog
+from repro.sim.stats import Counter
 
 
 def test_initial_time_is_zero():
@@ -397,3 +402,241 @@ class TestWatchdog:
             Watchdog(check_every_events=0)
         with pytest.raises(ValueError):
             Watchdog(max_stalled_checks=0)
+
+
+# -- calendar-queue oracle ---------------------------------------------------
+
+
+class HeapEngine:
+    """A binary-heap engine with the same contract as :class:`Simulator`:
+    every event is a ``(time, sequence)``-keyed heap entry, and a parked
+    poll is an ordinary entry whose turn checks the epoch.  The oracle
+    below holds the calendar queue to it."""
+
+    def __init__(self):
+        self._now = 0
+        self._seq = 0
+        self._queue = []
+        self._running = False
+        self._daemons = 0
+        self.events_executed = 0
+
+    @property
+    def now(self):
+        return self._now
+
+    def _push(self, when, fn, args):
+        self._seq += 1
+        heapq.heappush(self._queue, (when, self._seq, fn, args))
+
+    def schedule(self, delay, fn, *args):
+        if delay < 0:
+            raise SimulationError("past")
+        self._push(self._now + delay, fn, args)
+
+    def schedule_at(self, when, fn, *args):
+        if when < self._now:
+            raise SimulationError("past")
+        self._push(when, fn, args)
+
+    def schedule_daemon(self, delay, fn, *args):
+        if delay < 0:
+            raise SimulationError("past")
+        self._daemons += 1
+        self._push(self._now + delay, self._run_daemon, (fn, args))
+
+    def _run_daemon(self, fn, args):
+        self._daemons -= 1
+        fn(*args)
+
+    def park(self, delay, poll):
+        if delay < 0:
+            raise SimulationError("past")
+        self._push(self._now + delay, self._turn, (poll,))
+
+    def _turn(self, poll):
+        if poll.source.epoch != poll.epoch:
+            poll.fn(*poll.args)
+            return
+        for counter, amount in poll.counts:
+            counter.value += amount
+        self._push(self._now + poll.period, self._turn, (poll,))
+
+    def pending(self):
+        return len(self._queue)
+
+    def pending_work(self):
+        return len(self._queue) - self._daemons
+
+    def run(self, until=None, max_events=None, watchdog=None):
+        if self._running:
+            raise SimulationError("re-entered")
+        self._running = True
+        executed = 0
+        if watchdog is not None:
+            watchdog.start()
+        try:
+            while len(self._queue) > self._daemons:
+                when, _seq, fn, args = self._queue[0]
+                if until is not None and when > until:
+                    break
+                heapq.heappop(self._queue)
+                self._now = when
+                fn(*args)
+                executed += 1
+                if max_events is not None and executed > max_events:
+                    raise SimulationError("max_events")
+                if watchdog is not None \
+                        and executed % watchdog.check_every_events == 0:
+                    watchdog.check(self._now)
+        finally:
+            self._running = False
+            self.events_executed += executed
+        if until is not None and self._now < until:
+            self._now = until
+        return self._now
+
+    def step(self, include_daemons=False):
+        if self._running:
+            raise SimulationError("re-entered")
+        if not include_daemons and len(self._queue) <= self._daemons:
+            return False
+        if not self._queue:
+            return False
+        self._running = True
+        try:
+            when, _seq, fn, args = heapq.heappop(self._queue)
+            self._now = when
+            fn(*args)
+            self.events_executed += 1
+        finally:
+            self._running = False
+        return True
+
+
+class Boom(Exception):
+    """Raised by a program event on purpose."""
+
+
+class _Source:
+    def __init__(self):
+        self.epoch = 0
+
+
+class ProgramRun:
+    """Interprets a generated program against one engine and logs what
+    fired: ``(now, label, counter value)`` per event, plus what each
+    driver call returned or raised."""
+
+    def __init__(self, sim):
+        self.sim = sim
+        self.log = []
+        self.sources = [_Source(), _Source()]
+        self.counter = Counter("polled")
+
+    def event(self, node):
+        label, actions = node
+
+        def fire():
+            self.log.append((self.sim.now, label, self.counter.value))
+            for action in actions:
+                self.perform(action)
+        return fire
+
+    def perform(self, action):
+        kind, args = action[0], action[1:]
+        sim = self.sim
+        if kind == "schedule":
+            sim.schedule(args[0], self.event(args[1]))
+        elif kind == "schedule_at":
+            sim.schedule_at(sim.now + args[0], self.event(args[1]))
+        elif kind == "daemon":
+            sim.schedule_daemon(args[0], self.event(args[1]))
+        elif kind == "park":
+            delay, period, source, amount, node = args
+            sim.park(delay, Poll(self.sources[source], period,
+                                 ((self.counter, amount),),
+                                 self.event(node)))
+        elif kind == "bump":
+            self.sources[args[0]].epoch += 1
+        else:
+            raise Boom(kind)
+
+    def drive(self, calls):
+        for call in calls:
+            try:
+                if call[0] == "run":
+                    until, max_events, dog = call[1:]
+                    watchdog = None if dog is None else Watchdog(
+                        check_every_events=dog[0], max_stalled_checks=dog[1])
+                    outcome = self.sim.run(until=until, max_events=max_events,
+                                           watchdog=watchdog)
+                elif call[0] == "step":
+                    outcome = self.sim.step(include_daemons=call[1])
+                else:
+                    outcome = self.perform(call[1])
+            except (Boom, SimulationError) as exc:
+                outcome = type(exc).__name__
+            self.log.append((call[0], outcome, self.sim.now,
+                             self.sim.pending(), self.sim.pending_work(),
+                             self.sim.events_executed, self.counter.value))
+        return self.log
+
+
+DELAYS = st.integers(0, 3)
+
+
+def event_nodes():
+    labels = st.integers(0, 9)
+    return st.recursive(
+        st.tuples(labels, st.just(())),
+        lambda node: st.tuples(labels, st.lists(actions(node), max_size=3)),
+        max_leaves=12)
+
+
+def actions(node):
+    return st.one_of(
+        st.tuples(st.just("schedule"), DELAYS, node),
+        st.tuples(st.just("schedule_at"), DELAYS, node),
+        st.tuples(st.just("daemon"), DELAYS, node),
+        st.tuples(st.just("park"), DELAYS, st.integers(1, 3),
+                  st.integers(0, 1), st.integers(1, 2), node),
+        st.tuples(st.just("bump"), st.integers(0, 1)),
+        st.just(("raise",)),
+        st.tuples(st.just("schedule"), st.just(-1), node),
+    )
+
+
+def driver_calls():
+    watchdogs = st.none() | st.tuples(st.integers(1, 8), st.integers(1, 3))
+    run = st.tuples(st.just("run"), st.none() | st.integers(0, 12),
+                    st.integers(0, 60), watchdogs)
+    return st.lists(
+        st.one_of(run, st.tuples(st.just("step"), st.booleans()),
+                  st.tuples(st.just("act"), actions(event_nodes()))),
+        min_size=1, max_size=6)
+
+
+@given(st.lists(actions(event_nodes()), max_size=5), driver_calls())
+@settings(max_examples=400, deadline=None)
+def test_calendar_queue_matches_heap_engine(setup, calls):
+    """Nested schedule/schedule_at/schedule_daemon/park programs fire in
+    the same (time, order) sequence on both engines, raise at the same
+    points and leave the same clock, queue and event counts."""
+    calls = [("act", action) for action in setup] + calls
+    expected = ProgramRun(HeapEngine()).drive(calls)
+    assert ProgramRun(Simulator()).drive(calls) == expected
+
+
+def test_parked_poll_replays_counts_until_the_epoch_moves():
+    sim = Simulator()
+    source = _Source()
+    polled = Counter("polled")
+    fired = []
+    sim.park(4, Poll(source, 4, ((polled, 2),), fired.append, "retry"))
+    sim.schedule(13, lambda: setattr(source, "epoch", 1))
+    sim.run()
+    # Turns at 4, 8 and 12 replay the failure; the turn at 16 sees the
+    # bumped epoch and runs the real retry.
+    assert polled.value == 6 and fired == ["retry"]
+    assert sim.now == 16 and sim.events_executed == 5
