@@ -50,14 +50,10 @@ Every component is individually defeatable for the ablation experiment
 from __future__ import annotations
 
 from collections import OrderedDict, deque
-from typing import Callable, Deque, Dict, List, Optional, Tuple
+from typing import Callable, Deque, Dict, List, Tuple
 
 from repro.dram.channel import RequestKind
-from repro.dram.layout import InlineEccLayout
-from repro.ecc.base import ErrorCode
-from repro.protection.base import ProtectionScheme, register_scheme
-from repro.protection.codes import build_code
-from repro.protection.schemes import METADATA_BASE
+from repro.protection.base import ProtectionScheme, _noop, register_scheme
 
 #: Codes whose check bits are a linear (XOR-decomposable) function of
 #: per-sector data — the property the contribution directory and the
@@ -124,23 +120,10 @@ class CacheCraft(ProtectionScheme):
         #: Per-slice capacity of the contribution directory (granules).
         #: 0 disables it (the F7 ablation).
         self.directory_entries = directory_entries
-        self.code: Optional[ErrorCode] = None
-        self._layout: Optional[InlineEccLayout] = None
         self._psel = 0
         self._linear = code_name in LINEAR_CODES
 
     # -- construction ---------------------------------------------------------
-
-    def prepare(self, functional: bool, atom_bytes: int = 32) -> InlineEccLayout:
-        self.code, meta = build_code(self.code_name, self.granule_bytes,
-                                     functional)
-        self._layout = InlineEccLayout(
-            granule_bytes=self.granule_bytes, meta_per_granule=meta,
-            metadata_base=METADATA_BASE, atom_bytes=atom_bytes)
-        return self._layout
-
-    def storage_overhead(self) -> float:
-        return self._layout.capacity_overhead if self._layout else 0.0
 
     def sram_overhead_bytes(self) -> int:
         # Craft buffer entries hold one granule + metadata each; the
@@ -155,10 +138,6 @@ class CacheCraft(ProtectionScheme):
     def _on_bind(self) -> None:
         assert self.ctx is not None and self.stats is not None
         slices = len(self.ctx.channels)
-        # Pure-geometry memos (layout is fixed once bound; these sit on
-        # every fetch/writeback and recompute identical answers).
-        self._glines_memo: Dict[int, Tuple[Tuple[int, int], ...]] = {}
-        self._granules_memo: Dict[Tuple[int, int], Tuple[int, ...]] = {}
         self._crafts: List[Dict[int, _CraftEntry]] = [dict() for _ in range(slices)]
         self._overflow: List[Deque[tuple]] = [deque() for _ in range(slices)]
         # Contribution directory: per-slice LRU of granule -> sector
@@ -216,51 +195,8 @@ class CacheCraft(ProtectionScheme):
 
     # -- geometry helpers --------------------------------------------------------
 
-    def _granules_of(self, line_addr: int,
-                     sector_mask: int) -> Tuple[int, ...]:
-        memo = self._granules_memo
-        cached = memo.get((line_addr, sector_mask))
-        if cached is not None:
-            return cached
-        ctx = self.ctx
-        assert ctx is not None
-        base = line_addr * ctx.line_bytes
-        seen: List[int] = []
-        for start, length in self._mask_runs(sector_mask, ctx.sectors_per_line):
-            for s in range(start, start + length):
-                granule = ctx.layout.granule_of(base + s * ctx.sector_bytes)
-                if granule not in seen:
-                    seen.append(granule)
-        result = tuple(seen)
-        memo[(line_addr, sector_mask)] = result
-        return result
-
-    def _granule_lines(self, granule: int) -> Tuple[Tuple[int, int], ...]:
-        """``(line_addr, sector_mask)`` tiles covering the granule."""
-        memo = self._glines_memo
-        cached = memo.get(granule)
-        if cached is not None:
-            return cached
-        ctx = self.ctx
-        assert ctx is not None
-        base = ctx.layout.granule_base(granule)
-        end = base + ctx.layout.granule_bytes
-        addr = base
-        tiles: List[Tuple[int, int]] = []
-        while addr < end:
-            line_addr = addr // ctx.line_bytes
-            line_base = line_addr * ctx.line_bytes
-            mask = 0
-            while addr < end and addr // ctx.line_bytes == line_addr:
-                mask |= 1 << ((addr - line_base) // ctx.sector_bytes)
-                addr += ctx.sector_bytes
-            tiles.append((line_addr, mask))
-        result = tuple(tiles)
-        memo[granule] = result
-        return result
-
     def _line_portion(self, granule: int, line_addr: int) -> int:
-        for g_line, g_mask in self._granule_lines(granule):
+        for g_line, g_mask in self.ctx.granule_lines(granule):
             if g_line == line_addr:
                 return g_mask
         return 0
@@ -301,10 +237,7 @@ class CacheCraft(ProtectionScheme):
 
     def _meta_line_and_bit(self, granule: int) -> Tuple[int, int]:
         ctx = self.ctx
-        atom = ctx.layout.metadata_atom(granule)
-        line_addr = atom // ctx.line_bytes
-        sector = (atom % ctx.line_bytes) // ctx.sector_bytes
-        return line_addr, 1 << sector
+        return ctx.meta_line_and_bit(ctx.layout.metadata_atom(granule))
 
     def _duel_bucket(self, meta_line: int) -> str:
         group = meta_line % self.DUEL_MOD
@@ -391,7 +324,7 @@ class CacheCraft(ProtectionScheme):
               on_ready: Callable[[int], None]) -> None:
         ctx = self.ctx
         assert ctx is not None
-        granules = self._granules_of(line_addr, sector_mask)
+        granules = ctx.granules_of(line_addr, sector_mask)
         if len(granules) == 1:
             self._fetch_granule(slice_id, granules[0], line_addr,
                                 sector_mask, on_ready)
@@ -438,7 +371,7 @@ class CacheCraft(ProtectionScheme):
         # hit also covers the metadata fetch.
         meta_from_directory = contrib_local != 0
 
-        for g_line, g_mask in self._granule_lines(entry.granule):
+        for g_line, g_mask in self.ctx.granule_lines(entry.granule):
             reused = self._reusable(slice_id, g_line, g_mask)
             demand = (want_mask if g_line == req_line else 0) & g_mask & ~reused
             # Sectors neither resident nor demanded can still verify via
@@ -493,7 +426,6 @@ class CacheCraft(ProtectionScheme):
         entry.pending -= 1
         if entry.pending:
             return
-        ctx = self.ctx
         self._granules_verified.add(1)
         if entry.verify_fills == 0:
             self._granules_no_extra_fetch.add(1)
@@ -538,7 +470,7 @@ class CacheCraft(ProtectionScheme):
                             RequestKind.METADATA_WRITE)
             return
         self.functional_writeback(line_addr, dirty_mask)
-        for granule in self._granules_of(line_addr, dirty_mask):
+        for granule in ctx.granules_of(line_addr, dirty_mask):
             self._wb_granules.add(1)
             portion = self._line_portion(granule, line_addr)
             dirty_here = dirty_mask & portion
@@ -556,7 +488,7 @@ class CacheCraft(ProtectionScheme):
                 delta_missing = {line_addr: dirty_here & ~self._from_local(
                     granule, line_addr, contrib_local)}
                 recompute_missing: Dict[int, int] = {}
-                for g_line, g_mask in self._granule_lines(granule):
+                for g_line, g_mask in ctx.granule_lines(granule):
                     nondirty = g_mask & ~(dirty_here if g_line == line_addr
                                           else 0)
                     held = self._from_local(granule, g_line, contrib_local)
@@ -584,7 +516,7 @@ class CacheCraft(ProtectionScheme):
                 # Non-linear codes (MACs) need the whole granule present
                 # to regenerate; reuse what the eviction and the L2 hold.
                 missing_total = 0
-                for g_line, g_mask in self._granule_lines(granule):
+                for g_line, g_mask in ctx.granule_lines(granule):
                     if g_line == line_addr:
                         held = valid_mask & g_mask
                     else:
@@ -627,7 +559,3 @@ class CacheCraft(ProtectionScheme):
 # Bound method descriptor: ``_popcount(mask)`` == ``mask.bit_count()``
 # without the per-call attribute lookup (this runs on every grant).
 _popcount = int.bit_count
-
-
-def _noop() -> None:
-    """Sink for posted read-modify-write fills."""

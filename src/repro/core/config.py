@@ -10,7 +10,9 @@ bandwidth:compute) in a realistic regime.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from typing import Any, Dict, Optional, Tuple
 
 from repro.cache.replacement import make_policy
@@ -103,30 +105,20 @@ class ProtectionConfig:
     functional: bool = False
 
     def scheme_kwargs(self) -> Dict[str, Any]:
-        """Constructor arguments for the configured scheme."""
-        if self.scheme == "none":
-            return {}
-        if self.scheme == "sideband":
-            return {"code_name": self.code_name}
-        if self.scheme in ("inline-sector", "sector-l2"):
-            return {"code_name": self.code_name}
-        if self.scheme == "metadata-cache":
-            return {"code_name": self.code_name, "mdcache_kb": self.mdcache_kb}
-        if self.scheme == "inline-full":
-            return {"code_name": self.code_name,
-                    "granule_bytes": self.granule_bytes,
-                    "mdcache_kb": self.mdcache_kb}
-        if self.scheme == "cachecraft":
-            return {"code_name": self.code_name,
-                    "granule_bytes": self.granule_bytes,
-                    "craft_entries": self.craft_entries,
-                    "directory_entries": self.directory_entries,
-                    "adaptive_insertion": self.adaptive_insertion,
-                    "reconstruction": self.reconstruction,
-                    "verified_bits": self.verified_bits,
-                    "metadata_in_l2": self.metadata_in_l2,
-                    "speculative_use": self.speculative_use}
-        raise ValueError(f"unknown scheme {self.scheme!r}")
+        """Constructor arguments for the configured scheme: each
+        parameter of its registered constructor, read from the field of
+        the same name."""
+        from repro.protection.base import scheme_class
+
+        return {name: getattr(self, name)
+                for name in _parameters(scheme_class(self.scheme))}
+
+
+@lru_cache(maxsize=None)
+def _parameters(cls: type) -> Tuple[str, ...]:
+    """A constructor's parameter names (memoized: a signature takes tens
+    of microseconds and every system build asks for one)."""
+    return tuple(inspect.signature(cls).parameters)
 
 
 @dataclass(frozen=True)

@@ -16,8 +16,9 @@ A scheme implements two operations:
     read-modify-write fills when the codeword needs absent sectors.
 
 The :class:`ProtectionContext` is the scheme's window into the system:
-memory channels, L2 probes/fills, the inline-ECC layout, the optional
-functional store, and a stats group.  Schemes never talk to SMs.
+memory channels, L2 probes/fills, the inline-ECC layout and its
+granule geometry, the optional functional store, and a stats group.
+Schemes never talk to SMs.
 """
 
 from __future__ import annotations
@@ -30,8 +31,12 @@ from repro.dram.backing import FunctionalMemory
 from repro.dram.channel import DramRequest, MemoryChannel, RequestKind
 from repro.dram.layout import InlineEccLayout
 from repro.ecc.base import DecodeStatus, ErrorCode
+from repro.protection.codes import build_code
 from repro.sim.engine import Simulator
 from repro.sim.stats import StatGroup
+
+#: Default DRAM metadata region base (16 GiB, above any workload heap).
+METADATA_BASE = 1 << 34
 
 
 @lru_cache(maxsize=4096)
@@ -52,6 +57,10 @@ def mask_runs(mask: int, limit: int) -> Tuple[Tuple[int, int], ...]:
         else:
             sector += 1
     return tuple(runs)
+
+
+def _noop() -> None:
+    """Completion sink for posted read-modify-write fills."""
 
 
 class ProtectionContext:
@@ -92,6 +101,15 @@ class ProtectionContext:
         self._install_cb: Optional[Callable[..., None]] = None
         self._poison_cb: Optional[Callable[[int, int, int], None]] = None
         self._invalidate_cb: Optional[Callable[[int, int], None]] = None
+        # Granule geometry.  A line's tiling repeats with the data span
+        # of one metadata atom, so the line memo keys on the sector mask
+        # and the line's phase in that span, never on the line address.
+        self._span = layout.data_per_meta_atom
+        self._span_granules = layout.granules_per_meta_atom
+        #: Last line base whose sectors all lie below the metadata region.
+        self._last_data_base = layout.metadata_base - line_bytes
+        self._tilings: Dict[Tuple[int, int], tuple] = {}
+        self._granule_tiles: Dict[int, Tuple[Tuple[int, int], ...]] = {}
 
     # -- wiring -------------------------------------------------------------
 
@@ -170,6 +188,87 @@ class ProtectionContext:
         chunk = self.slice_chunk_bytes
         return (addr // chunk // slices) * chunk + (addr % chunk)
 
+    # -- granule geometry -----------------------------------------------------
+
+    def granules_of(self, line_addr: int, sector_mask: int) -> Tuple[int, ...]:
+        """Distinct granules under a line's set sectors, in sector order."""
+        period, (granules, _atoms) = self._tiling(line_addr, sector_mask)
+        first = period * self._span_granules
+        return tuple([first + granule for granule in granules])
+
+    def meta_atoms_of(self, line_addr: int, sector_mask: int
+                      ) -> Tuple[Tuple[int, Tuple[int, ...]], ...]:
+        """``(atom, granules)`` for each metadata atom checking a line's
+        set sectors, in the order the metadata reads are issued."""
+        period, (_granules, atoms) = self._tiling(line_addr, sector_mask)
+        first = period * self._span_granules
+        atom0 = period * self.layout.atom_bytes
+        pairs = tuple([(atom0 + atom, tuple([first + g for g in granules]))
+                       for atom, granules in atoms])
+        if len(pairs) == 1:
+            return pairs
+        # Several atoms go out in the iteration order of a set filled in
+        # sector order; that order depends on the atoms' values.
+        by_atom = dict(pairs)
+        return tuple([(atom, by_atom[atom])
+                      for atom in set([atom for atom, _g in pairs])])
+
+    def granule_lines(self, granule: int) -> Tuple[Tuple[int, int], ...]:
+        """``(line_addr, sector_mask)`` tiles covering a granule."""
+        tiles = self._granule_tiles.get(granule)
+        if tiles is None:
+            line_bytes, sector_bytes = self.line_bytes, self.sector_bytes
+            base = self.layout.granule_base(granule)
+            end = base + self.layout.granule_bytes
+            found = []
+            for line_addr in range(base // line_bytes,
+                                   (end - 1) // line_bytes + 1):
+                line_base = line_addr * line_bytes
+                # Sectors lo..hi-1 of this line hold granule bytes.
+                lo = (max(base, line_base) - line_base) // sector_bytes
+                hi = (min(end, line_base + line_bytes) - line_base
+                      + sector_bytes - 1) // sector_bytes
+                found.append((line_addr, (1 << hi) - (1 << lo)))
+            tiles = self._granule_tiles[granule] = tuple(found)
+        return tiles
+
+    def meta_line_and_bit(self, atom: int) -> Tuple[int, int]:
+        """L2 line and sector bit that cache a metadata atom."""
+        line_bytes = self.line_bytes
+        return (atom // line_bytes,
+                1 << (atom % line_bytes // self.sector_bytes))
+
+    def _tiling(self, line_addr: int, sector_mask: int):
+        """``(period, (granule offsets, ((atom offset, granule offsets),
+        ...)))`` for a line, in sector order.  Offsets count from the
+        first granule and the first metadata atom of the line's span."""
+        base = line_addr * self.line_bytes
+        period, phase = divmod(base, self._span)
+        key = (sector_mask, phase)
+        tiling = self._tilings.get(key)
+        # Lines reaching the metadata region are walked every time so
+        # that ``granule_of`` refuses exactly the addresses it should.
+        if tiling is None or base > self._last_data_base:
+            layout = self.layout
+            by_atom: Dict[int, List[int]] = {}
+            for start, length in mask_runs(sector_mask, self.sectors_per_line):
+                for s in range(start, start + length):
+                    granule = layout.granule_of(base + s * self.sector_bytes)
+                    members = by_atom.setdefault(
+                        layout.metadata_atom(granule), [])
+                    if granule not in members:
+                        members.append(granule)
+            first = period * self._span_granules
+            atom0 = period * layout.atom_bytes
+            # Granules and atoms both rise with the address, so the
+            # per-atom lists concatenate to the granules in sector order.
+            tiling = self._tilings[key] = (
+                tuple([g - first for members in by_atom.values()
+                       for g in members]),
+                tuple([(atom - atom0, tuple([g - first for g in members]))
+                       for atom, members in by_atom.items()]))
+        return period, tiling
+
     # -- DRAM access helpers ----------------------------------------------------
 
     def dram_read(self, slice_id: int, addr: int, kind: RequestKind,
@@ -199,12 +298,37 @@ class ProtectionScheme(abc.ABC):
 
     #: True when the scheme stores metadata inline in data DRAM —
     #: gates the trace-level metadata-locality prediction (see
-    #: :mod:`repro.analysis.locality`).
+    #: :mod:`repro.analysis.locality`) and makes the layout's metadata
+    #: a DRAM capacity cost (:meth:`storage_overhead`).
     has_inline_metadata: bool = False
+
+    #: Code over each granule (a :func:`~repro.protection.codes.build_code`
+    #: name); ``None`` leaves memory unprotected.
+    code_name: Optional[str] = None
+    #: Data bytes one codeword covers; ``None`` means one DRAM atom.
+    granule_bytes: Optional[int] = None
 
     def __init__(self) -> None:
         self.ctx: Optional[ProtectionContext] = None
         self.stats: Optional[StatGroup] = None
+        self.code: Optional[ErrorCode] = None
+        self._layout: Optional[InlineEccLayout] = None
+
+    def prepare(self, functional: bool, atom_bytes: int = 32) -> InlineEccLayout:
+        """Build the code and the layout; called by the system pre-bind.
+
+        ``self.code`` is set only when ``functional`` asks for real
+        encode/decode; metadata sizing reflects the code either way.
+        """
+        granule_bytes = self.granule_bytes or atom_bytes
+        meta = 1
+        if self.code_name is not None:
+            self.code, meta = build_code(self.code_name, granule_bytes,
+                                         functional)
+        self._layout = InlineEccLayout(
+            granule_bytes=granule_bytes, meta_per_granule=meta,
+            metadata_base=METADATA_BASE, atom_bytes=atom_bytes)
+        return self._layout
 
     def bind(self, ctx: ProtectionContext) -> None:
         """Attach to a built system; called once before simulation."""
@@ -243,7 +367,9 @@ class ProtectionScheme(abc.ABC):
     # -- overhead accounting ------------------------------------------------------
 
     def storage_overhead(self) -> float:
-        """DRAM capacity fraction consumed by metadata."""
+        """DRAM capacity fraction consumed by inline metadata."""
+        if self.has_inline_metadata and self._layout is not None:
+            return self._layout.capacity_overhead
         return 0.0
 
     def sram_overhead_bytes(self) -> int:
@@ -252,8 +378,6 @@ class ProtectionScheme(abc.ABC):
         return 0
 
     # -- shared helpers -----------------------------------------------------------
-
-    _mask_runs = staticmethod(mask_runs)
 
     def read_mask(self, slice_id: int, line_addr: int, mask: int,
                   kind: RequestKind, on_done: Callable[[], None]) -> None:
@@ -283,7 +407,7 @@ class ProtectionScheme(abc.ABC):
         ctx = self.ctx
         assert ctx is not None
         base = line_addr * ctx.line_bytes
-        for start, length in self._mask_runs(mask, ctx.sectors_per_line):
+        for start, length in mask_runs(mask, ctx.sectors_per_line):
             ctx.dram_write(slice_id, base + start * ctx.sector_bytes,
                            kind, atoms=length)
 
@@ -311,10 +435,6 @@ class ProtectionScheme(abc.ABC):
             self._decode_due.add(1)
         return result.status
 
-    def functional_verify(self, granule: int) -> None:
-        """Count-only verification (legacy name; see :meth:`verify_status`)."""
-        self.verify_status(granule)
-
     def verify_granules_then(self, slice_id: int, granules,
                              proceed: Callable[[], None]) -> None:
         """Verify granules, then run ``proceed`` after the check latency.
@@ -331,7 +451,7 @@ class ProtectionScheme(abc.ABC):
         recovery = ctx.recovery
         if recovery is None:
             for granule in granules:
-                self.functional_verify(granule)
+                self.verify_status(granule)
             ctx.sim.schedule(ctx.ecc_check_latency, proceed)
             return
         distinct = list(dict.fromkeys(granules))
@@ -350,25 +470,6 @@ class ProtectionScheme(abc.ABC):
 
     # -- recovery surface ---------------------------------------------------------
 
-    def _granule_lines(self, granule: int):
-        """Yield ``(line_addr, sector_mask)`` covering one granule."""
-        ctx = self.ctx
-        assert ctx is not None
-        base = ctx.layout.granule_base(granule)
-        end = base + ctx.layout.granule_bytes
-        addr = base
-        while addr < end:
-            line_addr = addr // ctx.line_bytes
-            line_base = line_addr * ctx.line_bytes
-            upto = min(end, line_base + ctx.line_bytes)
-            mask = 0
-            for s in range((addr - line_base) // ctx.sector_bytes,
-                           (upto - line_base + ctx.sector_bytes - 1)
-                           // ctx.sector_bytes):
-                mask |= 1 << s
-            yield line_addr, mask
-            addr = upto
-
     def refetch_granule(self, slice_id: int, granule: int,
                         on_done: Callable[[], None]) -> None:
         """Re-read a granule's data + metadata atom (recovery replay).
@@ -378,7 +479,7 @@ class ProtectionScheme(abc.ABC):
         """
         ctx = self.ctx
         assert ctx is not None
-        parts = list(self._granule_lines(granule))
+        parts = ctx.granule_lines(granule)
         remaining = [len(parts) + 1]
 
         def one_done() -> None:
@@ -394,9 +495,10 @@ class ProtectionScheme(abc.ABC):
 
     def poison_granule(self, slice_id: int, granule: int) -> None:
         """Mark the granule's resident L2 sectors poisoned."""
-        for line_addr, mask in self._granule_lines(granule):
-            assert self.ctx is not None
-            self.ctx.l2_poison(slice_id, line_addr, mask)
+        ctx = self.ctx
+        assert ctx is not None
+        for line_addr, mask in ctx.granule_lines(granule):
+            ctx.l2_poison(slice_id, line_addr, mask)
 
     def invalidate_metadata(self, slice_id: int, granule: int) -> None:
         """Drop any cached copy of the granule's metadata.
@@ -415,13 +517,11 @@ class ProtectionScheme(abc.ABC):
             return
         fm = ctx.functional
         base = line_addr * ctx.line_bytes
-        granules = set()
-        for start, length in self._mask_runs(dirty_mask, ctx.sectors_per_line):
+        for start, length in mask_runs(dirty_mask, ctx.sectors_per_line):
             for s in range(start, start + length):
                 addr = base + s * ctx.sector_bytes
                 fm.write_sector(addr, _dirty_pattern(addr, ctx.sector_bytes))
-                granules.add(ctx.layout.granule_of(addr))
-        for granule in granules:
+        for granule in ctx.granules_of(line_addr, dirty_mask):
             fm.update_metadata(granule)
 
 
@@ -450,16 +550,20 @@ def register_scheme(cls: Type[ProtectionScheme]) -> Type[ProtectionScheme]:
     return cls
 
 
-def make_scheme(name: str, **kwargs) -> ProtectionScheme:
-    """Instantiate a registered scheme by name."""
-    # Importing here lets `make_scheme("cachecraft")` work without the
+def scheme_class(name: str) -> Type[ProtectionScheme]:
+    """The registered scheme class of that name."""
+    # Importing here lets `scheme_class("cachecraft")` work without the
     # caller importing repro.core first.
     from repro.core import cachecraft  # noqa: F401  (registers itself)
 
     try:
-        cls = SCHEME_REGISTRY[name]
+        return SCHEME_REGISTRY[name]
     except KeyError:
         raise ValueError(
             f"unknown scheme {name!r}; known: {sorted(SCHEME_REGISTRY)}"
         ) from None
-    return cls(**kwargs)
+
+
+def make_scheme(name: str, **kwargs) -> ProtectionScheme:
+    """Instantiate a registered scheme by name."""
+    return scheme_class(name)(**kwargs)

@@ -20,7 +20,7 @@ Available code names:
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 from repro.ecc.base import CodeSpec, DecodeResult, DecodeStatus, ErrorCode
 from repro.ecc.bch import BchCode
@@ -29,9 +29,6 @@ from repro.ecc.interleaved import InterleavedCode
 from repro.ecc.mac import TruncatedMac
 from repro.ecc.reed_solomon import ReedSolomonCode
 from repro.ecc.tagged import TaggedHsiaoCode
-
-CODE_NAMES = ("secded", "tagged", "interleaved", "bch", "rs", "mac64",
-              "secded+mac")
 
 
 class StackedCode(ErrorCode):
@@ -79,44 +76,36 @@ def _round_meta_bytes(check_bytes: int, atom_bytes: int = 32) -> int:
     return size
 
 
+#: Code name -> constructor over a granule of that many data bytes.
+_CODES: Dict[str, Callable[[int], ErrorCode]] = {
+    "secded": HsiaoCode,
+    "tagged": lambda g: TaggedHsiaoCode(g, tag_bits=4),
+    "interleaved": lambda g: InterleavedCode(g, ways=4),
+    "bch": BchCode,
+    "rs": lambda g: ReedSolomonCode(g, check_symbols=4),
+    "mac64": lambda g: TruncatedMac(g, mac_bits=64),
+    "secded+mac": lambda g: StackedCode(g, mac_bits=64),
+}
+
+CODE_NAMES = tuple(_CODES)
+
+
 def build_code(code_name: str, granule_bytes: int,
                functional: bool) -> Tuple[Optional[ErrorCode], int]:
     """Return ``(code_or_None, meta_bytes_per_granule)``.
 
-    When ``functional`` is false the code object is not built (timing-
+    When ``functional`` is false the code object is not returned (timing-
     only runs skip real encode/decode) but metadata sizing still
-    reflects the chosen code.
+    reflects the chosen code.  SEC-DED sizes itself without building
+    its parity-check matrix.
     """
-    if code_name == "secded":
-        spec_bytes = (HsiaoCode(granule_bytes).spec.check_bits + 7) // 8 \
-            if functional else _secded_check_bytes(granule_bytes)
-        code = HsiaoCode(granule_bytes) if functional else None
-        return code, _round_meta_bytes(spec_bytes)
-    if code_name == "tagged":
-        code = TaggedHsiaoCode(granule_bytes, tag_bits=4)
-        meta = _round_meta_bytes(code.spec.check_bytes)
-        return (code if functional else None), meta
-    if code_name == "interleaved":
-        code = InterleavedCode(granule_bytes, ways=4)
-        meta = _round_meta_bytes(code.spec.check_bytes)
-        return (code if functional else None), meta
-    if code_name == "bch":
-        code = BchCode(granule_bytes)
-        meta = _round_meta_bytes(code.spec.check_bytes)
-        return (code if functional else None), meta
-    if code_name == "rs":
-        code = ReedSolomonCode(granule_bytes, check_symbols=4)
-        meta = _round_meta_bytes(code.spec.check_bytes)
-        return (code if functional else None), meta
-    if code_name == "mac64":
-        code = TruncatedMac(granule_bytes, mac_bits=64)
-        meta = _round_meta_bytes(code.spec.check_bytes)
-        return (code if functional else None), meta
-    if code_name == "secded+mac":
-        code = StackedCode(granule_bytes, mac_bits=64)
-        meta = _round_meta_bytes(code.spec.check_bytes)
-        return (code if functional else None), meta
-    raise ValueError(f"unknown code {code_name!r}; choose from {CODE_NAMES}")
+    make = _CODES.get(code_name)
+    if make is None:
+        raise ValueError(f"unknown code {code_name!r}; choose from {CODE_NAMES}")
+    if code_name == "secded" and not functional:
+        return None, _round_meta_bytes(_secded_check_bytes(granule_bytes))
+    code = make(granule_bytes)
+    return (code if functional else None), _round_meta_bytes(code.spec.check_bytes)
 
 
 def _secded_check_bytes(data_bytes: int) -> int:

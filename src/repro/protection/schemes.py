@@ -7,17 +7,11 @@ is compared against.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Set
+from typing import Callable, Dict, Optional
 
 from repro.dram.channel import RequestKind
-from repro.dram.layout import InlineEccLayout
-from repro.ecc.base import ErrorCode
-from repro.protection.base import ProtectionScheme, register_scheme
-from repro.protection.codes import build_code
+from repro.protection.base import ProtectionScheme, _noop, register_scheme
 from repro.protection.mdcache import DedicatedMetadataCache
-
-#: Default DRAM metadata region base (16 GiB, above any workload heap).
-METADATA_BASE = 1 << 34
 
 
 @register_scheme
@@ -25,15 +19,6 @@ class NoProtection(ProtectionScheme):
     """Unprotected memory: every sector fetch is one DRAM atom."""
 
     name = "none"
-
-    def __init__(self) -> None:
-        super().__init__()
-        self.code: Optional[ErrorCode] = None
-
-    def prepare(self, functional: bool, atom_bytes: int = 32) -> InlineEccLayout:
-        """Build the (trivial) layout; called by the system pre-bind."""
-        return InlineEccLayout(granule_bytes=atom_bytes, meta_per_granule=1,
-                               metadata_base=METADATA_BASE, atom_bytes=atom_bytes)
 
     def fetch(self, slice_id: int, line_addr: int, sector_mask: int,
               on_ready: Callable[[int], None]) -> None:
@@ -60,15 +45,6 @@ class SidebandEcc(ProtectionScheme):
     def __init__(self, code_name: str = "secded") -> None:
         super().__init__()
         self.code_name = code_name
-        self.code: Optional[ErrorCode] = None
-        self._layout: Optional[InlineEccLayout] = None
-
-    def prepare(self, functional: bool, atom_bytes: int = 32) -> InlineEccLayout:
-        self.code, meta = build_code(self.code_name, atom_bytes, functional)
-        self._layout = InlineEccLayout(
-            granule_bytes=atom_bytes, meta_per_granule=meta,
-            metadata_base=METADATA_BASE, atom_bytes=atom_bytes)
-        return self._layout
 
     @property
     def device_overhead(self) -> float:
@@ -82,15 +58,9 @@ class SidebandEcc(ProtectionScheme):
         assert ctx is not None
 
         def done() -> None:
-            base = line_addr * ctx.line_bytes
-            granules = [
-                ctx.layout.granule_of(base + s * ctx.sector_bytes)
-                for start, length in self._mask_runs(sector_mask,
-                                                     ctx.sectors_per_line)
-                for s in range(start, start + length)
-            ]
-            self.verify_granules_then(slice_id, granules,
-                                      lambda: on_ready(sector_mask))
+            self.verify_granules_then(
+                slice_id, ctx.granules_of(line_addr, sector_mask),
+                lambda: on_ready(sector_mask))
 
         self.read_mask(slice_id, line_addr, sector_mask, RequestKind.DATA, done)
 
@@ -106,8 +76,8 @@ class InlineSectorCode(ProtectionScheme):
 
     Each 32 B sector carries its own code so a sector is verifiable in
     isolation, but every L2 miss costs an extra metadata atom read and
-    every dirty sector writeback a metadata read-modify-write.  This is
-    the naive inline-ECC floor.
+    every dirty writeback a masked metadata write per atom it touches.
+    This is the naive inline-ECC floor.
     """
 
     name = "inline-sector"
@@ -119,31 +89,16 @@ class InlineSectorCode(ProtectionScheme):
     def __init__(self, code_name: str = "secded") -> None:
         super().__init__()
         self.code_name = code_name
-        self.code: Optional[ErrorCode] = None
-        self._layout: Optional[InlineEccLayout] = None
-        #: Set by :meth:`attach_introspection` overrides; gates the
-        #: (off-path-free) granule bookkeeping below.
-        self._introspecting = False
-
-    def prepare(self, functional: bool, atom_bytes: int = 32) -> InlineEccLayout:
-        self.code, meta = build_code(self.code_name, atom_bytes, functional)
-        self._layout = InlineEccLayout(
-            granule_bytes=atom_bytes, meta_per_granule=meta,
-            metadata_base=METADATA_BASE, atom_bytes=atom_bytes)
-        return self._layout
 
     def _on_bind(self) -> None:
         assert self.stats is not None
         self._meta_reads = self.stats.counter("metadata_reads")
         self._meta_writes = self.stats.counter("metadata_writes")
 
-    def storage_overhead(self) -> float:
-        return self._layout.capacity_overhead if self._layout else 0.0
-
     # -- metadata access points (overridden by the MDC variant) -----------------
 
     def _read_meta_atom(self, slice_id: int, atom_addr: int,
-                        done: Callable[[], None], granules=()) -> None:
+                        done: Callable[[], None], granules) -> None:
         """``granules`` names the data granules this atom read serves;
         it feeds only opt-in introspection (colocation accounting in
         the MDC variant) and never alters behaviour."""
@@ -152,7 +107,7 @@ class InlineSectorCode(ProtectionScheme):
         self.ctx.dram_read(slice_id, atom_addr, RequestKind.METADATA, done)
 
     def _update_meta_atom(self, slice_id: int, atom_addr: int,
-                          granules=()) -> None:
+                          granules) -> None:
         """Metadata update for a writeback (posted).
 
         GDDR-class DRAM supports byte-masked writes (DM pins), so the
@@ -164,66 +119,25 @@ class InlineSectorCode(ProtectionScheme):
 
     # -- scheme interface ----------------------------------------------------------
 
-    def _meta_atoms_for(self, line_addr: int, sector_mask: int) -> Set[int]:
-        ctx = self.ctx
-        assert ctx is not None
-        base = line_addr * ctx.line_bytes
-        atoms = set()
-        for start, length in self._mask_runs(sector_mask, ctx.sectors_per_line):
-            for s in range(start, start + length):
-                granule = ctx.layout.granule_of(base + s * ctx.sector_bytes)
-                atoms.add(ctx.layout.metadata_atom(granule))
-        return atoms
-
-    def _meta_granules_for(self, line_addr: int, sector_mask: int
-                           ) -> Dict[int, tuple]:
-        """atom -> granules map for introspection.
-
-        Kept separate from :meth:`_meta_atoms_for` (whose set the hot
-        path iterates) so enabling introspection cannot perturb the
-        order metadata reads are issued in.
-        """
-        ctx = self.ctx
-        assert ctx is not None
-        base = line_addr * ctx.line_bytes
-        by_atom: Dict[int, list] = {}
-        for start, length in self._mask_runs(sector_mask, ctx.sectors_per_line):
-            for s in range(start, start + length):
-                granule = ctx.layout.granule_of(base + s * ctx.sector_bytes)
-                grans = by_atom.setdefault(ctx.layout.metadata_atom(granule), [])
-                if granule not in grans:
-                    grans.append(granule)
-        return {atom: tuple(g) for atom, g in by_atom.items()}
-
     def fetch(self, slice_id: int, line_addr: int, sector_mask: int,
               on_ready: Callable[[int], None]) -> None:
         ctx = self.ctx
         assert ctx is not None
-        atoms = self._meta_atoms_for(line_addr, sector_mask)
-        gmap = (self._meta_granules_for(line_addr, sector_mask)
-                if self._introspecting else None)
+        atoms = ctx.meta_atoms_of(line_addr, sector_mask)
         remaining = [1 + len(atoms)]  # data + each metadata atom
 
         def part_done() -> None:
             remaining[0] -= 1
             if remaining[0]:
                 return
-            base = line_addr * ctx.line_bytes
-            granules = [
-                ctx.layout.granule_of(base + s * ctx.sector_bytes)
-                for start, length in self._mask_runs(sector_mask,
-                                                     ctx.sectors_per_line)
-                for s in range(start, start + length)
-            ]
-            self.verify_granules_then(slice_id, granules,
-                                      lambda: on_ready(sector_mask))
+            self.verify_granules_then(
+                slice_id, ctx.granules_of(line_addr, sector_mask),
+                lambda: on_ready(sector_mask))
 
         self.read_mask(slice_id, line_addr, sector_mask, RequestKind.DATA,
                        part_done)
-        for atom in atoms:
-            self._read_meta_atom(
-                slice_id, atom, part_done,
-                granules=() if gmap is None else gmap.get(atom, ()))
+        for atom, granules in atoms:
+            self._read_meta_atom(slice_id, atom, part_done, granules)
 
     def writeback(self, slice_id: int, line_addr: int, dirty_mask: int,
                   valid_mask: int, is_metadata: bool) -> None:
@@ -234,12 +148,8 @@ class InlineSectorCode(ProtectionScheme):
             return
         self.functional_writeback(line_addr, dirty_mask)
         self.write_mask(slice_id, line_addr, dirty_mask, RequestKind.WRITEBACK)
-        gmap = (self._meta_granules_for(line_addr, dirty_mask)
-                if self._introspecting else None)
-        for atom in self._meta_atoms_for(line_addr, dirty_mask):
-            self._update_meta_atom(
-                slice_id, atom,
-                granules=() if gmap is None else gmap.get(atom, ()))
+        for atom, granules in self.ctx.meta_atoms_of(line_addr, dirty_mask):
+            self._update_meta_atom(slice_id, atom, granules)
 
 
 @register_scheme
@@ -277,10 +187,7 @@ class MetadataCacheScheme(InlineSectorCode):
         return self.mdcache_kb * 1024 * len(self._mdcs)
 
     def attach_introspection(self, insp) -> None:
-        """Register the per-slice metadata caches with an inspector and
-        arm the (otherwise free) granule bookkeeping on the metadata
-        access path."""
-        self._introspecting = True
+        """Register the per-slice metadata caches with an inspector."""
         for mdc in self._mdcs.values():
             insp.watch_mdcache(mdc.name, mdc)
 
@@ -293,7 +200,7 @@ class MetadataCacheScheme(InlineSectorCode):
                 ctx.dram_write(slice_id, atom, RequestKind.METADATA_WRITE)
 
     def _read_meta_atom(self, slice_id: int, atom_addr: int,
-                        done: Callable[[], None], granules=()) -> None:
+                        done: Callable[[], None], granules) -> None:
         ctx = self.ctx
         assert ctx is not None
         mdc = self._mdcs[slice_id]
@@ -306,7 +213,7 @@ class MetadataCacheScheme(InlineSectorCode):
                            granules=granules)
 
     def _update_meta_atom(self, slice_id: int, atom_addr: int,
-                          granules=()) -> None:
+                          granules) -> None:
         ctx = self.ctx
         assert ctx is not None
         mdc = self._mdcs[slice_id]
@@ -385,16 +292,11 @@ class SectorMetadataInL2(InlineSectorCode):
         # In-flight metadata atom fetches: (slice, atom) -> callbacks.
         self._pending: Dict[tuple, list] = {}
 
-    def _meta_location(self, atom_addr: int):
-        line_addr = atom_addr // self.ctx.line_bytes
-        sector = (atom_addr % self.ctx.line_bytes) // self.ctx.sector_bytes
-        return line_addr, 1 << sector
-
     def _read_meta_atom(self, slice_id: int, atom_addr: int,
-                        done: Callable[[], None], granules=()) -> None:
+                        done: Callable[[], None], granules) -> None:
         ctx = self.ctx
         assert ctx is not None
-        meta_line, bit = self._meta_location(atom_addr)
+        meta_line, bit = ctx.meta_line_and_bit(atom_addr)
         resident = ctx.l2_resident_verified(slice_id, meta_line,
                                             clean_only=False)
         if resident & bit:
@@ -418,11 +320,11 @@ class SectorMetadataInL2(InlineSectorCode):
         ctx.dram_read(slice_id, atom_addr, RequestKind.METADATA, arrived)
 
     def _update_meta_atom(self, slice_id: int, atom_addr: int,
-                          granules=()) -> None:
+                          granules) -> None:
         ctx = self.ctx
         assert ctx is not None
         self._meta_writes.add(1)
-        meta_line, bit = self._meta_location(atom_addr)
+        meta_line, bit = ctx.meta_line_and_bit(atom_addr)
         # Masked write-allocate into L2: coalesce, write once on eviction.
         ctx.l2_install(slice_id, meta_line, bit, is_metadata=True,
                        dirty=True, verified=False, low_priority=True)
@@ -431,17 +333,9 @@ class SectorMetadataInL2(InlineSectorCode):
         """Drop the L2 line holding the granule's metadata atom."""
         ctx = self.ctx
         assert ctx is not None
-        meta_line, _bit = self._meta_location(ctx.layout.metadata_atom(granule))
+        meta_line, _bit = ctx.meta_line_and_bit(
+            ctx.layout.metadata_atom(granule))
         ctx.l2_invalidate(slice_id, meta_line)
-
-    def writeback(self, slice_id: int, line_addr: int, dirty_mask: int,
-                  valid_mask: int, is_metadata: bool) -> None:
-        if is_metadata:
-            self.write_mask(slice_id, line_addr, dirty_mask,
-                            RequestKind.METADATA_WRITE)
-            return
-        super().writeback(slice_id, line_addr, dirty_mask, valid_mask,
-                          is_metadata)
 
 
 @register_scheme
@@ -463,66 +357,11 @@ class InlineFullGranule(MetadataCacheScheme):
         super().__init__(code_name, mdcache_kb)
         self.granule_bytes = granule_bytes
 
-    def prepare(self, functional: bool, atom_bytes: int = 32) -> InlineEccLayout:
-        self.code, meta = build_code(self.code_name, self.granule_bytes,
-                                     functional)
-        self._layout = InlineEccLayout(
-            granule_bytes=self.granule_bytes, meta_per_granule=meta,
-            metadata_base=METADATA_BASE, atom_bytes=atom_bytes)
-        return self._layout
-
     def _on_bind(self) -> None:
         super()._on_bind()
         assert self.stats is not None
         self._overfetch_sectors = self.stats.counter("overfetch_sectors")
         self._rmw_sectors = self.stats.counter("rmw_sectors")
-        # Pure-geometry memos (layout is fixed once bound).
-        self._glines_memo = {}
-        self._granules_memo = {}
-
-    # -- granule geometry helpers ------------------------------------------------
-
-    def _granules_of(self, line_addr: int, sector_mask: int):
-        memo = self._granules_memo
-        cached = memo.get((line_addr, sector_mask))
-        if cached is not None:
-            return cached
-        ctx = self.ctx
-        assert ctx is not None
-        base = line_addr * ctx.line_bytes
-        granules = []
-        for start, length in self._mask_runs(sector_mask, ctx.sectors_per_line):
-            for s in range(start, start + length):
-                granule = ctx.layout.granule_of(base + s * ctx.sector_bytes)
-                if granule not in granules:
-                    granules.append(granule)
-        result = tuple(granules)
-        memo[(line_addr, sector_mask)] = result
-        return result
-
-    def _granule_lines(self, granule: int):
-        """(line_addr, sector_mask) tiles covering the whole granule."""
-        memo = self._glines_memo
-        cached = memo.get(granule)
-        if cached is not None:
-            return cached
-        ctx = self.ctx
-        assert ctx is not None
-        base = ctx.layout.granule_base(granule)
-        end = base + ctx.layout.granule_bytes
-        addr = base
-        tiles = []
-        while addr < end:
-            line_addr = addr // ctx.line_bytes
-            line_base = line_addr * ctx.line_bytes
-            mask = 0
-            while addr < end and addr // ctx.line_bytes == line_addr:
-                mask |= 1 << ((addr - line_base) // ctx.sector_bytes)
-                addr += ctx.sector_bytes
-            tiles.append((line_addr, mask))
-        result = tuple(tiles)
-        memo[granule] = result
-        return result
 
     # -- scheme interface ------------------------------------------------------------
 
@@ -530,7 +369,7 @@ class InlineFullGranule(MetadataCacheScheme):
               on_ready: Callable[[int], None]) -> None:
         ctx = self.ctx
         assert ctx is not None
-        granules = self._granules_of(line_addr, sector_mask)
+        granules = ctx.granules_of(line_addr, sector_mask)
         pending = [0]
         granted = [0]  # sectors granted to the requesting line
         sibling_fills = []  # (line, mask) for other lines of the granules
@@ -547,7 +386,7 @@ class InlineFullGranule(MetadataCacheScheme):
                                       lambda: on_ready(granted[0]))
 
         for granule in granules:
-            for g_line, g_mask in self._granule_lines(granule):
+            for g_line, g_mask in ctx.granule_lines(granule):
                 if g_line == line_addr:
                     demand = g_mask & sector_mask
                     extra = g_mask & ~sector_mask
@@ -567,7 +406,7 @@ class InlineFullGranule(MetadataCacheScheme):
                                    RequestKind.VERIFY_FILL, part_done)
             pending[0] += 1
             self._read_meta_atom(slice_id, ctx.layout.metadata_atom(granule),
-                                 part_done, granules=(granule,))
+                                 part_done, (granule,))
         if pending[0] == 0:  # cannot happen, but stay safe
             ctx.sim.schedule(0, on_ready, sector_mask)
 
@@ -580,11 +419,11 @@ class InlineFullGranule(MetadataCacheScheme):
                             RequestKind.METADATA_WRITE)
             return
         self.functional_writeback(line_addr, dirty_mask)
-        for granule in self._granules_of(line_addr, dirty_mask):
+        for granule in ctx.granules_of(line_addr, dirty_mask):
             # The codeword needs the whole granule: read whatever the
             # evicted line does not itself hold (no reconstruction —
             # that is CacheCraft's trick, not this baseline's).
-            for g_line, g_mask in self._granule_lines(granule):
+            for g_line, g_mask in ctx.granule_lines(granule):
                 held = valid_mask if g_line == line_addr else 0
                 missing = g_mask & ~held
                 if missing:
@@ -592,9 +431,5 @@ class InlineFullGranule(MetadataCacheScheme):
                     self.read_mask(slice_id, g_line, missing,
                                    RequestKind.VERIFY_FILL, _noop)
             self._update_meta_atom(slice_id, ctx.layout.metadata_atom(granule),
-                                   granules=(granule,))
+                                   (granule,))
         self.write_mask(slice_id, line_addr, dirty_mask, RequestKind.WRITEBACK)
-
-
-def _noop() -> None:
-    """Completion sink for posted read-modify-write fills."""

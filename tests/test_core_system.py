@@ -37,6 +37,28 @@ class TestConfig:
             kwargs = ProtectionConfig(scheme=scheme).scheme_kwargs()
             assert isinstance(kwargs, dict)
 
+    def test_scheme_kwargs_reach_every_registered_scheme(self):
+        from repro.protection.base import SCHEME_REGISTRY, make_scheme
+
+        make_scheme("none")  # registers cachecraft
+        assert "sector-l2" in SCHEME_REGISTRY
+        # A value differing from every default, per ProtectionConfig field.
+        changed = dict(code_name="bch", granule_bytes=256, mdcache_kb=8,
+                       craft_entries=7, directory_entries=9,
+                       adaptive_insertion=False, reconstruction=False,
+                       verified_bits=False, metadata_in_l2=False,
+                       speculative_use=True)
+        for name in SCHEME_REGISTRY:
+            config = ProtectionConfig(scheme=name, **changed)
+            kwargs = config.scheme_kwargs()
+            scheme = make_scheme(name, **kwargs)
+            assert set(kwargs) <= set(changed), name
+            for field_name in kwargs:
+                assert getattr(scheme, field_name) == changed[field_name], \
+                    (name, field_name)
+        with pytest.raises(ValueError):
+            ProtectionConfig(scheme="magic").scheme_kwargs()
+
     def test_invalid_geometry_rejected(self):
         with pytest.raises(ValueError):
             GpuConfig(line_bytes=96)

@@ -7,8 +7,8 @@ from repro.dram.timing import DramTiming
 from repro.protection.base import (
     SCHEME_REGISTRY,
     ProtectionContext,
-    ProtectionScheme,
     make_scheme,
+    mask_runs,
 )
 from repro.protection.codes import CODE_NAMES, StackedCode, build_code
 from repro.protection.mdcache import DedicatedMetadataCache
@@ -70,6 +70,39 @@ class TestCodes:
         with pytest.raises(ValueError):
             build_code("turbo", 128, functional=True)
 
+    #: Metadata bytes per granule of 32, 64, ... 1024 B (None: the code
+    #: cannot cover a granule that large).
+    META_BYTES = {
+        "secded": (2, 2, 2, 2, 2, 2),
+        "tagged": (2, 2, 2, 2, 2, 2),
+        "interleaved": (4, 8, 8, 8, 8, 8),
+        "bch": (4, 4, 4, 4, 4, None),
+        "rs": (4, 4, 4, None, None, None),
+        "mac64": (8, 8, 8, 8, 8, 8),
+        "secded+mac": (16, 16, 16, 16, 16, 16),
+    }
+
+    @pytest.mark.parametrize("functional", [False, True])
+    @pytest.mark.parametrize("name", CODE_NAMES)
+    def test_meta_bytes_pinned(self, name, functional):
+        assert tuple(self.META_BYTES) == CODE_NAMES
+        for granule, meta in zip((32, 64, 128, 256, 512, 1024),
+                                 self.META_BYTES[name]):
+            if meta is None:
+                with pytest.raises(ValueError):
+                    build_code(name, granule, functional)
+            else:
+                assert build_code(name, granule, functional)[1] == meta
+
+    def test_secded_timing_only_builds_no_matrix(self, monkeypatch):
+        from repro.protection import codes
+
+        def refuse(granule_bytes):
+            raise AssertionError("built the parity-check matrix")
+
+        monkeypatch.setitem(codes._CODES, "secded", refuse)
+        assert build_code("secded", 1024, functional=False) == (None, 2)
+
     def test_stacked_code_detects_what_ecc_misses(self):
         import random
         rng = random.Random(0)
@@ -92,14 +125,14 @@ class TestCodes:
 
 class TestMaskRuns:
     def test_runs(self):
-        runs = list(ProtectionScheme._mask_runs(0b1011, 4))
+        runs = list(mask_runs(0b1011, 4))
         assert runs == [(0, 2), (3, 1)]
 
     def test_empty(self):
-        assert list(ProtectionScheme._mask_runs(0, 4)) == []
+        assert list(mask_runs(0, 4)) == []
 
     def test_full(self):
-        assert list(ProtectionScheme._mask_runs(0xF, 4)) == [(0, 4)]
+        assert list(mask_runs(0xF, 4)) == [(0, 4)]
 
 
 class TestChannelLocal:
