@@ -12,12 +12,12 @@ retry can be replayed without re-running it until the file changes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.sim.stats import Counter, StatGroup
 
 
-@dataclass
+@dataclass(slots=True)
 class MshrEntry:
     """One in-flight miss: target line plus merged waiters."""
 
@@ -26,8 +26,9 @@ class MshrEntry:
     sector_mask: int = 0
     #: Callbacks to fire on completion, each with its own context.
     waiters: List[Callable[[], None]] = field(default_factory=list)
-    #: Arbitrary component-specific payload (e.g. protection state).
-    payload: Any = None
+    #: Sectors the owner has received so far; the entry completes once
+    #: they cover ``sector_mask``.
+    filled: int = 0
 
     @property
     def merges(self) -> int:
@@ -71,25 +72,27 @@ class MshrFile:
         ``sector_mask``) tells the caller the miss was merged and no new
         memory request is needed for already-requested sectors.
         """
-        entry = self._entries.get(key)
+        entries = self._entries
+        entry = entries.get(key)
         if entry is not None:
             if len(entry.waiters) >= self.max_merges:
-                self._merge_stalls.add(1)
+                self._merge_stalls.value += 1
                 return None
             entry.sector_mask |= sector_mask
             if waiter is not None:
                 entry.waiters.append(waiter)
-            self._merges.add(1)
+            self._merges.value += 1
             return entry
-        if self.full:
-            self._full_stalls.add(1)
+        occupied = len(entries)
+        if occupied >= self.capacity:
+            self._full_stalls.value += 1
             return None
-        entry = MshrEntry(key=key, sector_mask=sector_mask)
-        if waiter is not None:
-            entry.waiters.append(waiter)
-        self._entries[key] = entry
-        self._allocs.add(1)
-        self.peak = max(self.peak, len(self._entries))
+        entry = MshrEntry(key, sector_mask,
+                          [] if waiter is None else [waiter])
+        entries[key] = entry
+        self._allocs.value += 1
+        if occupied >= self.peak:
+            self.peak = occupied + 1
         return entry
 
     def stall_counts(self, key: int) -> Tuple[Tuple[Counter, int], ...]:

@@ -170,8 +170,8 @@ class SectoredCache:
         sector = self.sector_of(addr)
         loc = self._directory.get(line_addr)
         if loc is None:
-            self._line_misses.add(1)
-            self._line_miss_sectors.add(1)
+            self._line_misses.value += 1
+            self._line_miss_sectors.value += 1
             if self._insp is not None:
                 self._insp.access(self.set_of(line_addr), True)
             return LookupResult.MISS_LINE, None
@@ -184,12 +184,12 @@ class SectoredCache:
         if self._insp is not None:
             self._insp.access(set_idx, not present)
         if present:
-            self._hits.add(1)
+            self._hits.value += 1
             if line.is_metadata:
-                self._metadata_hits.add(1)
+                self._metadata_hits.value += 1
             self._policies[set_idx].on_access(way)
             return LookupResult.HIT, line
-        self._sector_misses.add(1)
+        self._sector_misses.value += 1
         return LookupResult.MISS_SECTOR, line
 
     def lookup_mask(self, line_addr: int, sector_mask: int, *,
@@ -207,8 +207,8 @@ class SectoredCache:
         """
         loc = self._directory.get(line_addr)
         if loc is None:
-            self._line_misses.add(1)
-            self._line_miss_sectors.add(sector_mask.bit_count())
+            self._line_misses.value += 1
+            self._line_miss_sectors.value += sector_mask.bit_count()
             if self._insp is not None:
                 self._insp.access(self.set_of(line_addr), True)
             return 0, None
@@ -222,12 +222,12 @@ class SectoredCache:
         if self._insp is not None:
             self._insp.access(set_idx, hits < requested)
         if hits:
-            self._hits.add(hits)
+            self._hits.value += hits
             if line.is_metadata:
-                self._metadata_hits.add(hits)
+                self._metadata_hits.value += hits
             self._policies[set_idx].on_access(way)
         if requested - hits:
-            self._sector_misses.add(requested - hits)
+            self._sector_misses.value += requested - hits
         return hit_mask, line
 
     def miss_counts(self, line: Optional[CacheLine], sector_mask: int
@@ -270,10 +270,10 @@ class SectoredCache:
         displaced.  The line is returned with whatever sectors it
         already had (it may already be resident).
         """
-        existing = self.probe(line_addr)
-        if existing is not None:
-            return existing, None
-        set_idx = self.set_of(line_addr)
+        loc = self._directory.get(line_addr)
+        if loc is not None:
+            return self._sets[loc[0]][loc[1]], None
+        set_idx = line_addr % self.num_sets
         ways = self._sets[set_idx]
         if ways is None:
             # New sets are identical (empty lines, a fresh policy), so
@@ -300,9 +300,9 @@ class SectoredCache:
             if victim.valid_mask:
                 evicted = Eviction(victim.line_addr, victim.dirty_mask,
                                    victim.valid_mask, victim.is_metadata)
-                self._evictions.add(1)
-                if evicted.needs_writeback:
-                    self._writebacks.add(1)
+                self._evictions.value += 1
+                if victim.dirty_mask:
+                    self._writebacks.value += 1
                 if self._insp is not None:
                     # Conflict eviction: some way elsewhere in the cache
                     # is still free, so set imbalance — not capacity —
@@ -312,8 +312,9 @@ class SectoredCache:
                         len(self._directory) < self.num_sets * self.ways)
             del self._directory[victim.line_addr]
         line = ways[way]
-        line.reset()
         line.line_addr = line_addr
+        line.valid_mask = line.dirty_mask = line.verified_mask = 0
+        line.poisoned_mask = 0
         line.is_metadata = is_metadata
         self._directory[line_addr] = (set_idx, way)
         policy.on_fill(way, low_priority=low_priority)
@@ -321,7 +322,7 @@ class SectoredCache:
             self._insp.filled(
                 set_idx, sum(1 for w in ways if w.line_addr >= 0))
         if is_metadata:
-            self._metadata_fills.add(1)
+            self._metadata_fills.value += 1
         return line, evicted
 
     def fill_sector(self, line: CacheLine, sector: int, *,
@@ -375,17 +376,19 @@ class SectoredCache:
         if loc is None:
             return None
         line = self._sets[loc[0]][loc[1]]
-        evicted = Eviction(line.line_addr, line.dirty_mask,
-                           line.valid_mask, line.is_metadata)
+        evicted = None
+        if line.dirty_mask:
+            evicted = Eviction(line.line_addr, line.dirty_mask,
+                               line.valid_mask, line.is_metadata)
         if line.valid_mask:
-            self._evictions.add(1)
-            if evicted.needs_writeback:
-                self._writebacks.add(1)
+            self._evictions.value += 1
+            if evicted is not None:
+                self._writebacks.value += 1
             if self._insp is not None:
                 self._insp.invalidated(loc[0])
         line.reset()
         del self._directory[line_addr]
-        return evicted if evicted.needs_writeback else None
+        return evicted
 
     def flush(self) -> List[Eviction]:
         """Write back and invalidate everything (end-of-kernel drain).

@@ -19,7 +19,7 @@ writeback components without the protection layer owning counters.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
 from repro.dram.mapping import AddressMapping
@@ -38,10 +38,14 @@ class RequestKind(enum.Enum):
     METADATA_WRITE = "metadata_write"  # metadata update on writeback
     RETRY = "retry"                # recovery replay of a DUE granule
 
+    # Members are singletons, so identity hashing is exact, and it
+    # spares every per-kind byte count Enum's Python-level __hash__.
+    __hash__ = object.__hash__
 
-@dataclass
+
+@dataclass(slots=True)
 class DramRequest:
-    """One 32 B-atom access."""
+    """One queued access of :class:`MemoryChannel`, which builds it."""
 
     addr: int
     is_write: bool
@@ -49,10 +53,10 @@ class DramRequest:
     callback: Optional[Callable[[], None]] = None
     #: Number of consecutive atoms (same row unless it crosses one).
     atoms: int = 1
-    enqueue_time: int = field(default=0, init=False)
-    # Decoded coordinates, filled in at enqueue (scheduler hot path).
-    bank: int = field(default=0, init=False)
-    row: int = field(default=0, init=False)
+    enqueue_time: int = 0
+    # Decoded coordinates (scheduler hot path).
+    bank: int = 0
+    row: int = 0
 
 
 class _Bank:
@@ -132,26 +136,30 @@ class MemoryChannel:
 
     # -- public interface ---------------------------------------------------
 
-    def enqueue(self, request: DramRequest) -> None:
-        """Submit a request; its callback fires at data-return time."""
-        request.enqueue_time = self.sim.now
-        frame = request.addr // self.timing.row_bytes
-        request.bank = frame % self.timing.banks
-        request.row = frame // self.timing.banks
+    def enqueue(self, addr: int, is_write: bool, kind: RequestKind,
+                callback: Optional[Callable[[], None]] = None,
+                atoms: int = 1) -> None:
+        """Submit ``atoms`` consecutive atoms at ``addr``.  A read's
+        callback fires at data-return time; a write is posted, so its
+        callback (if any) fires at once."""
+        banks = self.timing.banks
+        frame = addr // self.timing.row_bytes
         self._idle_until = 0
-        (self._write_q if request.is_write else self._read_q).append(request)
-        self._read_depth.set(len(self._read_q))
-        self._write_depth.set(len(self._write_q))
-        self._bytes_by_kind[request.kind] += request.atoms * self.atom_bytes
-        if request.is_write:
-            self._writes.add(request.atoms)
+        self._bytes_by_kind[kind] += atoms * self.atom_bytes
+        if is_write:
+            self._writes.value += atoms
             # Posted write: ack immediately, keep competing for bank time.
-            if request.callback is not None:
-                cb = request.callback
-                request.callback = None
-                self.sim.schedule(0, cb)
+            if callback is not None:
+                self.sim.schedule(0, callback)
+                callback = None
+            queue = self._write_q
         else:
-            self._reads.add(request.atoms)
+            self._reads.value += atoms
+            queue = self._read_q
+        queue.append(DramRequest(addr, is_write, kind, callback, atoms,
+                                 self.sim.now, frame % banks, frame // banks))
+        self._read_depth.value = len(self._read_q)
+        self._write_depth.value = len(self._write_q)
         self._wake(0)
 
     def bytes_by_kind(self) -> Dict[str, int]:
@@ -192,24 +200,32 @@ class MemoryChannel:
             return
         while self._read_q or self._write_q:
             self._update_mode()
-            queue = self._write_q if self._write_mode else self._read_q
-            chosen = self._choose(queue, now)
+            if self._write_mode:
+                chosen = self._choose(self._write_q, self._read_q, now)
+            else:
+                chosen = self._choose(self._read_q, self._write_q, now)
             if chosen is None:
-                self._sleep_until_ready(now)
                 return
             self._issue(chosen, now)
             now = self.sim.now  # unchanged; issue just books future times
 
-    def _choose(self, queue: List[DramRequest],
+    def _choose(self, queue: List[DramRequest], other: List[DramRequest],
                 now: int) -> Optional[DramRequest]:
-        """FR-FCFS over a bounded window of one queue."""
+        """FR-FCFS over a bounded window of ``queue``: pops the oldest
+        row hit among the requests whose bank is ready, else the oldest
+        ready one.  With none ready the scan has read every bank's
+        ready cycle in the window, so it sleeps until the soonest of
+        those and of ``other``'s window, and returns None."""
         best_idx = -1
         banks = self._banks
-        limit = min(len(queue), self.SCHED_WINDOW)
-        for idx in range(limit):
+        soonest = _NEVER
+        for idx in range(min(len(queue), self.SCHED_WINDOW)):
             req = queue[idx]
             bank = banks[req.bank]
-            if bank.ready_at > now:
+            ready = bank.ready_at
+            if ready > now:
+                if ready < soonest:
+                    soonest = ready
                 continue
             if bank.open_row == req.row:
                 best_idx = idx
@@ -217,14 +233,20 @@ class MemoryChannel:
             if best_idx < 0:
                 best_idx = idx
         if best_idx < 0:
+            self._sleep_until_ready(now, soonest, other)
             return None
         return queue.pop(best_idx)
 
-    def _sleep_until_ready(self, now: int) -> None:
+    def _sleep_until_ready(self, now: int, soonest: int,
+                           other: List[DramRequest]) -> None:
+        """Record the soonest bank-ready cycle of both windows (the
+        chosen queue's is ``soonest``) as the idle-until memo, and wake
+        then."""
         banks = self._banks
-        pending = (self._read_q[: self.SCHED_WINDOW]
-                   + self._write_q[: self.SCHED_WINDOW])
-        soonest = min(banks[r.bank].ready_at for r in pending)
+        for idx in range(min(len(other), self.SCHED_WINDOW)):
+            ready = banks[other[idx].bank].ready_at
+            if ready < soonest:
+                soonest = ready
         self._idle_until = soonest
         self._wake(max(1, soonest - now))
 
@@ -235,12 +257,12 @@ class MemoryChannel:
 
         access_start = max(now, bank.ready_at, self._bus_free_at - t.t_cl)
         if bank.open_row == req.row:
-            self._row_hits.add(1)
+            self._row_hits.value += 1
             if self._insp is not None:
                 self._insp.row_hits[req.bank] += 1
             cas_at = access_start
         else:
-            self._row_misses.add(1)
+            self._row_misses.value += 1
             if self._insp is not None:
                 # A different open row means a precharge (conflict); no
                 # open row at all is a cold/closed-bank miss.
@@ -263,9 +285,9 @@ class MemoryChannel:
         data_start = max(data_start, self._bus_free_at)
         data_end = data_start + t.t_burst * req.atoms
         self._bus_free_at = data_end
-        self._busy.add(data_end - data_start)
-        self._read_depth.set(len(self._read_q))
-        self._write_depth.set(len(self._write_q))
+        self._busy.value += data_end - data_start
+        self._read_depth.value = len(self._read_q)
+        self._write_depth.value = len(self._write_q)
         if self._trace_dram:
             self._tracer.complete(
                 "dram", req.kind.value, req.enqueue_time,
@@ -304,6 +326,10 @@ class MemoryChannel:
         self._idle_until = 0
         self._refreshes.add(1)
         self._next_refresh = now + t.t_refi
+
+
+#: Later than any bank-ready cycle: where the soonest-ready fold starts.
+_NEVER = 1 << 62
 
 
 def _noop() -> None:

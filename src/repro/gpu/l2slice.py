@@ -146,7 +146,7 @@ class L2Slice:
         carried for latency attribution; it is stamped at arrival and
         when the response fires.
         """
-        self._loads.add(1)
+        self._loads.value += 1
         if token is not None:
             token.t_arrive = self.sim.now
             respond = self._stamped_respond(token, respond)
@@ -182,12 +182,10 @@ class L2Slice:
         entry = self.mshrs.allocate(line_addr, miss_mask,
                                     waiter=lambda: respond(full_mask))
         if entry is None:
-            self._retries.add(1)
+            self._retries.value += 1
             self.sim.schedule(self.RETRY_CYCLES, self._retry_load,
                               line_addr, full_mask, respond, token)
             return
-        if entry.payload is None:
-            entry.payload = {"filled": 0}
         new_sectors = miss_mask & ~previously_requested
         if new_sectors:
             attributor = self._attributor
@@ -224,8 +222,8 @@ class L2Slice:
         entry = self.mshrs.get(line_addr)
         if entry is None:
             return
-        entry.payload["filled"] |= granted_mask
-        if entry.sector_mask & ~entry.payload["filled"]:
+        entry.filled |= granted_mask
+        if entry.sector_mask & ~entry.filled:
             return  # more grants outstanding
         waiters = self.mshrs.complete(line_addr)
         for waiter in waiters:
@@ -236,7 +234,7 @@ class L2Slice:
         """L2-side atomic RMW: unlike a plain store, the old data is
         needed, so missing sectors are fetched (and verified) first;
         the touched sectors end dirty."""
-        self._atomics.add(1)
+        self._atomics.value += 1
         hit_mask, line = self.cache.lookup_mask(line_addr, sector_mask)
         if hit_mask and line is not None:
             line.dirty_mask |= hit_mask
@@ -257,7 +255,7 @@ class L2Slice:
                       ack: Callable[[], None]) -> None:
         """Write-allocate at sector granularity; whole-sector writes
         need no fetch (there is nothing to merge with)."""
-        self._stores.add(1)
+        self._stores.value += 1
         line, evicted = self.cache.allocate(line_addr)
         if evicted is not None and evicted.needs_writeback:
             self._defer_writeback(evicted)

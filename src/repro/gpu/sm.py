@@ -290,8 +290,6 @@ class StreamingMultiprocessor:
             return False
         self.epoch += 1
         warp.outstanding += 1
-        if entry.payload is None:
-            entry.payload = {"filled": 0}
         new_sectors = miss_mask & ~previously
         if new_sectors:
             self._send_load(line_addr, new_sectors)
@@ -330,8 +328,8 @@ class StreamingMultiprocessor:
         entry = self.l1_mshrs.get(line_addr)
         if entry is None:
             return
-        entry.payload["filled"] |= mask
-        if entry.sector_mask & ~entry.payload["filled"]:
+        entry.filled |= mask
+        if entry.sector_mask & ~entry.filled:
             return
         for waiter in self.l1_mshrs.complete(line_addr):
             waiter()

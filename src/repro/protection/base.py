@@ -28,7 +28,7 @@ from functools import lru_cache
 from typing import Callable, Dict, List, Optional, Tuple, Type
 
 from repro.dram.backing import FunctionalMemory
-from repro.dram.channel import DramRequest, MemoryChannel, RequestKind
+from repro.dram.channel import MemoryChannel, RequestKind
 from repro.dram.layout import InlineEccLayout
 from repro.ecc.base import DecodeStatus, ErrorCode
 from repro.protection.codes import build_code
@@ -106,6 +106,7 @@ class ProtectionContext:
         # and the line's phase in that span, never on the line address.
         self._span = layout.data_per_meta_atom
         self._span_granules = layout.granules_per_meta_atom
+        self._metadata_base = layout.metadata_base
         #: Last line base whose sectors all lie below the metadata region.
         self._last_data_base = layout.metadata_base - line_bytes
         self._tilings: Dict[Tuple[int, int], tuple] = {}
@@ -180,8 +181,8 @@ class ProtectionContext:
         slices = len(self.channels)
         if slices == 1:
             return addr
-        if self.layout.is_metadata(addr):
-            base = self.layout.metadata_base
+        base = self._metadata_base
+        if addr >= base:
             offset = addr - base
             local = base // slices + offset // slices
             return local - (local % self.sector_bytes)
@@ -194,6 +195,8 @@ class ProtectionContext:
         """Distinct granules under a line's set sectors, in sector order."""
         period, (granules, _atoms) = self._tiling(line_addr, sector_mask)
         first = period * self._span_granules
+        if len(granules) == 1:
+            return (first + granules[0],)
         return tuple([first + granule for granule in granules])
 
     def meta_atoms_of(self, line_addr: int, sector_mask: int
@@ -203,10 +206,13 @@ class ProtectionContext:
         period, (_granules, atoms) = self._tiling(line_addr, sector_mask)
         first = period * self._span_granules
         atom0 = period * self.layout.atom_bytes
+        if len(atoms) == 1:
+            atom, granules = atoms[0]
+            if len(granules) == 1:
+                return ((atom0 + atom, (first + granules[0],)),)
+            return ((atom0 + atom, tuple([first + g for g in granules])),)
         pairs = tuple([(atom0 + atom, tuple([first + g for g in granules]))
                        for atom, granules in atoms])
-        if len(pairs) == 1:
-            return pairs
         # Several atoms go out in the iteration order of a set filled in
         # sector order; that order depends on the atoms' values.
         by_atom = dict(pairs)
@@ -279,15 +285,13 @@ class ProtectionContext:
             # token when this read's data returns (data vs metadata).
             callback = latency.link_read(
                 kind is RequestKind.METADATA, callback)
-        self.channels[slice_id].enqueue(DramRequest(
-            addr=self.to_channel_local(addr), is_write=False, kind=kind,
-            callback=callback, atoms=atoms))
+        self.channels[slice_id].enqueue(self.to_channel_local(addr), False,
+                                        kind, callback, atoms)
 
     def dram_write(self, slice_id: int, addr: int, kind: RequestKind,
                    atoms: int = 1) -> None:
-        self.channels[slice_id].enqueue(DramRequest(
-            addr=self.to_channel_local(addr), is_write=True, kind=kind,
-            callback=None, atoms=atoms))
+        self.channels[slice_id].enqueue(self.to_channel_local(addr), True,
+                                        kind, None, atoms)
 
 
 class ProtectionScheme(abc.ABC):
@@ -389,17 +393,20 @@ class ProtectionScheme(abc.ABC):
         if not runs:
             ctx.sim.schedule(0, on_done)
             return
-        remaining = [len(runs)]
+        done = on_done  # one run: its read is the last to return
+        if len(runs) > 1:
+            remaining = [len(runs)]
 
-        def one_done() -> None:
-            remaining[0] -= 1
-            if remaining[0] == 0:
-                on_done()
+            def one_done() -> None:
+                remaining[0] -= 1
+                if remaining[0] == 0:
+                    on_done()
+            done = one_done
 
         base = line_addr * ctx.line_bytes
         for start, length in runs:
             ctx.dram_read(slice_id, base + start * ctx.sector_bytes,
-                          kind, one_done, atoms=length)
+                          kind, done, atoms=length)
 
     def write_mask(self, slice_id: int, line_addr: int, mask: int,
                    kind: RequestKind) -> None:
@@ -423,16 +430,16 @@ class ProtectionScheme(abc.ABC):
         ctx = self.ctx
         assert ctx is not None
         if ctx.functional is None:
-            self._decode_clean.add(1)
+            self._decode_clean.value += 1
             return None
         result = ctx.functional.verify_granule(granule)
         if result is None or result.status is DecodeStatus.CLEAN:
-            self._decode_clean.add(1)
+            self._decode_clean.value += 1
             return None if result is None else result.status
         if result.status is DecodeStatus.CORRECTED:
-            self._decode_corrected.add(1)
+            self._decode_corrected.value += 1
         else:
-            self._decode_due.add(1)
+            self._decode_due.value += 1
         return result.status
 
     def verify_granules_then(self, slice_id: int, granules,

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Optional, Tuple
 
-from repro.cache.sectored import SectoredCache
+from repro.cache.sectored import LookupResult, SectoredCache
 from repro.sim.stats import StatGroup
 
 
@@ -58,7 +58,7 @@ class DedicatedMetadataCache:
         (colocation accounting) and has no effect on behaviour.
         """
         result, _line = self._cache.lookup(atom_addr, require_verified=True)
-        hit = result.name == "HIT"
+        hit = result is LookupResult.HIT
         if self._insp is not None:
             self._insp.note_lookup(self._cache.line_addr_of(atom_addr),
                                    hit, granules)

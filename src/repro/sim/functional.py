@@ -58,7 +58,7 @@ from collections import OrderedDict, deque
 from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.dram.channel import DramRequest, RequestKind
+from repro.dram.channel import RequestKind
 from repro.gpu.trace import WarpOp
 from repro.sim.engine import SimulationError
 from repro.sim.stats import StatGroup
@@ -164,20 +164,18 @@ class FunctionalChannel:
         self._bytes_by_kind: Dict[RequestKind, int] = \
             {k: 0 for k in RequestKind}
 
-    def enqueue(self, request: DramRequest) -> None:
-        self._bytes_by_kind[request.kind] += request.atoms * self.atom_bytes
-        if request.is_write:
-            # Posted write: ack immediately (same as the timing model).
-            self._writes.add(request.atoms)
+    def enqueue(self, addr: int, is_write: bool, kind: RequestKind,
+                callback: Optional[Callable[[], None]] = None,
+                atoms: int = 1) -> None:
+        """Count the access and queue its callback (if any): a read
+        completes, and a write is posted, with no timing model."""
+        self._bytes_by_kind[kind] += atoms * self.atom_bytes
+        if is_write:
+            self._writes.value += atoms
         else:
-            self._reads.add(request.atoms)
-        # Schedule the completion without mutating the caller's
-        # request: nulling ``request.callback`` here (as the timing
-        # channel may, because it keeps the object queued) would
-        # silently drop the ack if the same object were re-enqueued by
-        # a retry/replay path.
-        if request.callback is not None:
-            self.sim.schedule(0, request.callback)
+            self._reads.value += atoms
+        if callback is not None:
+            self.sim.schedule(0, callback)
 
     def bytes_by_kind(self) -> Dict[str, int]:
         return {k.value: v for k, v in self._bytes_by_kind.items()}

@@ -288,8 +288,6 @@ class _ReferenceSm:
             self.queue.drain()
             self.load(line, mask)
             return
-        if entry.payload is None:
-            entry.payload = {"filled": 0}
         if miss & ~previously:
             self.slices[self.route(line)].receive_load(
                 line, miss & ~previously,
@@ -303,8 +301,8 @@ class _ReferenceSm:
         entry = self.mshrs.get(line)
         if entry is None:
             return
-        entry.payload["filled"] |= granted
-        if not entry.sector_mask & ~entry.payload["filled"]:
+        entry.filled |= granted
+        if not entry.sector_mask & ~entry.filled:
             for waiter in self.mshrs.complete(line):
                 waiter()
 

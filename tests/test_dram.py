@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.dram.channel import DramRequest, MemoryChannel, RequestKind
+from repro.dram.channel import MemoryChannel, RequestKind
 from repro.dram.layout import InlineEccLayout
 from repro.dram.mapping import AddressMapping
 from repro.dram.timing import DramTiming
@@ -16,13 +16,13 @@ def make_channel(sim=None, **timing_overrides):
 
 
 def read(addr, cb=None, atoms=1):
-    return DramRequest(addr=addr, is_write=False, kind=RequestKind.DATA,
-                       callback=cb, atoms=atoms)
+    """``enqueue`` arguments of a data read."""
+    return addr, False, RequestKind.DATA, cb, atoms
 
 
 def write(addr, cb=None, atoms=1):
-    return DramRequest(addr=addr, is_write=True, kind=RequestKind.WRITEBACK,
-                       callback=cb, atoms=atoms)
+    """``enqueue`` arguments of a writeback."""
+    return addr, True, RequestKind.WRITEBACK, cb, atoms
 
 
 class TestTiming:
@@ -60,7 +60,7 @@ class TestChannelLatency:
     def test_cold_read_pays_row_miss(self):
         sim, ch = make_channel()
         done = []
-        ch.enqueue(read(0, cb=lambda: done.append(sim.now)))
+        ch.enqueue(*read(0, cb=lambda: done.append(sim.now)))
         sim.run()
         t = ch.timing
         assert done[0] == t.t_rcd + t.t_cl + t.t_burst
@@ -68,8 +68,8 @@ class TestChannelLatency:
     def test_row_hit_follows_faster(self):
         sim, ch = make_channel()
         times = []
-        ch.enqueue(read(0, cb=lambda: times.append(sim.now)))
-        ch.enqueue(read(32, cb=lambda: times.append(sim.now)))
+        ch.enqueue(*read(0, cb=lambda: times.append(sim.now)))
+        ch.enqueue(*read(32, cb=lambda: times.append(sim.now)))
         sim.run()
         first, second = times
         assert second - first <= ch.timing.t_burst + 2
@@ -81,9 +81,9 @@ class TestChannelLatency:
         sim, ch = make_channel()
         times = []
         row_span = ch.timing.row_bytes * ch.timing.banks
-        ch.enqueue(read(0, cb=lambda: times.append(sim.now)))
+        ch.enqueue(*read(0, cb=lambda: times.append(sim.now)))
         sim.run()
-        ch.enqueue(read(row_span, cb=lambda: times.append(sim.now)))
+        ch.enqueue(*read(row_span, cb=lambda: times.append(sim.now)))
         sim.run()
         conflict_latency = times[1] - times[0]
         assert conflict_latency >= ch.timing.t_rp + ch.timing.t_rcd
@@ -91,7 +91,7 @@ class TestChannelLatency:
     def test_multi_atom_burst(self):
         sim, ch = make_channel()
         times = []
-        ch.enqueue(read(0, cb=lambda: times.append(sim.now), atoms=4))
+        ch.enqueue(*read(0, cb=lambda: times.append(sim.now), atoms=4))
         sim.run()
         assert times[0] == ch.timing.t_rcd + ch.timing.t_cl \
             + 4 * ch.timing.t_burst
@@ -101,7 +101,7 @@ class TestChannelBehaviour:
     def test_posted_write_acks_immediately(self):
         sim, ch = make_channel()
         acked = []
-        ch.enqueue(write(0, cb=lambda: acked.append(sim.now)))
+        ch.enqueue(*write(0, cb=lambda: acked.append(sim.now)))
         sim.run(until=1)
         assert acked and acked[0] == 0
 
@@ -109,7 +109,7 @@ class TestChannelBehaviour:
         def total_time(addrs):
             sim, ch = make_channel()
             for a in addrs:
-                ch.enqueue(read(a))
+                ch.enqueue(*read(a))
             return sim.run()
 
         same_bank = [i * 2048 * 16 for i in range(8)]   # all bank 0
@@ -119,18 +119,18 @@ class TestChannelBehaviour:
     def test_fr_fcfs_prefers_row_hit(self):
         sim, ch = make_channel()
         order = []
-        ch.enqueue(read(0, cb=lambda: order.append("miss-open")))
+        ch.enqueue(*read(0, cb=lambda: order.append("miss-open")))
         sim.run()  # row 0 of bank 0 now open
-        ch.enqueue(read(2048 * 16, cb=lambda: order.append("conflict")))
-        ch.enqueue(read(64, cb=lambda: order.append("hit")))
+        ch.enqueue(*read(2048 * 16, cb=lambda: order.append("conflict")))
+        ch.enqueue(*read(64, cb=lambda: order.append("hit")))
         sim.run()
         assert order == ["miss-open", "hit", "conflict"]
 
     def test_traffic_accounting_by_kind(self):
         sim, ch = make_channel()
-        ch.enqueue(read(0))
-        ch.enqueue(DramRequest(64, False, RequestKind.METADATA))
-        ch.enqueue(write(128, atoms=2))
+        ch.enqueue(*read(0))
+        ch.enqueue(64, False, RequestKind.METADATA)
+        ch.enqueue(*write(128, atoms=2))
         sim.run()
         by_kind = ch.bytes_by_kind()
         assert by_kind["data"] == 32
@@ -141,24 +141,24 @@ class TestChannelBehaviour:
     def test_turnaround_penalty_on_rw_switch(self):
         sim, ch = make_channel()
         times = []
-        ch.enqueue(write(0))
+        ch.enqueue(*write(0))
         sim.run()  # the write issues (no reads pending)
         # Read a *different* bank so the open-row the write left behind
         # cannot mask the bus-turnaround cost.
-        ch.enqueue(read(2048, cb=lambda: times.append(sim.now)))
+        ch.enqueue(*read(2048, cb=lambda: times.append(sim.now)))
         start = sim.now
         sim.run()
         sim2, ch2 = make_channel()
         times2 = []
-        ch2.enqueue(read(2048, cb=lambda: times2.append(sim2.now)))
+        ch2.enqueue(*read(2048, cb=lambda: times2.append(sim2.now)))
         sim2.run()
         assert times[0] - start > times2[0]
 
     def test_reads_preferred_over_writes(self):
         sim, ch = make_channel()
         order = []
-        ch.enqueue(write(0, cb=None))
-        ch.enqueue(read(2048, cb=lambda: order.append("read")))
+        ch.enqueue(*write(0, cb=None))
+        ch.enqueue(*read(2048, cb=lambda: order.append("read")))
         sim.run()
         flat = ch.stats.flatten()
         assert order == ["read"]
@@ -168,9 +168,9 @@ class TestChannelBehaviour:
         sim, ch = make_channel()
         # Saturate writes while a steady read stream exists.
         for i in range(ch.WRITE_HI + 8):
-            ch.enqueue(write(i * 64))
+            ch.enqueue(*write(i * 64))
         done = []
-        ch.enqueue(read(0, cb=lambda: done.append(sim.now)))
+        ch.enqueue(*read(0, cb=lambda: done.append(sim.now)))
         sim.run()
         assert done  # reads still complete despite the write burst
         assert ch.queue_depth == 0
@@ -180,11 +180,11 @@ class TestChannelBehaviour:
         timing = DramTiming(refresh_enabled=True, t_refi=200, t_rfc=100)
         ch = MemoryChannel("ch", sim, timing)
         done = []
-        ch.enqueue(read(0, cb=lambda: done.append(sim.now)))
+        ch.enqueue(*read(0, cb=lambda: done.append(sim.now)))
         sim.run()
         # Advance past a refresh interval, then issue another request.
         sim.schedule_at(250, lambda: ch.enqueue(
-            read(64, cb=lambda: done.append(sim.now))))
+            *read(64, cb=lambda: done.append(sim.now))))
         sim.run()
         flat = ch.stats.flatten()
         assert flat["ch.refreshes"] >= 1

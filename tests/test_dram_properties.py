@@ -1,12 +1,15 @@
-"""Property-based tests for the DRAM channel and the coalescer."""
+"""Property-based tests for the DRAM channels and the coalescer."""
+
+from functools import partial
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.dram.channel import DramRequest, MemoryChannel, RequestKind
+from repro.dram.channel import MemoryChannel, RequestKind
 from repro.dram.timing import DramTiming
 from repro.gpu.coalescer import coalesce
 from repro.sim.engine import Simulator
+from repro.sim.functional import FunctionalChannel, ImmediateQueue
 
 
 @st.composite
@@ -33,8 +36,8 @@ def test_channel_serves_everything_causally(batch):
     def submit(addr, is_write, idx):
         def done(i=idx):
             completions[i] = sim.now
-        channel.enqueue(DramRequest(addr, is_write, RequestKind.DATA,
-                                    callback=None if is_write else done))
+        channel.enqueue(addr, is_write, RequestKind.DATA,
+                        None if is_write else done)
 
     enqueue_times = {}
     for idx, (addr, is_write, delay) in enumerate(batch):
@@ -60,8 +63,8 @@ def test_channel_bus_conservation(batch):
     sim = Simulator()
     channel = MemoryChannel("ch", sim, DramTiming(refresh_enabled=False))
     for addr, is_write, delay in batch:
-        sim.schedule(delay, channel.enqueue,
-                     DramRequest(addr, is_write, RequestKind.DATA))
+        sim.schedule(delay, channel.enqueue, addr, is_write,
+                     RequestKind.DATA)
     end = sim.run()
     atoms = channel.total_bytes // channel.atom_bytes
     assert end >= atoms * channel.timing.t_burst
@@ -73,7 +76,7 @@ def test_traffic_accounting_is_exact(batch):
     sim = Simulator()
     channel = MemoryChannel("ch", sim, DramTiming(refresh_enabled=False))
     for addr, is_write, _delay in batch:
-        channel.enqueue(DramRequest(addr, is_write, RequestKind.DATA))
+        channel.enqueue(addr, is_write, RequestKind.DATA)
     sim.run()
     assert channel.total_bytes == len(batch) * 32
     flat = channel.stats.flatten()
@@ -99,12 +102,104 @@ def test_coalescer_covers_exactly_the_touched_sectors(addresses):
     assert produced == expected
 
 
+@st.composite
+def access_streams(draw):
+    """``(addr, is_write, kind, atoms, has_callback)`` accesses."""
+    n = draw(st.integers(1, 50))
+    return [(draw(st.integers(0, 1 << 22)) // 32 * 32, draw(st.booleans()),
+             draw(st.sampled_from(list(RequestKind))), draw(st.integers(1, 4)),
+             draw(st.booleans()))
+            for _ in range(n)]
+
+
+@given(access_streams())
+@settings(max_examples=60, deadline=None)
+def test_both_channels_account_one_stream_alike(stream):
+    """The timed and the functional channel count the same bytes per
+    kind (in the same key order) and the same read and write atoms, and
+    fire every callback exactly once; the functional queue fires them
+    in enqueue order."""
+    sim = Simulator()
+    timed = MemoryChannel("ch", sim, DramTiming(refresh_enabled=False))
+    queue = ImmediateQueue()
+    functional = FunctionalChannel("ch", queue)
+    fired = {timed: [], functional: []}
+    for idx, (addr, is_write, kind, atoms, has_callback) in enumerate(stream):
+        for channel in (timed, functional):
+            callback = partial(fired[channel].append, idx) \
+                if has_callback else None
+            channel.enqueue(addr, is_write, kind, callback, atoms)
+    sim.run()
+    queue.drain()
+
+    assert list(timed.bytes_by_kind().items()) \
+        == list(functional.bytes_by_kind().items())
+    for name in ("reads", "writes"):
+        assert timed.stats.get(name).value \
+            == functional.stats.get(name).value
+    assert timed.stats.get("reads").value \
+        == sum(atoms for _a, is_write, _k, atoms, _c in stream if not is_write)
+    expected = [idx for idx, access in enumerate(stream) if access[4]]
+    assert fired[functional] == expected
+    assert sorted(fired[timed]) == expected
+
+
+class _RescanningChannel(MemoryChannel):
+    """The scheduler before the soonest-ready fold: when nothing is
+    issuable, the wake time comes from a fresh scan of both queue
+    windows.  The reference the fold must match decision for
+    decision."""
+
+    def _tick(self):
+        self._wakeup_scheduled = False
+        now = self.sim.now
+        self._maybe_refresh(now)
+        if now < self._idle_until:
+            self._wake(self._idle_until - now)
+            return
+        while self._read_q or self._write_q:
+            self._update_mode()
+            queue = self._write_q if self._write_mode else self._read_q
+            chosen = self._choose(queue, now)
+            if chosen is None:
+                self._sleep_until_ready(now)
+                return
+            self._issue(chosen, now)
+            now = self.sim.now
+
+    def _choose(self, queue, now):
+        best_idx = -1
+        banks = self._banks
+        limit = min(len(queue), self.SCHED_WINDOW)
+        for idx in range(limit):
+            req = queue[idx]
+            bank = banks[req.bank]
+            if bank.ready_at > now:
+                continue
+            if bank.open_row == req.row:
+                best_idx = idx
+                break  # oldest row hit wins
+            if best_idx < 0:
+                best_idx = idx
+        if best_idx < 0:
+            return None
+        return queue.pop(best_idx)
+
+    def _sleep_until_ready(self, now):
+        banks = self._banks
+        pending = (self._read_q[: self.SCHED_WINDOW]
+                   + self._write_q[: self.SCHED_WINDOW])
+        soonest = min(banks[r.bank].ready_at for r in pending)
+        self._idle_until = soonest
+        self._wake(max(1, soonest - now))
+
+
 class _UnmemoizedChannel(MemoryChannel):
     """A channel whose idle-until memo is always invalid: every tick
     rescans the queues."""
 
-    def _sleep_until_ready(self, now):
-        super()._sleep_until_ready(now)
+    def _sleep_until_ready(self, *args):
+        super()._sleep_until_ready(*args)
         self._idle_until = 0
 
 
@@ -128,11 +223,32 @@ def contended_batches(draw):
     ]
 
 
-def _issue_log(channel_cls, batch, memo_hits=None):
+@st.composite
+def deep_bursts(draw):
+    """Bursts of reads and writes on 4-8 banks, the first at cycle 0
+    with more of each than :attr:`MemoryChannel.SCHED_WINDOW`, so both
+    queues outgrow the scheduler's window."""
+    timing = REFRESHING
+    window = MemoryChannel.SCHED_WINDOW
+    banks = draw(st.integers(4, 8))
+    batch = []
+    for burst in range(draw(st.integers(1, 4))):
+        at = 0 if burst == 0 else draw(st.integers(0, 400))
+        low = window + 1 if burst == 0 else 0
+        for is_write in (False, True):
+            for _ in range(draw(st.integers(low, window + 24))):
+                addr = ((draw(st.integers(0, 3)) * timing.banks
+                         + draw(st.integers(0, banks - 1))) * timing.row_bytes
+                        + draw(st.integers(0, 63)) * 32)
+                batch.append((addr, is_write, at))
+    return batch
+
+
+def _issue_log(channel_cls, batch, memo_hits=None, depths=None):
     """Run ``batch`` through a fresh channel; returns every issue as
     ``(cycle, addr, is_write)`` plus the clock, event count and stats.
     ``memo_hits`` collects the cycles of ticks that found the memo
-    valid."""
+    valid, ``depths`` the shorter queue's length at each tick."""
     sim = Simulator()
     channel = channel_cls("ch", sim, REFRESHING)
     issued = []
@@ -146,13 +262,14 @@ def _issue_log(channel_cls, batch, memo_hits=None):
     def counted():
         if memo_hits is not None and sim.now < channel._idle_until:
             memo_hits.append(sim.now)
+        if depths is not None:
+            depths.append(min(len(channel._read_q), len(channel._write_q)))
         tick()
     channel._issue = logged
     channel._tick = counted
 
     for addr, is_write, delay in batch:
-        sim.schedule(delay, channel.enqueue,
-                     DramRequest(addr, is_write, RequestKind.DATA))
+        sim.schedule(delay, channel.enqueue, addr, is_write, RequestKind.DATA)
     sim.run()
     return issued, sim.now, sim.events_executed, channel.stats.flatten()
 
@@ -162,9 +279,45 @@ def _issue_log(channel_cls, batch, memo_hits=None):
 def test_idle_until_memo_changes_no_decision(batch):
     """Random read/write streams under frequent refreshes issue in the
     same order at the same cycles whether or not idle ticks reuse the
-    memo, and leave the same clock, event count and counters."""
-    assert _issue_log(MemoryChannel, batch) \
-        == _issue_log(_UnmemoizedChannel, batch)
+    memo, and leave the same clock, event count and counters; both
+    equal the rescanning scheduler's."""
+    unmemoized_hits = []
+    memoized = _issue_log(MemoryChannel, batch)
+    assert memoized == _issue_log(_UnmemoizedChannel, batch, unmemoized_hits)
+    assert unmemoized_hits == []
+    assert memoized == _issue_log(_RescanningChannel, batch)
+
+
+@given(deep_bursts())
+@settings(max_examples=60, deadline=None)
+def test_soonest_ready_fold_matches_rescanning_scheduler(batch):
+    """With both queues deeper than the scheduler's window, under a
+    refresh every 100 cycles, folding the soonest bank-ready cycle into
+    the FR-FCFS scan issues exactly as rescanning both windows did:
+    same issue log, clock, event count and counters."""
+    depths = []
+    folded = _issue_log(MemoryChannel, batch, depths=depths)
+    assert max(depths) > MemoryChannel.SCHED_WINDOW
+    assert folded == _issue_log(_RescanningChannel, batch)
+
+
+def test_fold_reads_the_whole_other_window():
+    """In write mode the wake time still reads every bank in the read
+    queue's window, the last slot included: here only read 31 sits on
+    an idle bank, so the channel must wake the next cycle."""
+    timing = REFRESHING
+
+    def addr(bank, row):
+        return (row * timing.banks + bank) * timing.row_bytes
+
+    window = MemoryChannel.SCHED_WINDOW
+    batch = ([(addr(0, 0), False, 0)]          # keeps bank 0 busy at 1
+             + [(addr(0, 1 + i % 3), False, 1) for i in range(window - 1)]
+             + [(addr(1, 0), False, 1)]
+             + [(addr(2, i % 2), True, 1)
+                for i in range(MemoryChannel.WRITE_HI + 6)])
+    folded = _issue_log(MemoryChannel, batch)
+    assert folded == _issue_log(_RescanningChannel, batch)
 
 
 def test_idle_ticks_reuse_the_memo():
@@ -173,8 +326,10 @@ def test_idle_ticks_reuse_the_memo():
     still issue identically."""
     batch = [(i * 4 * REFRESHING.row_bytes * REFRESHING.banks, i % 3 == 0, 0)
              for i in range(24)]
-    hits = []
+    hits, unmemoized_hits = [], []
     memoized = _issue_log(MemoryChannel, batch, hits)
-    assert memoized == _issue_log(_UnmemoizedChannel, batch)
+    assert memoized == _issue_log(_UnmemoizedChannel, batch, unmemoized_hits)
+    assert memoized == _issue_log(_RescanningChannel, batch)
     assert memoized[3]["ch.refreshes"] > 1
     assert len(hits) > 5
+    assert unmemoized_hits == []

@@ -118,10 +118,8 @@ class TestImmediateQueueBudget:
 
 
 class TestFunctionalChannelEnqueue:
-    """The functional DRAM channel must not mutate the caller's
-    request: the timing channel may null ``callback`` because it keeps
-    the object queued, but here nulling it silently dropped the ack on
-    any re-enqueue (retry/replay paths share the request object)."""
+    """The functional DRAM channel counts an access at enqueue and runs
+    its callback through the queue, once per enqueue."""
 
     def _channel(self):
         from repro.sim.functional import FunctionalChannel, ImmediateQueue
@@ -130,27 +128,26 @@ class TestFunctionalChannelEnqueue:
         return q, FunctionalChannel("dram0", q)
 
     def test_callback_survives_enqueue(self):
-        from repro.dram.channel import DramRequest, RequestKind
+        from repro.dram.channel import RequestKind
 
         q, ch = self._channel()
         acks = []
-        req = DramRequest(0x1000, is_write=False, kind=RequestKind.DATA,
-                          callback=lambda: acks.append(1), atoms=2)
-        ch.enqueue(req)
-        assert req.callback is not None
+        ch.enqueue(0x1000, False, RequestKind.DATA,
+                   lambda: acks.append(1), atoms=2)
+        assert acks == []  # queued, not called from inside enqueue
         q.drain()
         assert acks == [1]
+        assert ch.stats.get("reads").value == 2
 
     def test_reenqueued_request_acks_again(self):
-        from repro.dram.channel import DramRequest, RequestKind
+        from repro.dram.channel import RequestKind
 
         q, ch = self._channel()
         acks = []
-        req = DramRequest(0x2000, is_write=False, kind=RequestKind.DATA,
-                          callback=lambda: acks.append(1))
-        ch.enqueue(req)
+        access = (0x2000, False, RequestKind.DATA, lambda: acks.append(1))
+        ch.enqueue(*access)
         q.drain()
-        ch.enqueue(req)  # replay/retry path re-submits the same object
+        ch.enqueue(*access)  # replay/retry path re-submits the same access
         q.drain()
         assert acks == [1, 1]
         assert ch.stats.get("reads").value == 2
