@@ -12,7 +12,7 @@ retry can be replayed without re-running it until the file changes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.sim.stats import Counter, StatGroup
 
@@ -24,8 +24,10 @@ class MshrEntry:
     key: int
     #: Sector mask requested so far.
     sector_mask: int = 0
-    #: Callbacks to fire on completion, each with its own context.
-    waiters: List[Callable[[], None]] = field(default_factory=list)
+    #: One opaque token per merged request, in arrival order; the
+    #: owner gets them back from :meth:`MshrFile.complete` and fires
+    #: them (the L2 queues callbacks, the SM credits waiting warps).
+    waiters: List[Any] = field(default_factory=list)
     #: Sectors the owner has received so far; the entry completes once
     #: they cover ``sector_mask``.
     filled: int = 0
@@ -65,12 +67,14 @@ class MshrFile:
         return self._entries.get(key)
 
     def allocate(self, key: int, sector_mask: int,
-                 waiter: Optional[Callable[[], None]] = None) -> Optional[MshrEntry]:
-        """Allocate or merge.  Returns the entry, or None on a stall.
+                 waiter: Any = None) -> Optional[int]:
+        """Allocate or merge ``sector_mask`` for ``key``, adding
+        ``waiter`` (if given) to the entry's waiters.
 
-        A returned entry with ``merges > 0`` (or an unchanged
-        ``sector_mask``) tells the caller the miss was merged and no new
-        memory request is needed for already-requested sectors.
+        Returns the sectors this call newly requested, which the caller
+        must fetch: all of ``sector_mask`` for a new entry, those not
+        yet requested for a merge (0 if none).  Returns None on a stall,
+        when the file is full or the entry is out of merge slots.
         """
         entries = self._entries
         entry = entries.get(key)
@@ -78,22 +82,22 @@ class MshrFile:
             if len(entry.waiters) >= self.max_merges:
                 self._merge_stalls.value += 1
                 return None
-            entry.sector_mask |= sector_mask
+            added = sector_mask & ~entry.sector_mask
+            entry.sector_mask |= added
             if waiter is not None:
                 entry.waiters.append(waiter)
             self._merges.value += 1
-            return entry
+            return added
         occupied = len(entries)
         if occupied >= self.capacity:
             self._full_stalls.value += 1
             return None
-        entry = MshrEntry(key, sector_mask,
-                          [] if waiter is None else [waiter])
-        entries[key] = entry
+        entries[key] = MshrEntry(key, sector_mask,
+                                 [] if waiter is None else [waiter])
         self._allocs.value += 1
         if occupied >= self.peak:
             self.peak = occupied + 1
-        return entry
+        return sector_mask
 
     def stall_counts(self, key: int) -> Tuple[Tuple[Counter, int], ...]:
         """What a stalled :meth:`allocate` of ``key`` adds to the
@@ -103,8 +107,8 @@ class MshrFile:
             return ((self._merge_stalls, 1),)
         return ((self._full_stalls, 1),)
 
-    def complete(self, key: int) -> List[Callable[[], None]]:
-        """Remove the entry; returns the waiters for the caller to fire."""
+    def complete(self, key: int) -> List[Any]:
+        """Remove the entry; returns its waiters for the caller to fire."""
         entry = self._entries.pop(key, None)
         if entry is None:
             return []

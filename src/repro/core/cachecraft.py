@@ -178,10 +178,10 @@ class CacheCraft(ProtectionScheme):
         directory = self._directory[slice_id]
         mask = directory.get(granule)
         if mask is None:
-            self._dir_misses.add(1)
+            self._dir_misses.value += 1
             return 0
         directory.move_to_end(granule)
-        self._dir_hits.add(1)
+        self._dir_hits.value += 1
         return mask
 
     def _dir_store(self, slice_id: int, granule: int, mask: int) -> None:
@@ -283,10 +283,10 @@ class CacheCraft(ProtectionScheme):
         resident = ctx.l2_resident_verified(slice_id, meta_line,
                                             clean_only=False)
         if resident & bit:
-            self._meta_l2_hits.add(1)
+            self._meta_l2_hits.value += 1
             ctx.sim.schedule(2, done)
             return
-        self._meta_l2_misses.add(1)
+        self._meta_l2_misses.value += 1
         self._note_meta_miss(meta_line)
         self._meta_read_merged(slice_id, granule, meta_line, bit, done)
 
@@ -353,7 +353,7 @@ class CacheCraft(ProtectionScheme):
             entry.waiters.append((line_addr, want_mask, on_ready))
             return
         if len(crafts) >= self.craft_entries:
-            self._craft_stalls.add(1)
+            self._craft_stalls.value += 1
             self._overflow[slice_id].append(
                 (granule, line_addr, want_mask, on_ready))
             return
@@ -380,11 +380,11 @@ class CacheCraft(ProtectionScheme):
                        & g_mask & ~reused & ~demand)
             fills = g_mask & ~reused & ~demand & ~contrib
             entry.reused += _popcount(reused)
-            self._contrib_sectors.add(_popcount(contrib))
+            self._contrib_sectors.value += _popcount(contrib)
             if demand:
                 entry.pending += 1
                 entry.fetched[g_line] = entry.fetched.get(g_line, 0) | demand
-                self._demand_sectors.add(_popcount(demand))
+                self._demand_sectors.value += _popcount(demand)
                 self.read_mask(
                     slice_id, g_line, demand, RequestKind.DATA,
                     lambda e=entry, s=slice_id, ln=g_line, d=demand, r=reused:
@@ -393,18 +393,18 @@ class CacheCraft(ProtectionScheme):
                 entry.pending += 1
                 entry.fetched[g_line] = entry.fetched.get(g_line, 0) | fills
                 entry.verify_fills += _popcount(fills)
-                self._verify_fill_sectors.add(_popcount(fills))
+                self._verify_fill_sectors.value += _popcount(fills)
                 self.read_mask(slice_id, g_line, fills,
                                RequestKind.VERIFY_FILL,
                                lambda e=entry, s=slice_id: self._piece_done(s, e))
 
         if meta_from_directory:
-            self._meta_dir_hits.add(1)
+            self._meta_dir_hits.value += 1
         else:
             entry.pending += 1
             self._fetch_metadata(slice_id, entry.granule,
                                  lambda: self._piece_done(slice_id, entry))
-        self._reused_sectors.add(entry.reused)
+        self._reused_sectors.value += entry.reused
         self._piece_done(slice_id, entry)  # release the guard
 
     def _demand_arrived(self, slice_id: int, entry: _CraftEntry,
@@ -418,7 +418,7 @@ class CacheCraft(ProtectionScheme):
                 if w_want & ~available_mask:
                     continue
                 entry.fired.add(idx)
-                self._speculative_grants.add(1)
+                self._speculative_grants.value += 1
                 on_ready(available_mask)
         self._piece_done(slice_id, entry)
 
@@ -426,9 +426,9 @@ class CacheCraft(ProtectionScheme):
         entry.pending -= 1
         if entry.pending:
             return
-        self._granules_verified.add(1)
+        self._granules_verified.value += 1
         if entry.verify_fills == 0:
-            self._granules_no_extra_fetch.add(1)
+            self._granules_no_extra_fetch.value += 1
         # Verification reconstructed every sector's contribution; retain
         # them so future lone-sector misses skip the sibling fetches.
         self._dir_store(slice_id, entry.granule, self._full_local_mask)
@@ -471,7 +471,7 @@ class CacheCraft(ProtectionScheme):
             return
         self.functional_writeback(line_addr, dirty_mask)
         for granule in ctx.granules_of(line_addr, dirty_mask):
-            self._wb_granules.add(1)
+            self._wb_granules.value += 1
             portion = self._line_portion(granule, line_addr)
             dirty_here = dirty_mask & portion
             if self._linear:
@@ -504,10 +504,10 @@ class CacheCraft(ProtectionScheme):
                            else recompute_missing)
                 total = min(delta_cost, recompute_cost)
                 if total == 0:
-                    self._wb_clean_regen.add(1)
+                    self._wb_clean_regen.value += 1
                 for g_line, miss in missing.items():
                     if miss:
-                        self._rmw_fill_sectors.add(_popcount(miss))
+                        self._rmw_fill_sectors.value += _popcount(miss)
                         self.read_mask(slice_id, g_line, miss,
                                        RequestKind.VERIFY_FILL, _noop)
                 self._dir_store(slice_id, granule,
@@ -524,11 +524,11 @@ class CacheCraft(ProtectionScheme):
                     missing = g_mask & ~held
                     if missing:
                         missing_total += _popcount(missing)
-                        self._rmw_fill_sectors.add(_popcount(missing))
+                        self._rmw_fill_sectors.value += _popcount(missing)
                         self.read_mask(slice_id, g_line, missing,
                                        RequestKind.VERIFY_FILL, _noop)
                 if missing_total == 0:
-                    self._wb_clean_regen.add(1)
+                    self._wb_clean_regen.value += 1
             self._update_metadata(slice_id, granule)
         self.write_mask(slice_id, line_addr, dirty_mask, RequestKind.WRITEBACK)
 
@@ -544,7 +544,7 @@ class CacheCraft(ProtectionScheme):
         """
         ctx = self.ctx
         meta_line, bit = self._meta_line_and_bit(granule)
-        self._meta_write_throughs.add(1)
+        self._meta_write_throughs.value += 1
         if not self.metadata_in_l2:
             ctx.dram_write(slice_id, ctx.layout.metadata_atom(granule),
                            RequestKind.METADATA_WRITE)

@@ -43,6 +43,15 @@ class RequestKind(enum.Enum):
     __hash__ = object.__hash__
 
 
+class _Bank:
+    __slots__ = ("ready_at", "open_row", "last_activate")
+
+    def __init__(self) -> None:
+        self.ready_at = 0
+        self.open_row = -1
+        self.last_activate = -(1 << 30)
+
+
 @dataclass(slots=True)
 class DramRequest:
     """One queued access of :class:`MemoryChannel`, which builds it."""
@@ -57,15 +66,9 @@ class DramRequest:
     # Decoded coordinates (scheduler hot path).
     bank: int = 0
     row: int = 0
-
-
-class _Bank:
-    __slots__ = ("ready_at", "open_row", "last_activate")
-
-    def __init__(self) -> None:
-        self.ready_at = 0
-        self.open_row = -1
-        self.last_activate = -(1 << 30)
+    #: The channel's state of bank ``bank``, which the scheduler reads
+    #: straight from the request.
+    bank_state: Optional[_Bank] = None
 
 
 class MemoryChannel:
@@ -104,11 +107,14 @@ class MemoryChannel:
         self._bus_free_at = 0
         self._last_was_write = False
         self._wakeup_scheduled = False
-        #: Idle-until memo: the soonest bank-ready cycle of the queued
-        #: windows, recorded when the scheduler found nothing issuable.
-        #: Until a request arrives or issues or a refresh fires, a tick
-        #: before it would find nothing either, so it only re-books its
-        #: wake.  0 means unknown.
+        #: Memos of the last failed FR-FCFS scan, valid until a request
+        #: arrives or issues or a refresh fires (each resets both to 0).
+        #: ``_chosen_until`` is the soonest bank-ready cycle of the
+        #: window the scan chose from; ``_idle_until`` is the soonest of
+        #: both windows, the scan's wake time.  A tick before
+        #: ``_chosen_until`` can neither issue nor change mode, so it
+        #: only books the wake that scan would book.
+        self._chosen_until = 0
         self._idle_until = 0
         self._next_refresh = timing.t_refi if timing.refresh_enabled else None
         #: Opt-in per-bank row-locality view; set exclusively by
@@ -144,7 +150,8 @@ class MemoryChannel:
         callback (if any) fires at once."""
         banks = self.timing.banks
         frame = addr // self.timing.row_bytes
-        self._idle_until = 0
+        bank = frame % banks
+        self._chosen_until = self._idle_until = 0
         self._bytes_by_kind[kind] += atoms * self.atom_bytes
         if is_write:
             self._writes.value += atoms
@@ -157,7 +164,8 @@ class MemoryChannel:
             self._reads.value += atoms
             queue = self._read_q
         queue.append(DramRequest(addr, is_write, kind, callback, atoms,
-                                 self.sim.now, frame % banks, frame // banks))
+                                 self.sim.now, bank, frame // banks,
+                                 self._banks[bank]))
         self._read_depth.value = len(self._read_q)
         self._write_depth.value = len(self._write_q)
         self._wake(0)
@@ -195,8 +203,10 @@ class MemoryChannel:
         self._wakeup_scheduled = False
         now = self.sim.now
         self._maybe_refresh(now)
-        if now < self._idle_until:
-            self._wake(self._idle_until - now)
+        if now < self._chosen_until:
+            # Every bank of the chosen window is still busy and the
+            # queues are as the failed scan left them: book its wake.
+            self._wake(max(1, self._idle_until - now))
             return
         while self._read_q or self._write_q:
             self._update_mode()
@@ -216,12 +226,12 @@ class MemoryChannel:
         ready one.  With none ready the scan has read every bank's
         ready cycle in the window, so it sleeps until the soonest of
         those and of ``other``'s window, and returns None."""
+        window = self.SCHED_WINDOW
         best_idx = -1
-        banks = self._banks
         soonest = _NEVER
-        for idx in range(min(len(queue), self.SCHED_WINDOW)):
-            req = queue[idx]
-            bank = banks[req.bank]
+        for idx, req in enumerate(queue if len(queue) <= window
+                                  else queue[:window]):
+            bank = req.bank_state
             ready = bank.ready_at
             if ready > now:
                 if ready < soonest:
@@ -239,12 +249,13 @@ class MemoryChannel:
 
     def _sleep_until_ready(self, now: int, soonest: int,
                            other: List[DramRequest]) -> None:
-        """Record the soonest bank-ready cycle of both windows (the
-        chosen queue's is ``soonest``) as the idle-until memo, and wake
-        then."""
-        banks = self._banks
-        for idx in range(min(len(other), self.SCHED_WINDOW)):
-            ready = banks[other[idx].bank].ready_at
+        """Record the chosen window's soonest bank-ready cycle
+        (``soonest``) and that of both windows as the memos, and wake
+        at the latter."""
+        self._chosen_until = soonest
+        window = self.SCHED_WINDOW
+        for req in other if len(other) <= window else other[:window]:
+            ready = req.bank_state.ready_at
             if ready < soonest:
                 soonest = ready
         self._idle_until = soonest
@@ -252,8 +263,8 @@ class MemoryChannel:
 
     def _issue(self, req: DramRequest, now: int) -> None:
         t = self.timing
-        bank = self._banks[req.bank]
-        self._idle_until = 0
+        bank = req.bank_state
+        self._chosen_until = self._idle_until = 0
 
         access_start = max(now, bank.ready_at, self._bus_free_at - t.t_cl)
         if bank.open_row == req.row:
@@ -323,8 +334,8 @@ class MemoryChannel:
         for bank in self._banks:
             bank.ready_at = max(bank.ready_at, end)
             bank.open_row = -1
-        self._idle_until = 0
-        self._refreshes.add(1)
+        self._chosen_until = self._idle_until = 0
+        self._refreshes.value += 1
         self._next_refresh = now + t.t_refi
 
 

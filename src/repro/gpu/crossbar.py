@@ -8,7 +8,7 @@ is how hot-slice imbalance and response-bandwidth saturation show up.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Any, Callable, Optional
 
 from repro.sim.engine import Simulator
 from repro.sim.resources import BandwidthPort
@@ -38,15 +38,17 @@ class Crossbar:
         ]
 
     def send_request(self, slice_id: int, payload_sectors: int,
-                     deliver: Callable[[], None]) -> None:
-        """SM -> slice.  ``payload_sectors`` > 0 models store data."""
-        port = self._req_ports[slice_id]
-        done = port.request(self.sim.now, max(1, payload_sectors))
-        self.sim.schedule_at(done + self.latency, deliver)
+                     deliver: Callable[..., None], *args: Any) -> None:
+        """SM -> slice.  ``payload_sectors`` > 0 models store data.
+        ``deliver(*args)`` runs when the request reaches the slice."""
+        done = self._req_ports[slice_id].request(
+            self.sim.now, payload_sectors or 1)
+        self.sim.schedule_at(done + self.latency, deliver, *args)
 
     def send_response(self, slice_id: int, payload_sectors: int,
-                      deliver: Callable[[], None]) -> None:
-        """Slice -> SM with ``payload_sectors`` of data."""
-        port = self._rsp_ports[slice_id]
-        done = port.request(self.sim.now, max(1, payload_sectors))
-        self.sim.schedule_at(done + self.latency, deliver)
+                      deliver: Callable[..., None], *args: Any) -> None:
+        """Slice -> SM with ``payload_sectors`` of data.
+        ``deliver(*args)`` runs when the response reaches the SM."""
+        done = self._rsp_ports[slice_id].request(
+            self.sim.now, payload_sectors or 1)
+        self.sim.schedule_at(done + self.latency, deliver, *args)

@@ -13,6 +13,7 @@ data).
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, Optional
 
 from repro.cache.mshr import MshrFile
@@ -114,7 +115,7 @@ class L2Slice:
         if not newly:
             return
         line.poisoned_mask |= newly
-        self._poisoned.add(newly.bit_count())
+        self._poisoned.value += newly.bit_count()
         self._poison_active = True
         if self._trace_l2:
             self._tracer.instant(
@@ -128,7 +129,7 @@ class L2Slice:
         if line is None or not line.valid:
             return
         self.cache.invalidate(line_addr)  # discard any writeback work
-        self._invalidated.add(1)
+        self._invalidated.value += 1
         if self._trace_l2:
             self._tracer.instant(
                 "l2", "l2_invalidate", self.sim.now, tid=self.slice_id,
@@ -154,8 +155,8 @@ class L2Slice:
         if self._poison_active and _line is not None \
                 and _line.poisoned_mask & hit_mask:
             # The consumer receives poison instead of silent corruption.
-            self._poison_served.add(
-                (_line.poisoned_mask & hit_mask).bit_count())
+            self._poison_served.value += \
+                (_line.poisoned_mask & hit_mask).bit_count()
         miss_mask = sector_mask & ~hit_mask
         if not miss_mask:
             if token is not None:
@@ -177,16 +178,13 @@ class L2Slice:
 
     def _enqueue_miss(self, line_addr: int, full_mask: int, miss_mask: int,
                       respond: Callable[[int], None], token=None) -> None:
-        existing = self.mshrs.get(line_addr)
-        previously_requested = existing.sector_mask if existing else 0
-        entry = self.mshrs.allocate(line_addr, miss_mask,
-                                    waiter=lambda: respond(full_mask))
-        if entry is None:
+        new_sectors = self.mshrs.allocate(line_addr, miss_mask,
+                                          partial(respond, full_mask))
+        if new_sectors is None:
             self._retries.value += 1
             self.sim.schedule(self.RETRY_CYCLES, self._retry_load,
                               line_addr, full_mask, respond, token)
             return
-        new_sectors = miss_mask & ~previously_requested
         if new_sectors:
             attributor = self._attributor
             if attributor is not None and token is not None:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import enum
 from collections import deque
+from functools import partial
 from typing import Callable, Deque, Iterator, List, Optional, Tuple
 
 from repro.cache.mshr import MshrFile
@@ -187,7 +188,7 @@ class StreamingMultiprocessor:
             if self._active_warps == 0:
                 self.finish_time = self.sim.now
             return
-        self._instructions.add(1)
+        self._instructions.value += 1
         if isinstance(op, ComputeOp):
             warp.state = _WarpState.SLEEPING
             self.sim.schedule(op.cycles, self._warp_ready, warp)
@@ -201,11 +202,11 @@ class StreamingMultiprocessor:
         if self._trace_sm:
             warp.mem_start = self.sim.now
         if op.is_atomic:
-            self._atomics.add(1)
+            self._atomics.value += 1
         elif op.is_store:
-            self._stores.add(1)
+            self._stores.value += 1
         else:
-            self._loads.add(1)
+            self._loads.value += 1
         warp.state = _WarpState.BLOCKED
         self._advance_mem_op(warp)
 
@@ -254,7 +255,7 @@ class StreamingMultiprocessor:
         increments, instead of re-running an attempt that would fail the
         same way.
         """
-        self._stall_retries.add(1)
+        self._stall_retries.value += 1
         if source is None:
             self.sim.schedule(self.RETRY_CYCLES, self._advance_mem_op, warp)
             return
@@ -268,17 +269,16 @@ class StreamingMultiprocessor:
         hit_mask, line = self.l1.lookup_mask(line_addr, mask,
                                              require_verified=False)
         miss_mask = mask & ~hit_mask
-        self._load_txns.add(1)
+        load_txns = self._load_txns
+        load_txns.value += 1
         if not miss_mask:
             warp.outstanding += 1
             self.sim.schedule(self.l1_latency, self._load_credit, warp)
             return True
-        existing = self.l1_mshrs.get(line_addr)
-        previously = existing.sector_mask if existing else 0
-        entry = self.l1_mshrs.allocate(line_addr, miss_mask,
-                                       waiter=lambda: self._load_credit(warp))
-        if entry is None:
-            self._load_txns.add(-1)
+        # The warp itself waits in the MSHR entry: the fill credits it.
+        new_sectors = self.l1_mshrs.allocate(line_addr, miss_mask, warp)
+        if new_sectors is None:
+            load_txns.value -= 1
             # A lookup that hit moved LRU order, so only a miss-only
             # lookup can be replayed by its counts.
             counts = None if hit_mask else self.l1.miss_counts(line, mask)
@@ -290,30 +290,23 @@ class StreamingMultiprocessor:
             return False
         self.epoch += 1
         warp.outstanding += 1
-        new_sectors = miss_mask & ~previously
         if new_sectors:
             self._send_load(line_addr, new_sectors)
         return True
 
     def _send_load(self, line_addr: int, mask: int) -> None:
         slice_id = self.route(line_addr)
-        slice_obj = self.slices[slice_id]
         attributor = self._attributor
         token = attributor.issue() if attributor is not None else None
         self.crossbar.send_request(
-            slice_id, 0,
-            lambda: slice_obj.receive_load(
-                line_addr, mask,
-                lambda granted: self._queue_response(slice_id, line_addr,
-                                                     granted, token),
-                token))
+            slice_id, 0, self.slices[slice_id].receive_load, line_addr, mask,
+            partial(self._queue_response, slice_id, line_addr, token), token)
 
-    def _queue_response(self, slice_id: int, line_addr: int, mask: int,
-                        token=None) -> None:
-        sectors = mask.bit_count()
-        self.crossbar.send_response(
-            slice_id, sectors,
-            lambda: self._on_l2_response(line_addr, mask, token))
+    def _queue_response(self, slice_id: int, line_addr: int, token,
+                        mask: int) -> None:
+        self.crossbar.send_response(slice_id, mask.bit_count(),
+                                    self._on_l2_response, line_addr, mask,
+                                    token)
 
     def _on_l2_response(self, line_addr: int, mask: int, token=None) -> None:
         if token is not None:
@@ -325,14 +318,15 @@ class StreamingMultiprocessor:
         new_mask = mask & ~line.valid_mask
         if new_mask:
             self.l1.fill_sectors(line, new_mask, dirty=False, verified=True)
-        entry = self.l1_mshrs.get(line_addr)
+        mshrs = self.l1_mshrs
+        entry = mshrs.get(line_addr)
         if entry is None:
             return
         entry.filled |= mask
         if entry.sector_mask & ~entry.filled:
             return
-        for waiter in self.l1_mshrs.complete(line_addr):
-            waiter()
+        for warp in mshrs.complete(line_addr):
+            self._load_credit(warp)
 
     def _load_credit(self, warp: _Warp) -> None:
         warp.outstanding -= 1
@@ -362,18 +356,16 @@ class StreamingMultiprocessor:
         if not credits.try_acquire():
             self._stall(warp, credits, credits.rejection_counts)
             return False
-        self._store_txns.add(1)
+        self._store_txns.value += 1
         line = self.l1.probe(line_addr)
         if line is not None:
             line.valid_mask &= ~mask  # L1 copy is now stale
             line.verified_mask &= ~mask
             self.epoch += 1
         slice_id = self.route(line_addr)
-        slice_obj = self.slices[slice_id]
-        ack = self._store_ack_cb(warp)
         self.crossbar.send_request(
-            slice_id, mask.bit_count(),
-            lambda: slice_obj.receive_atomic(line_addr, mask, ack))
+            slice_id, mask.bit_count(), self.slices[slice_id].receive_atomic,
+            line_addr, mask, self._store_ack_cb(warp))
         return True
 
     def _issue_store_txn(self, warp: _Warp, line_addr: int,
@@ -384,12 +376,9 @@ class StreamingMultiprocessor:
             return False
         # Write-through, no-allocate: a resident L1 copy is updated in
         # place, which changes no modelled state.
-        self._store_txns.add(1)
+        self._store_txns.value += 1
         slice_id = self.route(line_addr)
-        slice_obj = self.slices[slice_id]
-        sectors = mask.bit_count()
-        ack = self._store_ack_cb(warp)
         self.crossbar.send_request(
-            slice_id, sectors,
-            lambda: slice_obj.receive_store(line_addr, mask, ack))
+            slice_id, mask.bit_count(), self.slices[slice_id].receive_store,
+            line_addr, mask, self._store_ack_cb(warp))
         return True

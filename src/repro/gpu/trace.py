@@ -13,6 +13,7 @@ machine model, and small enough to be generated lazily per warp.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence, Set, Tuple, Union
 
@@ -24,7 +25,17 @@ class ComputeOp:
     cycles: int
 
     def __post_init__(self) -> None:
-        if self.cycles < 1:
+        cycles = self.cycles
+        if type(cycles) is not int:
+            # Integer types such as numpy's are stored as ``int``; a
+            # fraction would put the engine's clock off the integers.
+            try:
+                cycles = operator.index(cycles)
+            except TypeError:
+                raise TypeError("compute cycles must be an integer, got "
+                                f"{self.cycles!r}") from None
+            object.__setattr__(self, "cycles", cycles)
+        if cycles < 1:
             raise ValueError("compute cycles must be >= 1")
 
 

@@ -47,16 +47,33 @@ def _encode_op(op: WarpOp) -> list:
     return entry
 
 
+def _integer(value: object, what: str) -> int:
+    """``value`` if it is a JSON integer, else a ValueError: a float or
+    a boolean is never silently truncated into a cycle count or an
+    address."""
+    if type(value) is not int:
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def _decode_op(entry: list) -> WarpOp:
     if not isinstance(entry, list) or not entry:
         raise ValueError(f"malformed op entry: {entry!r}")
     kind = entry[0]
     if kind == "c":
-        return ComputeOp(int(entry[1]))
+        if len(entry) != 2:
+            raise ValueError(f"compute op needs one cycle count: {entry!r}")
+        return ComputeOp(_integer(entry[1], "compute cycles"))
     if kind == "m":
-        addresses = tuple(int(a) for a in entry[1])
-        is_store = bool(entry[2]) if len(entry) > 2 else False
-        is_atomic = bool(entry[3]) if len(entry) > 3 else False
+        if not 2 <= len(entry) <= 4 or not isinstance(entry[1], list):
+            raise ValueError("memory op needs an address list and at most "
+                             f"two flags: {entry!r}")
+        addresses = tuple(_integer(a, "address") for a in entry[1])
+        flags = entry[2:]
+        if any(type(flag) is not bool for flag in flags):
+            raise ValueError(f"memory op flags must be true/false: {entry!r}")
+        is_store = flags[0] if flags else False
+        is_atomic = flags[1] if len(flags) > 1 else False
         return MemoryOp(addresses, is_store=is_store, is_atomic=is_atomic)
     raise ValueError(f"unknown op kind {kind!r}")
 
@@ -94,7 +111,10 @@ def load_traces(fh: IO[str]) -> List[List[WarpOp]]:
             raise ValueError(f"line {line_no}: unexpected header {payload!r}")
         if not isinstance(payload, list):
             raise ValueError(f"line {line_no}: expected a JSON array")
-        warps.append([_decode_op(entry) for entry in payload])
+        try:
+            warps.append([_decode_op(entry) for entry in payload])
+        except ValueError as exc:
+            raise ValueError(f"line {line_no}: {exc}") from None
     return warps
 
 

@@ -102,7 +102,7 @@ class InlineSectorCode(ProtectionScheme):
         """``granules`` names the data granules this atom read serves;
         it feeds only opt-in introspection (colocation accounting in
         the MDC variant) and never alters behaviour."""
-        self._meta_reads.add(1)
+        self._meta_reads.value += 1
         assert self.ctx is not None
         self.ctx.dram_read(slice_id, atom_addr, RequestKind.METADATA, done)
 
@@ -114,7 +114,7 @@ class InlineSectorCode(ProtectionScheme):
         controller updates a granule's bytes inside the packed atom
         with a single write — no read-modify-write."""
         assert self.ctx is not None
-        self._meta_writes.add(1)
+        self._meta_writes.value += 1
         self.ctx.dram_write(slice_id, atom_addr, RequestKind.METADATA_WRITE)
 
     # -- scheme interface ----------------------------------------------------------
@@ -196,7 +196,7 @@ class MetadataCacheScheme(InlineSectorCode):
         assert ctx is not None
         for slice_id, mdc in self._mdcs.items():
             for atom in mdc.flush_dirty():
-                self._meta_writes.add(1)
+                self._meta_writes.value += 1
                 ctx.dram_write(slice_id, atom, RequestKind.METADATA_WRITE)
 
     def _read_meta_atom(self, slice_id: int, atom_addr: int,
@@ -205,10 +205,10 @@ class MetadataCacheScheme(InlineSectorCode):
         assert ctx is not None
         mdc = self._mdcs[slice_id]
         if mdc.lookup(atom_addr, granules=granules):
-            self._mdc_hits.add(1)
+            self._mdc_hits.value += 1
             ctx.sim.schedule(2, done)  # SRAM access
             return
-        self._mdc_misses.add(1)
+        self._mdc_misses.value += 1
         self._fetch_merged(slice_id, atom_addr, done, dirty=False,
                            granules=granules)
 
@@ -220,15 +220,15 @@ class MetadataCacheScheme(InlineSectorCode):
         if mdc.mark_dirty(atom_addr):
             # Coalesce repeated updates: the dirty cached atom is
             # written back once on eviction.
-            self._mdc_hits.add(1)
+            self._mdc_hits.value += 1
             return
-        self._mdc_misses.add(1)
+        self._mdc_misses.value += 1
         # Masked write-allocate (no fetch): coalesce future updates;
         # the entry stays write-only so reads still miss on it.
         victim = mdc.insert(atom_addr, dirty=True, verified=False,
                             granules=granules)
         if victim is not None:
-            self._meta_writes.add(1)
+            self._meta_writes.value += 1
             ctx.dram_write(slice_id, victim, RequestKind.METADATA_WRITE)
 
     def invalidate_metadata(self, slice_id: int, granule: int) -> None:
@@ -250,7 +250,7 @@ class MetadataCacheScheme(InlineSectorCode):
             waiters.append((done, dirty, granules))
             return
         self._pending[key] = [(done, dirty, granules)]
-        self._meta_reads.add(1)
+        self._meta_reads.value += 1
         mdc = self._mdcs[slice_id]
 
         def filled() -> None:
@@ -260,7 +260,7 @@ class MetadataCacheScheme(InlineSectorCode):
                 g for _cb, _d, gs in entries for g in gs))
             victim = mdc.insert(atom_addr, dirty=make_dirty, granules=merged)
             if victim is not None:
-                self._meta_writes.add(1)
+                self._meta_writes.value += 1
                 ctx.dram_write(slice_id, victim, RequestKind.METADATA_WRITE)
             for cb, _d, _g in entries:
                 if cb is not None:
@@ -300,17 +300,17 @@ class SectorMetadataInL2(InlineSectorCode):
         resident = ctx.l2_resident_verified(slice_id, meta_line,
                                             clean_only=False)
         if resident & bit:
-            self._meta_l2_hits.add(1)
+            self._meta_l2_hits.value += 1
             ctx.sim.schedule(2, done)
             return
-        self._meta_l2_misses.add(1)
+        self._meta_l2_misses.value += 1
         key = (slice_id, atom_addr)
         waiters = self._pending.get(key)
         if waiters is not None:
             waiters.append(done)
             return
         self._pending[key] = [done]
-        self._meta_reads.add(1)
+        self._meta_reads.value += 1
 
         def arrived() -> None:
             ctx.l2_install(slice_id, meta_line, bit, is_metadata=True)
@@ -323,7 +323,7 @@ class SectorMetadataInL2(InlineSectorCode):
                           granules) -> None:
         ctx = self.ctx
         assert ctx is not None
-        self._meta_writes.add(1)
+        self._meta_writes.value += 1
         meta_line, bit = ctx.meta_line_and_bit(atom_addr)
         # Masked write-allocate into L2: coalesce, write once on eviction.
         ctx.l2_install(slice_id, meta_line, bit, is_metadata=True,
@@ -401,7 +401,7 @@ class InlineFullGranule(MetadataCacheScheme):
                                    RequestKind.DATA, part_done)
                 if extra:
                     pending[0] += 1
-                    self._overfetch_sectors.add(extra.bit_count())
+                    self._overfetch_sectors.value += extra.bit_count()
                     self.read_mask(slice_id, g_line, extra,
                                    RequestKind.VERIFY_FILL, part_done)
             pending[0] += 1
@@ -427,7 +427,7 @@ class InlineFullGranule(MetadataCacheScheme):
                 held = valid_mask if g_line == line_addr else 0
                 missing = g_mask & ~held
                 if missing:
-                    self._rmw_sectors.add(missing.bit_count())
+                    self._rmw_sectors.value += missing.bit_count()
                     self.read_mask(slice_id, g_line, missing,
                                    RequestKind.VERIFY_FILL, _noop)
             self._update_meta_atom(slice_id, ctx.layout.metadata_atom(granule),

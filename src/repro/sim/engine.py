@@ -142,7 +142,10 @@ class Simulator:
     """
 
     def __init__(self) -> None:
-        self._now: int = 0
+        #: Current simulation time in core cycles: a plain attribute
+        #: that only the engine writes (:meth:`run` and :meth:`step`
+        #: set it as each cycle's events begin).  Always an ``int``.
+        self.now: int = 0
         self._buckets: Dict[int, List[Tuple[Optional[Callable[..., None]],
                                             Any]]] = {}
         self._times: List[int] = []
@@ -155,11 +158,6 @@ class Simulator:
         self._daemons: int = 0
         #: Total events executed; useful for performance accounting.
         self.events_executed: int = 0
-
-    @property
-    def now(self) -> int:
-        """Current simulation time in core cycles."""
-        return self._now
 
     def _enqueue(self, when: int, fn: Optional[Callable[..., None]],
                  args: Any) -> None:
@@ -179,15 +177,31 @@ class Simulator:
         """
         if delay < 0:
             raise SimulationError(f"cannot schedule {delay} cycles in the past")
-        self._enqueue(self._now + int(delay), fn, args)
+        # :meth:`_enqueue` inlined here and in :meth:`schedule_at`: the
+        # model queues nearly every event through these two.
+        when = self.now + int(delay)
+        bucket = self._buckets.get(when)
+        if bucket is None:
+            self._buckets[when] = [(fn, args)]
+            heapq.heappush(self._times, when)
+        else:
+            bucket.append((fn, args))
+        self._pending += 1
 
     def schedule_at(self, when: int, fn: Callable[..., None], *args: Any) -> None:
         """Schedule ``fn(*args)`` at absolute time ``when`` (>= now)."""
-        if when < self._now:
+        if when < self.now:
             raise SimulationError(
-                f"cannot schedule at {when}, current time is {self._now}"
+                f"cannot schedule at {when}, current time is {self.now}"
             )
-        self._enqueue(int(when), fn, args)
+        when = int(when)
+        bucket = self._buckets.get(when)
+        if bucket is None:
+            self._buckets[when] = [(fn, args)]
+            heapq.heappush(self._times, when)
+        else:
+            bucket.append((fn, args))
+        self._pending += 1
 
     def schedule_daemon(self, delay: int, fn: Callable[..., None],
                         *args: Any) -> None:
@@ -202,7 +216,7 @@ class Simulator:
         if delay < 0:
             raise SimulationError(f"cannot schedule {delay} cycles in the past")
         self._daemons += 1
-        self._enqueue(self._now + int(delay), self._run_daemon, (fn, args))
+        self._enqueue(self.now + int(delay), self._run_daemon, (fn, args))
 
     def _run_daemon(self, fn: Callable[..., None], args: Tuple[Any, ...]) -> None:
         self._daemons -= 1
@@ -225,7 +239,7 @@ class Simulator:
         # A parked poll is queued as ``(None, poll)``; :meth:`run`
         # handles those entries inline and :meth:`step` through
         # :meth:`_turn`.
-        self._enqueue(self._now + int(delay), None, poll)
+        self._enqueue(self.now + int(delay), None, poll)
 
     def _turn(self, poll: Poll) -> None:
         if poll.source.epoch != poll.epoch:
@@ -233,7 +247,7 @@ class Simulator:
             return
         for counter, amount in poll.counts:
             counter.value += amount
-        self._enqueue(self._now + poll.period, None, poll)
+        self._enqueue(self.now + poll.period, None, poll)
 
     def pending(self) -> int:
         """Number of events still queued (daemons included)."""
@@ -287,21 +301,24 @@ class Simulator:
                 when = times[0]
                 if when > horizon:
                     break
-                self._now = when
+                self.now = when
                 bucket = buckets[when]
                 while i < len(bucket):
                     if self._daemons and self._pending <= self._daemons:
                         break
                     fn, args = bucket[i]
                     i += 1
-                    self._pending -= 1
                     if fn is not None:
+                        self._pending -= 1
                         fn(*args)
                     elif args.source.epoch != args.epoch:
+                        self._pending -= 1
                         args.fn(*args.args)
                     else:
                         # :meth:`_turn` inlined: replayed turns can be
-                        # half the events of a stall-bound run.
+                        # half the events of a stall-bound run.  The
+                        # poll leaves the queue and rejoins it, so
+                        # ``_pending`` stays as it is.
                         for counter, amount in args.counts:
                             counter.value += amount
                         later = when + args.period
@@ -311,7 +328,6 @@ class Simulator:
                             heappush(times, later)
                         else:
                             queued.append((None, args))
-                        self._pending += 1
                     executed += 1
                     if executed == checkpoint:
                         if executed > budget:
@@ -333,9 +349,9 @@ class Simulator:
             self._head = i
             self._running = False
             self.events_executed += executed
-        if until is not None and self._now < until:
-            self._now = until
-        return self._now
+        if until is not None and self.now < until:
+            self.now = until
+        return self.now
 
     def step(self, include_daemons: bool = False) -> bool:
         """Execute the single next event.  Returns False when no
@@ -363,7 +379,7 @@ class Simulator:
         self._head += 1
         self._pending -= 1
         try:
-            self._now = when
+            self.now = when
             if fn is None:
                 self._turn(args)
             else:

@@ -66,9 +66,9 @@ class BandwidthPort:
         start_fp = max(now_fp, self._busy_until_fp)
         end_fp = start_fp + self._service_fp * packets
         self._busy_until_fp = end_fp
-        self.packets.add(packets)
-        self.busy_cycles.add((end_fp - start_fp) // 256)
-        self.queue_cycles.add((start_fp - now_fp) // 256)
+        self.packets.value += packets
+        self.busy_cycles.value += (end_fp - start_fp) // 256
+        self.queue_cycles.value += (start_fp - now_fp) // 256
         # Round completion up to a whole cycle.
         return -(-end_fp // 256)
 
@@ -134,12 +134,14 @@ class OccupancyLimiter:
 
     def try_acquire(self, count: int = 1) -> bool:
         """Acquire ``count`` slots if available; returns success."""
-        if self._in_use + count > self.capacity:
-            self.full_rejections.add(1)
+        in_use = self._in_use + count
+        if in_use > self.capacity:
+            self.full_rejections.value += 1
             return False
-        self._in_use += count
-        self.peak = max(self.peak, self._in_use)
-        self.acquires.add(count)
+        self._in_use = in_use
+        if in_use > self.peak:
+            self.peak = in_use
+        self.acquires.value += count
         self.epoch += 1
         return True
 

@@ -9,6 +9,7 @@ analysis layer and for test assertions.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from typing import Dict, Iterator, List, Tuple, Union
 
 
@@ -76,16 +77,15 @@ class Histogram:
         self.max = -math.inf
 
     def record(self, value: float, weight: int = 1) -> None:
+        """Add ``weight`` observations of ``value``: into the bucket of
+        the first edge above it (found by bisection), else overflow."""
         self.count += weight
         self.total += value * weight
-        self.min = min(self.min, value)
-        self.max = max(self.max, value)
-        # Linear scan is fine: histograms have ~10 edges.
-        for i, edge in enumerate(self.edges):
-            if value < edge:
-                self.buckets[i] += weight
-                return
-        self.buckets[-1] += weight
+        if value < self.min:
+            self.min = value
+        if value > self.max:
+            self.max = value
+        self.buckets[bisect_right(self.edges, value)] += weight
 
     @property
     def mean(self) -> float:

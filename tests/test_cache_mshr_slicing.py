@@ -9,16 +9,19 @@ from repro.cache.slicing import SliceHasher
 class TestMshr:
     def test_allocate_and_get(self):
         mshrs = MshrFile("m", 4)
-        entry = mshrs.allocate(100, 0b0011)
-        assert entry is not None
-        assert mshrs.get(100) is entry
+        assert mshrs.allocate(100, 0b0011) == 0b0011
+        entry = mshrs.get(100)
+        assert entry is not None and entry.key == 100
+        assert entry.sector_mask == 0b0011
         assert len(mshrs) == 1
 
     def test_merge_extends_mask_and_waiters(self):
         mshrs = MshrFile("m", 4)
         fired = []
         mshrs.allocate(100, 0b0001, waiter=lambda: fired.append("a"))
-        entry = mshrs.allocate(100, 0b0100, waiter=lambda: fired.append("b"))
+        assert mshrs.allocate(100, 0b0100,
+                              waiter=lambda: fired.append("b")) == 0b0100
+        entry = mshrs.get(100)
         assert entry.sector_mask == 0b0101
         assert entry.merges == 1
         for waiter in mshrs.complete(100):
@@ -37,6 +40,24 @@ class TestMshr:
         mshrs.allocate(1, 1, waiter=lambda: None)
         mshrs.allocate(1, 1, waiter=lambda: None)
         assert mshrs.allocate(1, 1, waiter=lambda: None) is None
+
+    def test_allocate_reports_newly_requested_sectors(self):
+        """``allocate`` returns what the caller must fetch, or None on a
+        stall, and a stall changes nothing but its counter."""
+        mshrs = MshrFile("m", 2, max_merges=3)
+        assert mshrs.allocate(1, 0b0011, "w0") == 0b0011      # first
+        assert mshrs.allocate(1, 0b0110, "w1") == 0b0100      # adds one
+        assert mshrs.allocate(1, 0b0101, "w2") == 0           # adds none
+        assert mshrs.get(1).sector_mask == 0b0111
+        assert mshrs.allocate(1, 0b1000, "w3") is None        # merge stall
+        assert mshrs.allocate(2, 0b0001) == 0b0001
+        assert mshrs.allocate(3, 0b0001, "w4") is None        # full stall
+        assert mshrs.get(1).sector_mask == 0b0111
+        assert mshrs.get(3) is None
+        assert mshrs.complete(1) == ["w0", "w1", "w2"]
+        flat = mshrs.stats.flatten()
+        assert (flat["m.allocations"], flat["m.merges"],
+                flat["m.merge_stalls"], flat["m.full_stalls"]) == (2, 2, 1, 1)
 
     def test_complete_unknown_key(self):
         assert MshrFile("m", 2).complete(42) == []

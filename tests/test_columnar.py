@@ -280,18 +280,15 @@ class _ReferenceSm:
         self.count["load_transactions"].add(1)
         if not miss:
             return
-        existing = self.mshrs.get(line)
-        previously = existing.sector_mask if existing else 0
-        entry = self.mshrs.allocate(line, miss, waiter=lambda: None)
-        if entry is None:  # full: un-count, drain, redo from the lookup
+        new = self.mshrs.allocate(line, miss, waiter=lambda: None)
+        if new is None:  # full: un-count, drain, redo from the lookup
             self.count["load_transactions"].add(-1)
             self.queue.drain()
             self.load(line, mask)
             return
-        if miss & ~previously:
+        if new:
             self.slices[self.route(line)].receive_load(
-                line, miss & ~previously,
-                lambda granted: self.fill(line, granted))
+                line, new, lambda granted: self.fill(line, granted))
 
     def fill(self, line, granted):
         cached, _evicted = self.l1.allocate(line)

@@ -195,12 +195,12 @@ class _RescanningChannel(MemoryChannel):
 
 
 class _UnmemoizedChannel(MemoryChannel):
-    """A channel whose idle-until memo is always invalid: every tick
-    rescans the queues."""
+    """A channel whose memos are always invalid: every tick rescans
+    the queues."""
 
     def _sleep_until_ready(self, *args):
         super()._sleep_until_ready(*args)
-        self._idle_until = 0
+        self._chosen_until = self._idle_until = 0
 
 
 #: Refreshes every 100 cycles, so blackouts land on idle ticks too.
@@ -244,11 +244,16 @@ def deep_bursts(draw):
     return batch
 
 
-def _issue_log(channel_cls, batch, memo_hits=None, depths=None):
+def _issue_log(channel_cls, batch, memo_hits=None, depths=None,
+               chosen_hits=None, refreshed=None):
     """Run ``batch`` through a fresh channel; returns every issue as
     ``(cycle, addr, is_write)`` plus the clock, event count and stats.
-    ``memo_hits`` collects the cycles of ticks that found the memo
-    valid, ``depths`` the shorter queue's length at each tick."""
+    ``memo_hits`` collects the cycles of ticks that found either memo
+    valid, ``depths`` the shorter queue's length at each tick.
+    ``chosen_hits`` collects the cycles of ticks that take the
+    chosen-window memo alone (past the wake time, before the chosen
+    window's soonest bank-ready cycle, no refresh due), ``refreshed``
+    those whose refresh drops a chosen-window memo that was valid."""
     sim = Simulator()
     channel = channel_cls("ch", sim, REFRESHING)
     issued = []
@@ -260,8 +265,16 @@ def _issue_log(channel_cls, batch, memo_hits=None, depths=None):
         issue(req, now)
 
     def counted():
-        if memo_hits is not None and sim.now < channel._idle_until:
-            memo_hits.append(sim.now)
+        now = sim.now
+        if memo_hits is not None and now < channel._chosen_until:
+            memo_hits.append(now)
+        if channel._idle_until <= now < channel._chosen_until:
+            due = channel._next_refresh is not None \
+                and now >= channel._next_refresh
+            if due and refreshed is not None:
+                refreshed.append(now)
+            if not due and chosen_hits is not None:
+                chosen_hits.append(now)
         if depths is not None:
             depths.append(min(len(channel._read_q), len(channel._write_q)))
         tick()
@@ -333,3 +346,31 @@ def test_idle_ticks_reuse_the_memo():
     assert memoized[3]["ch.refreshes"] > 1
     assert len(hits) > 5
     assert unmemoized_hits == []
+
+
+def test_chosen_window_memo_in_a_write_drain():
+    """A write drain whose writes queue on one busy bank while the read
+    window holds a ready bank: a failed scan wakes the next cycle, and
+    until the write bank frees up those ticks take the chosen-window
+    memo instead of rescanning, across a refresh inside such a stretch
+    and around writes that arrive on an idle bank meanwhile.  Issue
+    log, clock, event count and counters equal the rescanning and the
+    unmemoized schedulers'."""
+    timing = REFRESHING
+
+    def addr(bank, row):
+        return (row * timing.banks + bank) * timing.row_bytes
+
+    batch = ([(addr(1, 0), False, 0)] * 4
+             + [(addr(0, i % 2), True, 0)
+                for i in range(MemoryChannel.WRITE_HI + 4)]
+             + [(addr(2, 0), True, at) for at in (20, 45, 160, 250)])
+    chosen, refreshed, unmemoized_hits = [], [], []
+    memoized = _issue_log(MemoryChannel, batch, chosen_hits=chosen,
+                          refreshed=refreshed)
+    assert memoized == _issue_log(_UnmemoizedChannel, batch,
+                                  unmemoized_hits)
+    assert memoized == _issue_log(_RescanningChannel, batch)
+    assert unmemoized_hits == []
+    assert len(chosen) > 50
+    assert refreshed

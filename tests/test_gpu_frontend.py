@@ -1,5 +1,6 @@
 """Unit tests for traces, the coalescer, and the crossbar."""
 
+import numpy as np
 import pytest
 
 from repro.gpu.coalescer import coalesce, sector_count, transaction_count
@@ -12,6 +13,12 @@ class TestTraceOps:
     def test_compute_validation(self):
         with pytest.raises(ValueError):
             ComputeOp(0)
+        with pytest.raises(TypeError):
+            ComputeOp(2.5)
+        with pytest.raises(TypeError):
+            ComputeOp("3")
+        op = ComputeOp(np.int64(3))
+        assert type(op.cycles) is int and op == ComputeOp(3)
 
     def test_memory_validation(self):
         with pytest.raises(ValueError):
@@ -101,6 +108,22 @@ class TestCrossbar:
         xbar.send_response(0, 1, lambda: times.append(sim.now))
         sim.run()
         assert times == [8, 10]
+
+    def test_deliver_takes_arguments(self):
+        """``deliver(*args)`` runs with the arguments passed along, in
+        send order when both directions share one cycle."""
+        sim = Simulator()
+        xbar = Crossbar(sim, 2, latency=3, cycles_per_request=1,
+                        cycles_per_sector=1)
+        got = []
+
+        def deliver(*args):
+            got.append((sim.now,) + args)
+        xbar.send_request(1, 0, deliver, "load", 0x40, 0b0011)
+        xbar.send_response(1, 1, deliver, "fill", 0x40)
+        xbar.send_request(1, 2, deliver)
+        sim.run()
+        assert got == [(4, "load", 0x40, 0b0011), (4, "fill", 0x40), (6,)]
 
     def test_invalid_slices(self):
         with pytest.raises(ValueError):

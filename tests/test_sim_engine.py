@@ -525,8 +525,9 @@ class _Source:
 
 class ProgramRun:
     """Interprets a generated program against one engine and logs what
-    fired: ``(now, label, counter value)`` per event, plus what each
-    driver call returned or raised."""
+    fired: ``(now, label, counter value, pending())`` per event, plus
+    what each call of :meth:`drive` returned or raised.  The clock must
+    be an ``int`` whenever it is read."""
 
     def __init__(self, sim):
         self.sim = sim
@@ -538,7 +539,9 @@ class ProgramRun:
         label, actions = node
 
         def fire():
-            self.log.append((self.sim.now, label, self.counter.value))
+            assert type(self.sim.now) is int
+            self.log.append((self.sim.now, label, self.counter.value,
+                             self.sim.pending()))
             for action in actions:
                 self.perform(action)
         return fire
@@ -577,6 +580,7 @@ class ProgramRun:
                     outcome = self.perform(call[1])
             except (Boom, SimulationError) as exc:
                 outcome = type(exc).__name__
+            assert type(self.sim.now) is int
             self.log.append((call[0], outcome, self.sim.now,
                              self.sim.pending(), self.sim.pending_work(),
                              self.sim.events_executed, self.counter.value))
@@ -622,7 +626,9 @@ def driver_calls():
 def test_calendar_queue_matches_heap_engine(setup, calls):
     """Nested schedule/schedule_at/schedule_daemon/park programs fire in
     the same (time, order) sequence on both engines, raise at the same
-    points and leave the same clock, queue and event counts."""
+    points and leave the same clock, queue and event counts; every
+    event and every call sees the same ``pending()`` and an ``int``
+    clock."""
     calls = [("act", action) for action in setup] + calls
     expected = ProgramRun(HeapEngine()).drive(calls)
     assert ProgramRun(Simulator()).drive(calls) == expected

@@ -55,6 +55,16 @@ class TestRoundTrip:
             load_traces(io.StringIO('[["x",1]]\n'))
         with pytest.raises(ValueError):
             load_traces(io.StringIO('{"not": "a header"}\n[["c",1]]\n'))
+        # Missing, extra, non-integral and mistyped fields raise a
+        # ValueError naming the line, not an IndexError, a TypeError or
+        # a silent truncation.
+        for entry in ('["c"]', '["m"]', '["m", 5]', '["c", null]',
+                      '["c", 2.5]', '["m", [1.5]]', '["c", 1, 2]',
+                      '["m", [0], true, true, true]', '["m", [0], "yes"]',
+                      '["c", true]', '["c", 0]', '["m", []]'):
+            with pytest.raises(ValueError, match="^line 3: "):
+                load_traces(io.StringIO('{"repro-trace": 1}\n[["c",1]]\n'
+                                        '[["c",1],' + entry + ']\n'))
 
     def test_workload_traces_roundtrip(self):
         ctx = GenContext(num_sms=2, warps_per_sm=2, scale=0.03, seed=4)
