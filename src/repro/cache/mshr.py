@@ -25,8 +25,9 @@ class MshrEntry:
     #: Sector mask requested so far.
     sector_mask: int = 0
     #: One opaque token per merged request, in arrival order; the
-    #: owner gets them back from :meth:`MshrFile.complete` and fires
-    #: them (the L2 queues callbacks, the SM credits waiting warps).
+    #: owner gets them back from :meth:`MshrFile.fill` (or
+    #: :meth:`MshrFile.complete`) and fires them (the L2 queues
+    #: callbacks, the SM credits waiting warps).
     waiters: List[Any] = field(default_factory=list)
     #: Sectors the owner has received so far; the entry completes once
     #: they cover ``sector_mask``.
@@ -106,6 +107,23 @@ class MshrFile:
         if key in self._entries:
             return ((self._merge_stalls, 1),)
         return ((self._full_stalls, 1),)
+
+    def fill(self, key: int, mask: int) -> Optional[List[Any]]:
+        """Record ``mask`` as received for ``key``'s entry.
+
+        When the entry's received sectors now cover everything it
+        requested, the entry is removed and its waiters are returned,
+        in arrival order, for the caller to fire.  Returns None while
+        sectors are still outstanding, and when ``key`` has no entry.
+        """
+        entry = self._entries.get(key)
+        if entry is None:
+            return None
+        entry.filled |= mask
+        if entry.sector_mask & ~entry.filled:
+            return None
+        del self._entries[key]
+        return entry.waiters
 
     def complete(self, key: int) -> List[Any]:
         """Remove the entry; returns its waiters for the caller to fire."""

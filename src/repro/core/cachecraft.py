@@ -50,7 +50,8 @@ Every component is individually defeatable for the ablation experiment
 from __future__ import annotations
 
 from collections import OrderedDict, deque
-from typing import Callable, Deque, Dict, List, Tuple
+from functools import partial
+from typing import Callable, Deque, Dict, List, Optional, Set, Tuple
 
 from repro.dram.channel import RequestKind
 from repro.protection.base import ProtectionScheme, _noop, register_scheme
@@ -77,8 +78,9 @@ class _CraftEntry:
         self.fetched: Dict[int, int] = {}
         self.reused = 0
         self.verify_fills = 0
-        #: Indices of waiters already granted speculatively.
-        self.fired: set = set()
+        #: Indices of waiters already granted speculatively (built at
+        #: the first speculative grant).
+        self.fired: Optional[Set[int]] = None
 
 
 @register_scheme
@@ -91,10 +93,13 @@ class CacheCraft(ProtectionScheme):
     #: trace-level metadata-locality prediction applies.
     has_inline_metadata = True
 
-    #: Set-dueling constants (leader groups hashed from line address).
+    #: Set-dueling constants (leader groups hashed from line address):
+    #: the groups below ``DUEL_NORMAL.stop`` lead for normal insertion,
+    #: the next ones up to ``DUEL_LOW.stop`` for evict-next; the rest
+    #: follow ``psel``.
     DUEL_MOD = 64
-    DUEL_NORMAL = frozenset(range(0, 4))
-    DUEL_LOW = frozenset(range(4, 8))
+    DUEL_NORMAL = range(0, 4)
+    DUEL_LOW = range(4, 8)
     PSEL_MAX = 512
 
     def __init__(self, code_name: str = "secded", granule_bytes: int = 128,
@@ -127,9 +132,12 @@ class CacheCraft(ProtectionScheme):
 
     def sram_overhead_bytes(self) -> int:
         # Craft buffer entries hold one granule + metadata each; the
-        # contribution directory holds a tag plus 2 B per sector.
-        meta = self._layout.meta_per_granule if self._layout else 4
-        sectors = max(1, self.granule_bytes // 32)
+        # contribution directory holds a tag plus 2 B per sector (one
+        # DRAM atom of the layout).
+        layout = self._layout
+        meta = layout.meta_per_granule if layout else 4
+        sectors = max(1, self.granule_bytes // (layout.atom_bytes
+                                                if layout else 32))
         craft = self.craft_entries * (self.granule_bytes + meta)
         directory = self.directory_entries * (6 + 2 * sectors)
         slices = len(self.ctx.channels) if self.ctx else 1
@@ -138,6 +146,9 @@ class CacheCraft(ProtectionScheme):
     def _on_bind(self) -> None:
         assert self.ctx is not None and self.stats is not None
         slices = len(self.ctx.channels)
+        #: Every sector of a granule, in granule-local indices.
+        self._full_local_mask = (
+            1 << max(1, self.granule_bytes // self.ctx.sector_bytes)) - 1
         self._crafts: List[Dict[int, _CraftEntry]] = [dict() for _ in range(slices)]
         self._overflow: List[Deque[tuple]] = [deque() for _ in range(slices)]
         # Contribution directory: per-slice LRU of granule -> sector
@@ -215,11 +226,6 @@ class CacheCraft(ProtectionScheme):
         mask = (local_mask >> shift) if shift >= 0 else (local_mask << -shift)
         return mask & ((1 << ctx.sectors_per_line) - 1)
 
-    @property
-    def _full_local_mask(self) -> int:
-        sectors = max(1, self.granule_bytes // self.ctx.sector_bytes)
-        return (1 << sectors) - 1
-
     def _reusable(self, slice_id: int, line_addr: int, g_mask: int) -> int:
         """Resident sectors that can stand in for a DRAM fetch."""
         if not self.reconstruction:
@@ -239,32 +245,24 @@ class CacheCraft(ProtectionScheme):
         ctx = self.ctx
         return ctx.meta_line_and_bit(ctx.layout.metadata_atom(granule))
 
-    def _duel_bucket(self, meta_line: int) -> str:
-        group = meta_line % self.DUEL_MOD
-        if group in self.DUEL_NORMAL:
-            return "normal"
-        if group in self.DUEL_LOW:
-            return "low"
-        return "follower"
-
     def _insert_low_priority(self, meta_line: int) -> bool:
         if not self.adaptive_insertion:
             return False
-        bucket = self._duel_bucket(meta_line)
-        if bucket == "normal":
+        group = meta_line % self.DUEL_MOD
+        if group < self.DUEL_NORMAL.stop:
             return False
-        if bucket == "low":
+        if group < self.DUEL_LOW.stop:
             return True
         return self._psel < 0
 
     def _note_meta_miss(self, meta_line: int) -> None:
         if not self.adaptive_insertion:
             return
-        bucket = self._duel_bucket(meta_line)
+        group = meta_line % self.DUEL_MOD
         # A miss in a leader group is evidence against that policy.
-        if bucket == "normal":
+        if group < self.DUEL_NORMAL.stop:
             self._psel = max(-self.PSEL_MAX, self._psel - 1)
-        elif bucket == "low":
+        elif group < self.DUEL_LOW.stop:
             self._psel = min(self.PSEL_MAX, self._psel + 1)
 
     @property
@@ -275,11 +273,11 @@ class CacheCraft(ProtectionScheme):
     def _fetch_metadata(self, slice_id: int, granule: int,
                         done: Callable[[], None]) -> None:
         ctx = self.ctx
-        meta_line, bit = self._meta_line_and_bit(granule)
+        atom = ctx.layout.metadata_atom(granule)
         if not self.metadata_in_l2:
-            ctx.dram_read(slice_id, ctx.layout.metadata_atom(granule),
-                          RequestKind.METADATA, done)
+            ctx.dram_read(slice_id, atom, RequestKind.METADATA, done)
             return
+        meta_line, bit = ctx.meta_line_and_bit(atom)
         resident = ctx.l2_resident_verified(slice_id, meta_line,
                                             clean_only=False)
         if resident & bit:
@@ -288,7 +286,7 @@ class CacheCraft(ProtectionScheme):
             return
         self._meta_l2_misses.value += 1
         self._note_meta_miss(meta_line)
-        self._meta_read_merged(slice_id, granule, meta_line, bit, done)
+        self._meta_read_merged(slice_id, atom, meta_line, bit, done)
 
     def invalidate_metadata(self, slice_id: int, granule: int) -> None:
         """Drop the L2 line caching this granule's metadata atom
@@ -298,11 +296,10 @@ class CacheCraft(ProtectionScheme):
         meta_line, _bit = self._meta_line_and_bit(granule)
         self.ctx.l2_invalidate(slice_id, meta_line)
 
-    def _meta_read_merged(self, slice_id: int, granule: int, meta_line: int,
+    def _meta_read_merged(self, slice_id: int, atom: int, meta_line: int,
                           bit: int, done: Callable[[], None]) -> None:
         """Fetch a metadata atom, merging concurrent requests for it."""
         ctx = self.ctx
-        atom = ctx.layout.metadata_atom(granule)
         pending = self._pending_meta[slice_id]
         waiters = pending.get(atom)
         if waiters is not None:
@@ -365,61 +362,67 @@ class CacheCraft(ProtectionScheme):
     def _start_reconstruction(self, slice_id: int, entry: _CraftEntry,
                               req_line: int, want_mask: int) -> None:
         entry.pending += 1  # guard against same-event completion
-        contrib_local = self._dir_lookup(slice_id, entry.granule)
-        # A directory entry holds the granule's *reconstructed metadata*
-        # — its check bits plus retained per-sector contributions — so a
-        # hit also covers the metadata fetch.
-        meta_from_directory = contrib_local != 0
+        granule = entry.granule
+        contrib_local = self._dir_lookup(slice_id, granule)
+        piece_done = partial(self._piece_done, slice_id, entry)
+        reconstruction = self.reconstruction
+        speculative = self.speculative_use
 
-        for g_line, g_mask in self.ctx.granule_lines(entry.granule):
-            reused = self._reusable(slice_id, g_line, g_mask)
+        for g_line, g_mask in self.ctx.granule_lines(granule):
+            reused = (self._reusable(slice_id, g_line, g_mask)
+                      if reconstruction else 0)
             demand = (want_mask if g_line == req_line else 0) & g_mask & ~reused
-            # Sectors neither resident nor demanded can still verify via
-            # their retained check contributions — no DRAM touch at all.
-            contrib = (self._from_local(entry.granule, g_line, contrib_local)
-                       & g_mask & ~reused & ~demand)
-            fills = g_mask & ~reused & ~demand & ~contrib
+            fills = g_mask & ~reused & ~demand
+            if contrib_local:
+                # Sectors neither resident nor demanded can still verify
+                # via their retained check contributions — no DRAM touch.
+                contrib = self._from_local(granule, g_line,
+                                           contrib_local) & fills
+                fills &= ~contrib
+                self._contrib_sectors.value += _popcount(contrib)
             entry.reused += _popcount(reused)
-            self._contrib_sectors.value += _popcount(contrib)
             if demand:
                 entry.pending += 1
                 entry.fetched[g_line] = entry.fetched.get(g_line, 0) | demand
                 self._demand_sectors.value += _popcount(demand)
                 self.read_mask(
                     slice_id, g_line, demand, RequestKind.DATA,
-                    lambda e=entry, s=slice_id, ln=g_line, d=demand, r=reused:
-                        self._demand_arrived(s, e, ln, d | r))
+                    partial(self._demand_arrived, slice_id, entry, g_line,
+                            demand | reused) if speculative else piece_done)
             if fills:
                 entry.pending += 1
                 entry.fetched[g_line] = entry.fetched.get(g_line, 0) | fills
                 entry.verify_fills += _popcount(fills)
                 self._verify_fill_sectors.value += _popcount(fills)
                 self.read_mask(slice_id, g_line, fills,
-                               RequestKind.VERIFY_FILL,
-                               lambda e=entry, s=slice_id: self._piece_done(s, e))
+                               RequestKind.VERIFY_FILL, piece_done)
 
-        if meta_from_directory:
+        # A directory entry holds the granule's *reconstructed metadata*
+        # — its check bits plus retained per-sector contributions — so a
+        # hit also covers the metadata fetch.
+        if contrib_local:
             self._meta_dir_hits.value += 1
         else:
             entry.pending += 1
-            self._fetch_metadata(slice_id, entry.granule,
-                                 lambda: self._piece_done(slice_id, entry))
+            self._fetch_metadata(slice_id, granule, piece_done)
         self._reused_sectors.value += entry.reused
         self._piece_done(slice_id, entry)  # release the guard
 
     def _demand_arrived(self, slice_id: int, entry: _CraftEntry,
                         line_addr: int, available_mask: int) -> None:
-        """Demand data landed; under speculative use, grant waiters that
+        """Demand data landed (speculative use only): grant waiters that
         are fully covered before verification completes."""
-        if self.speculative_use:
-            for idx, (w_line, w_want, on_ready) in enumerate(entry.waiters):
-                if idx in entry.fired or w_line != line_addr:
-                    continue
-                if w_want & ~available_mask:
-                    continue
-                entry.fired.add(idx)
-                self._speculative_grants.value += 1
-                on_ready(available_mask)
+        fired = entry.fired
+        for idx, (w_line, w_want, on_ready) in enumerate(entry.waiters):
+            if w_line != line_addr or w_want & ~available_mask:
+                continue
+            if fired is None:
+                fired = entry.fired = set()
+            elif idx in fired:
+                continue
+            fired.add(idx)
+            self._speculative_grants.value += 1
+            on_ready(available_mask)
         self._piece_done(slice_id, entry)
 
     def _piece_done(self, slice_id: int, entry: _CraftEntry) -> None:
@@ -433,15 +436,16 @@ class CacheCraft(ProtectionScheme):
         # them so future lone-sector misses skip the sibling fetches.
         self._dir_store(slice_id, entry.granule, self._full_local_mask)
         self.verify_granules_then(slice_id, (entry.granule,),
-                                  lambda: self._finish(slice_id, entry))
+                                  partial(self._finish, slice_id, entry))
 
     def _finish(self, slice_id: int, entry: _CraftEntry) -> None:
         ctx = self.ctx
         crafts = self._crafts[slice_id]
         crafts.pop(entry.granule, None)
+        fired = entry.fired
         nonspec_lines = set()
         for idx, (line_addr, _want, on_ready) in enumerate(entry.waiters):
-            if idx in entry.fired:
+            if fired is not None and idx in fired:
                 continue  # already granted speculatively
             nonspec_lines.add(line_addr)
             portion = self._line_portion(entry.granule, line_addr)
@@ -485,14 +489,17 @@ class CacheCraft(ProtectionScheme):
                 #              — needs the *non-dirty* sectors, from the
                 #              directory, resident clean data, or DRAM.
                 contrib_local = self._dir_lookup(slice_id, granule)
-                delta_missing = {line_addr: dirty_here & ~self._from_local(
-                    granule, line_addr, contrib_local)}
+                delta_missing = {line_addr: dirty_here & ~(
+                    self._from_local(granule, line_addr, contrib_local)
+                    if contrib_local else 0)}
                 recompute_missing: Dict[int, int] = {}
                 for g_line, g_mask in ctx.granule_lines(granule):
                     nondirty = g_mask & ~(dirty_here if g_line == line_addr
                                           else 0)
-                    held = self._from_local(granule, g_line, contrib_local)
-                    held |= self._reusable(slice_id, g_line, g_mask)
+                    held = (self._from_local(granule, g_line, contrib_local)
+                            if contrib_local else 0)
+                    if self.reconstruction:
+                        held |= self._reusable(slice_id, g_line, g_mask)
                     if g_line == line_addr:
                         held |= valid_mask  # eviction carries its data
                     miss = nondirty & ~held
@@ -543,12 +550,12 @@ class CacheCraft(ProtectionScheme):
         masked METADATA_WRITE for many granule updates.
         """
         ctx = self.ctx
-        meta_line, bit = self._meta_line_and_bit(granule)
+        atom = ctx.layout.metadata_atom(granule)
         self._meta_write_throughs.value += 1
         if not self.metadata_in_l2:
-            ctx.dram_write(slice_id, ctx.layout.metadata_atom(granule),
-                           RequestKind.METADATA_WRITE)
+            ctx.dram_write(slice_id, atom, RequestKind.METADATA_WRITE)
             return
+        meta_line, bit = ctx.meta_line_and_bit(atom)
         # Write-only metadata is a short-lived coalescing buffer (the
         # directory retains the check bits): always insert at evict-next
         # priority so it cannot displace the data working set.

@@ -318,14 +318,10 @@ class StreamingMultiprocessor:
         new_mask = mask & ~line.valid_mask
         if new_mask:
             self.l1.fill_sectors(line, new_mask, dirty=False, verified=True)
-        mshrs = self.l1_mshrs
-        entry = mshrs.get(line_addr)
-        if entry is None:
+        warps = self.l1_mshrs.fill(line_addr, mask)
+        if warps is None:
             return
-        entry.filled |= mask
-        if entry.sector_mask & ~entry.filled:
-            return
-        for warp in mshrs.complete(line_addr):
+        for warp in warps:
             self._load_credit(warp)
 
     def _load_credit(self, warp: _Warp) -> None:

@@ -92,7 +92,7 @@ class DedicatedMetadataCache:
             line.dirty_mask |= 1
         if verified:
             line.verified_mask |= line.valid_mask
-        if evicted is not None and evicted.needs_writeback:
+        if evicted is not None and evicted.dirty_mask:
             return evicted.line_addr * self.atom_bytes
         return None
 

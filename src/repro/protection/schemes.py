@@ -7,6 +7,7 @@ is compared against.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, Dict, Optional
 
 from repro.dram.channel import RequestKind
@@ -23,7 +24,7 @@ class NoProtection(ProtectionScheme):
     def fetch(self, slice_id: int, line_addr: int, sector_mask: int,
               on_ready: Callable[[int], None]) -> None:
         self.read_mask(slice_id, line_addr, sector_mask, RequestKind.DATA,
-                       lambda: on_ready(sector_mask))
+                       partial(on_ready, sector_mask))
 
     def writeback(self, slice_id: int, line_addr: int, dirty_mask: int,
                   valid_mask: int, is_metadata: bool) -> None:
@@ -56,13 +57,10 @@ class SidebandEcc(ProtectionScheme):
               on_ready: Callable[[int], None]) -> None:
         ctx = self.ctx
         assert ctx is not None
-
-        def done() -> None:
-            self.verify_granules_then(
-                slice_id, ctx.granules_of(line_addr, sector_mask),
-                lambda: on_ready(sector_mask))
-
-        self.read_mask(slice_id, line_addr, sector_mask, RequestKind.DATA, done)
+        self.read_mask(slice_id, line_addr, sector_mask, RequestKind.DATA,
+                       partial(self.verify_granules_then, slice_id,
+                               ctx.granules_of(line_addr, sector_mask),
+                               partial(on_ready, sector_mask)))
 
     def writeback(self, slice_id: int, line_addr: int, dirty_mask: int,
                   valid_mask: int, is_metadata: bool) -> None:
@@ -124,15 +122,17 @@ class InlineSectorCode(ProtectionScheme):
         ctx = self.ctx
         assert ctx is not None
         atoms = ctx.meta_atoms_of(line_addr, sector_mask)
+        # One atom's granules are the line's, in sector order.
+        granules = (atoms[0][1] if len(atoms) == 1
+                    else ctx.granules_of(line_addr, sector_mask))
         remaining = [1 + len(atoms)]  # data + each metadata atom
 
         def part_done() -> None:
             remaining[0] -= 1
             if remaining[0]:
                 return
-            self.verify_granules_then(
-                slice_id, ctx.granules_of(line_addr, sector_mask),
-                lambda: on_ready(sector_mask))
+            self.verify_granules_then(slice_id, granules,
+                                      partial(on_ready, sector_mask))
 
         self.read_mask(slice_id, line_addr, sector_mask, RequestKind.DATA,
                        part_done)
@@ -255,9 +255,13 @@ class MetadataCacheScheme(InlineSectorCode):
 
         def filled() -> None:
             entries = self._pending.pop(key, ())
-            make_dirty = any(d for _cb, d, _g in entries)
-            merged = tuple(dict.fromkeys(
-                g for _cb, _d, gs in entries for g in gs))
+            if len(entries) == 1:
+                # A lone request's granules are distinct already.
+                _cb, make_dirty, merged = entries[0]
+            else:
+                make_dirty = any(d for _cb, d, _g in entries)
+                merged = tuple(dict.fromkeys(
+                    g for _cb, _d, gs in entries for g in gs))
             victim = mdc.insert(atom_addr, dirty=make_dirty, granules=merged)
             if victim is not None:
                 self._meta_writes.value += 1
@@ -371,10 +375,11 @@ class InlineFullGranule(MetadataCacheScheme):
         assert ctx is not None
         granules = ctx.granules_of(line_addr, sector_mask)
         pending = [0]
-        granted = [0]  # sectors granted to the requesting line
+        granted = 0  # sectors granted to the requesting line
         sibling_fills = []  # (line, mask) for other lines of the granules
 
         def part_done() -> None:
+            # Reads return after this loop has set ``granted``.
             pending[0] -= 1
             if pending[0]:
                 return
@@ -383,14 +388,14 @@ class InlineFullGranule(MetadataCacheScheme):
             for line, mask in sibling_fills:
                 ctx.l2_install(slice_id, line, mask)
             self.verify_granules_then(slice_id, granules,
-                                      lambda: on_ready(granted[0]))
+                                      partial(on_ready, granted))
 
         for granule in granules:
             for g_line, g_mask in ctx.granule_lines(granule):
                 if g_line == line_addr:
                     demand = g_mask & sector_mask
                     extra = g_mask & ~sector_mask
-                    granted[0] |= g_mask
+                    granted |= g_mask
                 else:
                     demand = 0
                     extra = g_mask

@@ -90,6 +90,42 @@ class TestMshr:
             MshrFile("m", 0)
 
 
+class TestMshrFill:
+    """``fill`` records received sectors and hands back the waiters
+    once, when the entry completes."""
+
+    def test_fill_without_entry(self):
+        mshrs = MshrFile("m", 2)
+        mshrs.allocate(1, 0b0011, "w0")
+        assert mshrs.fill(2, 0b1111) is None
+        assert len(mshrs) == 1
+
+    def test_partial_fill_keeps_entry(self):
+        mshrs = MshrFile("m", 2)
+        mshrs.allocate(1, 0b0011, "w0")
+        assert mshrs.fill(1, 0b0001) is None
+        entry = mshrs.get(1)
+        assert entry is not None and entry.filled == 0b0001
+
+    def test_completing_fill_removes_entry(self):
+        mshrs = MshrFile("m", 1)
+        mshrs.allocate(1, 0b0011, "w0")
+        assert mshrs.fill(1, 0b0001) is None
+        # A grant may cover more than was requested.
+        assert mshrs.fill(1, 0b1110) == ["w0"]
+        assert mshrs.get(1) is None and len(mshrs) == 0
+        assert mshrs.fill(1, 0b0011) is None
+        assert mshrs.allocate(2, 0b0001) == 0b0001  # capacity freed
+
+    def test_merged_waiters_return_in_arrival_order(self):
+        mshrs = MshrFile("m", 2)
+        mshrs.allocate(1, 0b0001, "w0")
+        mshrs.allocate(1, 0b0100, "w1")
+        mshrs.allocate(1, 0b0001, "w2")
+        assert mshrs.fill(1, 0b0001) is None  # 0b0100 still outstanding
+        assert mshrs.fill(1, 0b0100) == ["w0", "w1", "w2"]
+
+
 class TestSliceHasher:
     def test_single_slice(self):
         assert SliceHasher(1).slice_of(12345) == 0

@@ -248,7 +248,7 @@ PREPARED = {
     ("inline-full", (("code_name", "interleaved"), ("granule_bytes", 512)),
      64): (512, 8, 0.015625, None, None),
     ("cachecraft", (), 32): (128, 2, 0.015625, None, 65664),
-    ("cachecraft", (), 64): (128, 2, 0.015625, None, 65664),
+    ("cachecraft", (), 64): (128, 2, 0.015625, None, 49280),
     ("cachecraft", (("code_name", "bch"), ("craft_entries", 8),
                     ("directory_entries", 0), ("granule_bytes", 256)), 32):
         (256, 4, 0.015625, None, 2080),
