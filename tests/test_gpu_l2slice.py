@@ -20,10 +20,7 @@ def make_slice(scheme_name="none", size_kb=64, **scheme_kwargs):
                             slice_chunk_bytes=1024)
     scheme.bind(ctx)
     slice_ = L2Slice(0, sim, scheme, size_bytes=size_kb * 1024)
-    ctx.wire_l2(
-        resident_cb=lambda s, line, clean: slice_.resident_mask(line, clean),
-        install_cb=lambda s, line, mask, **kw: slice_.install_sectors(
-            line, mask, **kw))
+    ctx.wire_l2([slice_])
     return sim, slice_, scheme, channel
 
 

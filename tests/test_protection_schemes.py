@@ -26,12 +26,31 @@ def make_ctx(scheme, slices=1, functional=False):
                             slice_chunk_bytes=1024)
     resident = {}
     installs = []
-    ctx.wire_l2(
-        resident_cb=lambda s, line, clean: resident.get((s, line), 0),
-        install_cb=lambda s, line, mask, **kw: installs.append(
-            (s, line, mask, kw)))
+    ctx.wire_l2([StubSlice(s, resident, installs) for s in range(slices)])
     scheme.bind(ctx)
     return sim, ctx, resident, installs
+
+
+class StubSlice:
+    """L2 slice stand-in: resident masks read from a dict keyed by
+    ``(slice, line)``, installs appended to a log."""
+
+    def __init__(self, slice_id, resident, installs):
+        self.slice_id = slice_id
+        self.resident = resident
+        self.installs = installs
+
+    def resident_mask(self, line, clean_only):
+        return self.resident.get((self.slice_id, line), 0)
+
+    def install_sectors(self, line, mask, **kw):
+        self.installs.append((self.slice_id, line, mask, kw))
+
+    def poison_sectors(self, line, mask):
+        pass
+
+    def invalidate_line(self, line):
+        pass
 
 
 class TestRegistry:
