@@ -10,8 +10,7 @@ not pay full-line fetch bandwidth.  This package provides:
   per-sector valid/dirty/*verified* state (the verified bit is what the
   CacheCraft protection layer builds on);
 * :mod:`repro.cache.mshr` — miss-status holding registers with
-  same-line merge;
-* :mod:`repro.cache.slicing` — address hashing across L2 slices.
+  same-line merge.
 """
 
 from repro.cache.mshr import MshrEntry, MshrFile
@@ -24,7 +23,6 @@ from repro.cache.replacement import (
     make_policy,
 )
 from repro.cache.sectored import CacheLine, Eviction, LookupResult, SectoredCache
-from repro.cache.slicing import SliceHasher
 
 __all__ = [
     "ReplacementPolicy",
@@ -39,5 +37,4 @@ __all__ = [
     "Eviction",
     "MshrFile",
     "MshrEntry",
-    "SliceHasher",
 ]

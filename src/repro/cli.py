@@ -163,9 +163,9 @@ def _export_obs(obs: Observability, trace_out, metrics_out,
                 flame_out=None, inspect_out=None,
                 inspect_meta=(None, None, None)) -> None:
     """Write whatever the hub collected to the requested files."""
-    if trace_out and obs.tracer.enabled:
+    if trace_out and obs.tracer is not None:
         obs.tracer.export(trace_out)
-        dropped = getattr(obs.tracer, "dropped", 0)
+        dropped = obs.tracer.dropped
         note = f" ({dropped} events dropped)" if dropped else ""
         print(f"wrote trace to {trace_out}{note}")
     if metrics_out and obs.sampler is not None:

@@ -34,9 +34,10 @@ from repro.workloads.base import (GenContext, Workload, materialize,
 class GpuSystem:
     """A fully-wired simulated GPU ready to run one workload.
 
-    ``obs`` is an optional :class:`~repro.obs.hub.Observability` hub;
-    the default shared :data:`~repro.obs.hub.OBS_OFF` disables every
-    observer at near-zero cost.
+    ``obs`` is an optional :class:`~repro.obs.hub.Observability` hub,
+    attached once every component exists; the default shared
+    :data:`~repro.obs.hub.OBS_OFF` disables every observer at near-zero
+    cost.
     """
 
     def __init__(self, config: SystemConfig,
@@ -63,9 +64,6 @@ class GpuSystem:
             self.sim = Simulator()
         self.stats = StatsRegistry()
         self.obs = obs if obs is not None else OBS_OFF
-        # Attach before building components: they cache the attributor
-        # and per-category tracer answers at construction time.
-        self.obs.attach(self.sim, self.stats)
 
         # Protection scheme + layout come first: the layout decides the
         # metadata geometry everything downstream uses.
@@ -91,7 +89,7 @@ class GpuSystem:
         if res_cfg is not None:
             self.recovery = RecoveryController(
                 self.sim, self.stats.child("resilience"),
-                policy=res_cfg.recovery, tracer=self.obs.tracer)
+                policy=res_cfg.recovery)
             if res_cfg.fault_processes:
                 if self.functional is None:
                     raise ValueError(
@@ -101,8 +99,7 @@ class GpuSystem:
                                          seed=res_cfg.inject_seed,
                                          interval=res_cfg.inject_interval)
                 self.injector.bind(self.sim, self.functional,
-                                   stats=self.stats.child("injector"),
-                                   tracer=self.obs.tracer)
+                                   stats=self.stats.child("injector"))
                 self.recovery.heal_hook = self.injector.heal
 
         if functional_tier:
@@ -114,8 +111,7 @@ class GpuSystem:
         else:
             self.channels = [
                 MemoryChannel(f"dram{i}", self.sim, gpu.dram,
-                              stats=self.stats, atom_bytes=gpu.sector_bytes,
-                              tracer=self.obs.tracer)
+                              stats=self.stats, atom_bytes=gpu.sector_bytes)
                 for i in range(gpu.num_slices)
             ]
 
@@ -126,7 +122,6 @@ class GpuSystem:
             slice_chunk_bytes=gpu.slice_chunk_bytes,
             functional=self.functional,
             ecc_check_latency=gpu.ecc_check_latency,
-            obs=self.obs,
             recovery=self.recovery,
         )
         self.scheme.bind(self.ctx)
@@ -137,23 +132,10 @@ class GpuSystem:
                     line_bytes=gpu.line_bytes, sector_bytes=gpu.sector_bytes,
                     latency=gpu.l2_latency, mshr_entries=gpu.l2_mshr_entries,
                     policy=gpu.l2_policy, stats=self.stats,
-                    metadata_ways=gpu.l2_metadata_ways, obs=self.obs)
+                    metadata_ways=gpu.l2_metadata_ways)
             for i in range(gpu.num_slices)
         ]
         self.ctx.wire_l2(self.slices)
-
-        insp = self.obs.inspect
-        if insp is not None:
-            # Memory-hierarchy introspection: watch every L2 slice's
-            # sector cache, each DRAM channel's banks (event tier only
-            # — the functional channels have none), and let the scheme
-            # register its own structures (metadata caches).
-            for sl in self.slices:
-                insp.watch_cache(f"l2s{sl.slice_id}", sl.cache)
-            for channel in self.channels:
-                if isinstance(channel, MemoryChannel):
-                    insp.watch_dram(channel.name, channel)
-            self.scheme.attach_introspection(insp)
 
         chunk = gpu.slice_chunk_bytes
 
@@ -177,23 +159,26 @@ class GpuSystem:
                     store_buffer=gpu.store_buffer, stats=self.stats)
                 for i in range(gpu.num_sms)
             ]
-            return
-        self.crossbar = Crossbar(
-            self.sim, gpu.num_slices, latency=gpu.xbar_latency,
-            cycles_per_request=gpu.xbar_cycles_per_request,
-            cycles_per_sector=gpu.xbar_cycles_per_sector, stats=self.stats)
-        self.sms: List[StreamingMultiprocessor] = [
-            StreamingMultiprocessor(
-                i, self.sim, self.crossbar, self.slices, route,
-                l1_size=gpu.l1_size_kb * 1024, l1_ways=gpu.l1_ways,
-                line_bytes=gpu.line_bytes, sector_bytes=gpu.sector_bytes,
-                l1_latency=gpu.l1_latency,
-                l1_mshr_entries=gpu.l1_mshr_entries,
-                store_buffer=gpu.store_buffer, stats=self.stats,
-                scheduler=gpu.warp_scheduler, obs=self.obs,
-                blocking_stores=gpu.blocking_stores)
-            for i in range(gpu.num_sms)
-        ]
+        else:
+            self.crossbar = Crossbar(
+                self.sim, gpu.num_slices, latency=gpu.xbar_latency,
+                cycles_per_request=gpu.xbar_cycles_per_request,
+                cycles_per_sector=gpu.xbar_cycles_per_sector,
+                stats=self.stats)
+            self.sms = [
+                StreamingMultiprocessor(
+                    i, self.sim, self.crossbar, self.slices, route,
+                    l1_size=gpu.l1_size_kb * 1024, l1_ways=gpu.l1_ways,
+                    line_bytes=gpu.line_bytes, sector_bytes=gpu.sector_bytes,
+                    l1_latency=gpu.l1_latency,
+                    l1_mshr_entries=gpu.l1_mshr_entries,
+                    store_buffer=gpu.store_buffer, stats=self.stats,
+                    scheduler=gpu.warp_scheduler,
+                    blocking_stores=gpu.blocking_stores)
+                for i in range(gpu.num_sms)
+            ]
+        # Every observer connects here, once every component exists.
+        self.obs.attach(self)
 
     # -- running -------------------------------------------------------------------
 

@@ -22,7 +22,6 @@ import enum
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
-from repro.dram.mapping import AddressMapping
 from repro.dram.timing import DramTiming
 from repro.sim.engine import Simulator
 from repro.sim.stats import StatGroup
@@ -88,18 +87,16 @@ class MemoryChannel:
     WRITE_LO = 8
 
     def __init__(self, name: str, sim: Simulator, timing: DramTiming,
-                 stats: Optional[StatGroup] = None, atom_bytes: int = 32,
-                 tracer=None):
+                 stats: Optional[StatGroup] = None, atom_bytes: int = 32):
         self.name = name
         self.sim = sim
         self.timing = timing
         self.atom_bytes = atom_bytes
-        self._tracer = tracer
-        #: Cached per-category answer so the disabled path is one load.
-        self._trace_dram = tracer is not None and tracer.wants("dram")
+        #: The ``dram``-category tracer, set by
+        #: :meth:`repro.obs.hub.Observability.attach`.
+        self._tracer = None
         self._trace_tid = int(name[4:]) if name.startswith("dram") \
             and name[4:].isdigit() else 0
-        self.mapping = AddressMapping(timing.banks, timing.row_bytes)
         self._banks = [_Bank() for _ in range(timing.banks)]
         self._read_q: List[DramRequest] = []
         self._write_q: List[DramRequest] = []
@@ -147,7 +144,11 @@ class MemoryChannel:
                 atoms: int = 1) -> None:
         """Submit ``atoms`` consecutive atoms at ``addr``.  A read's
         callback fires at data-return time; a write is posted, so its
-        callback (if any) fires at once."""
+        callback (if any) fires at once.
+
+        A channel-local address decodes as ``row | bank | column``: the
+        bank bits sit just above the row's column bits, so consecutive
+        rows of one stream land in different banks."""
         banks = self.timing.banks
         frame = addr // self.timing.row_bytes
         bank = frame % banks
@@ -299,7 +300,7 @@ class MemoryChannel:
         self._busy.value += data_end - data_start
         self._read_depth.value = len(self._read_q)
         self._write_depth.value = len(self._write_q)
-        if self._trace_dram:
+        if self._tracer is not None:
             self._tracer.complete(
                 "dram", req.kind.value, req.enqueue_time,
                 data_end - req.enqueue_time, tid=self._trace_tid,

@@ -36,15 +36,15 @@ class L2Slice:
                  sector_bytes: int = 32, latency: int = 32,
                  mshr_entries: int = 192, policy: str = "lru",
                  stats: Optional[StatGroup] = None,
-                 metadata_ways: int = 0, obs=None):
+                 metadata_ways: int = 0):
         self.slice_id = slice_id
         self.sim = sim
         self.protection = protection
         self.latency = latency
-        self._attributor = obs.latency if obs is not None else None
-        tracer = obs.tracer if obs is not None else None
-        self._tracer = tracer
-        self._trace_l2 = tracer is not None and tracer.wants("l2")
+        #: Observers, set by :meth:`repro.obs.hub.Observability.attach`:
+        #: the ``l2``-category tracer and the latency attributor.
+        self._tracer = None
+        self._attributor = None
         group = stats.child(f"l2s{slice_id}") if stats is not None \
             else StatGroup(f"l2s{slice_id}")
         self.stats = group
@@ -90,7 +90,7 @@ class L2Slice:
             line_addr, is_metadata=is_metadata, low_priority=low_priority)
         if evicted is not None and evicted.dirty_mask:
             self._defer_writeback(evicted)
-        if self._trace_l2 and is_metadata:
+        if is_metadata and self._tracer is not None:
             self._tracer.instant(
                 "l2", "l2_meta_install", self.sim.now, tid=self.slice_id,
                 args={"line": line_addr, "mask": sector_mask,
@@ -117,7 +117,7 @@ class L2Slice:
         line.poisoned_mask |= newly
         self._poisoned.value += newly.bit_count()
         self._poison_active = True
-        if self._trace_l2:
+        if self._tracer is not None:
             self._tracer.instant(
                 "l2", "l2_poison", self.sim.now, tid=self.slice_id,
                 args={"line": line_addr, "mask": newly})
@@ -130,7 +130,7 @@ class L2Slice:
             return
         self.cache.invalidate(line_addr)  # discard any writeback work
         self._invalidated.value += 1
-        if self._trace_l2:
+        if self._tracer is not None:
             self._tracer.instant(
                 "l2", "l2_invalidate", self.sim.now, tid=self.slice_id,
                 args={"line": line_addr})
@@ -144,13 +144,12 @@ class L2Slice:
         once when every requested sector is valid+verified here.
 
         ``token`` is an optional :class:`repro.obs.latency.LoadToken`
-        carried for latency attribution; it is stamped at arrival and
-        when the response fires.
+        carried for latency attribution; it is stamped at arrival (and
+        by ``respond``, the SM's ``_queue_response``, when it fires).
         """
         self._loads.value += 1
         if token is not None:
             token.t_arrive = self.sim.now
-            respond = self._stamped_respond(token, respond)
         hit_mask, _line = self.cache.lookup_mask(line_addr, sector_mask)
         if self._poison_active and _line is not None \
                 and _line.poisoned_mask & hit_mask:
@@ -163,18 +162,11 @@ class L2Slice:
                 token.hit = True
             self.sim.schedule(self.latency, respond, sector_mask)
             return
-        if self._trace_l2:
+        if self._tracer is not None:
             self._tracer.instant(
                 "l2", "l2_miss", self.sim.now, tid=self.slice_id,
                 args={"line": line_addr, "mask": miss_mask})
         self._enqueue_miss(line_addr, sector_mask, miss_mask, respond, token)
-
-    def _stamped_respond(self, token, respond: Callable[[int], None]
-                         ) -> Callable[[int], None]:
-        def stamped(mask: int) -> None:
-            token.t_respond = self.sim.now
-            respond(mask)
-        return stamped
 
     def _enqueue_miss(self, line_addr: int, full_mask: int, miss_mask: int,
                       respond: Callable[[int], None], token=None) -> None:
@@ -186,22 +178,16 @@ class L2Slice:
                               line_addr, full_mask, respond, token)
             return
         if new_sectors:
-            attributor = self._attributor
-            if attributor is not None and token is not None:
-                # This transaction triggers the fetch: open the
-                # current-token scope so the scheme's synchronous DRAM
-                # reads are attributed to it (merged requests wait in
-                # the MSHR and attribute their wait as queue time).
-                attributor.begin_fetch(token)
-                try:
-                    self.protection.fetch(
-                        self.slice_id, line_addr, new_sectors,
-                        partial(self._on_grant, line_addr))
-                finally:
-                    attributor.end_fetch()
-                return
+            # A token means an attributor: this transaction triggers the
+            # fetch, so open the current-token scope around it and the
+            # scheme's synchronous DRAM reads are attributed to it
+            # (merged requests wait in the MSHR as queue time).
+            if token is not None:
+                self._attributor.begin_fetch(token)
             self.protection.fetch(self.slice_id, line_addr, new_sectors,
                                   partial(self._on_grant, line_addr))
+            if token is not None:
+                self._attributor.end_fetch()
 
     def _retry_load(self, line_addr: int, full_mask: int,
                     respond: Callable[[int], None], token=None) -> None:

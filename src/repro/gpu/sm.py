@@ -70,7 +70,7 @@ class StreamingMultiprocessor:
                  l1_latency: int = 28, l1_mshr_entries: int = 64,
                  store_buffer: int = 64,
                  stats: Optional[StatGroup] = None,
-                 scheduler: str = "rr", obs=None,
+                 scheduler: str = "rr",
                  blocking_stores: bool = False):
         if scheduler not in ("rr", "gto"):
             raise ValueError("scheduler must be 'rr' or 'gto'")
@@ -85,10 +85,10 @@ class StreamingMultiprocessor:
         #: Warps wait for store/atomic acks before retiring the op
         #: (serializes the memory stream; see GpuConfig.blocking_stores).
         self.blocking_stores = blocking_stores
-        self._attributor = obs.latency if obs is not None else None
-        tracer = obs.tracer if obs is not None else None
-        self._tracer = tracer
-        self._trace_sm = tracer is not None and tracer.wants("sm")
+        #: Observers, set by :meth:`repro.obs.hub.Observability.attach`:
+        #: the ``sm``-category tracer and the latency attributor.
+        self._tracer = None
+        self._attributor = None
 
         group = stats.child(f"sm{sm_id}") if stats is not None \
             else StatGroup(f"sm{sm_id}")
@@ -199,7 +199,7 @@ class StreamingMultiprocessor:
         warp.outstanding = 0
         warp.is_store_op = op.is_store
         warp.is_atomic_op = op.is_atomic
-        if self._trace_sm:
+        if self._tracer is not None:
             warp.mem_start = self.sim.now
         if op.is_atomic:
             self._atomics.value += 1
@@ -304,6 +304,8 @@ class StreamingMultiprocessor:
 
     def _queue_response(self, slice_id: int, line_addr: int, token,
                         mask: int) -> None:
+        if token is not None:
+            token.t_respond = self.sim.now
         self.crossbar.send_response(slice_id, mask.bit_count(),
                                     self._on_l2_response, line_addr, mask,
                                     token)

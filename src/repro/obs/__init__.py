@@ -12,7 +12,10 @@ Three orthogonal tools, all off by default and all near-free when off:
   decomposition into data / protection-metadata / queue cycles.
 
 The :class:`~repro.obs.hub.Observability` hub bundles them for one
-run; ``GpuSystem(config, obs=...)`` threads it through the machine.
+run; ``GpuSystem(config, obs=...)`` builds the machine and then calls
+:meth:`~repro.obs.hub.Observability.attach` once, the one place where
+observers — these three, the flame profiler and the memory inspector —
+connect to components.
 
 *Across* runs, the :class:`~repro.obs.ledger.RunLedger` records every
 harness/campaign/bench invocation, :mod:`repro.obs.regress` gates on a
@@ -30,7 +33,7 @@ from repro.obs.regress import (RegressionReport, check, load_baseline,
                                make_baseline, save_baseline)
 from repro.obs.htmlreport import render_html, write_html
 from repro.obs.sampler import MetricsSampler
-from repro.obs.tracer import NULL_TRACER, ChromeTracer, NullTracer
+from repro.obs.tracer import ChromeTracer
 
 __all__ = [
     "OBS_OFF",
@@ -39,9 +42,7 @@ __all__ = [
     "LatencyAttributor",
     "LoadToken",
     "MetricsSampler",
-    "NULL_TRACER",
     "ChromeTracer",
-    "NullTracer",
     "RunLedger",
     "default_ledger_path",
     "resolve_ledger",

@@ -2,41 +2,45 @@
 
 One :class:`Observability` object configures everything this package
 offers and carries the live tracer/sampler/attributor for one
-simulated system.  The default, :data:`OBS_OFF`, is inert: a null
-tracer, no sampler, no latency attribution — safe to share between
-systems and free to consult on hot paths.
+simulated system.  The default, :data:`OBS_OFF`, is inert: no tracer,
+no sampler, no latency attribution — safe to share between systems.
 
 Construction is two-phase because the hub outlives any single system
 configuration: ``Observability(...)`` records *what* to observe;
-:meth:`Observability.attach` (called by ``GpuSystem``) binds the
-sampler, attributor and flame profiler to that system's simulator and
-stats registry.  An enabled hub binds to **one** system: a second
-:meth:`attach` without an intervening :meth:`detach` raises, because
-silently rebinding would leave the first system's observers orphaned
-and split one run's samples across two machines.
+:meth:`Observability.attach` is the one place observers meet the
+model.  ``GpuSystem`` calls it once, after every component exists; it
+binds the sampler, attributor and flame profiler to the system's
+simulator and stats registry, then hands each watched component its
+observers through one attribute per observer kind — ``_tracer``,
+``_attributor`` or ``_insp`` — which the component leaves ``None``
+otherwise and tests with one ``is not None`` per hook site.  An
+enabled hub binds to **one** system: a second :meth:`attach` without
+an intervening :meth:`detach` raises, because silently rebinding would
+leave the first system's observers orphaned and split one run's
+samples across two machines.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
+from repro.dram.channel import MemoryChannel
 from repro.obs.flame import FlameProfiler
 from repro.obs.latency import LatencyAttributor
 from repro.obs.sampler import MetricsSampler
-from repro.obs.tracer import NULL_TRACER, ChromeTracer, NullTracer
-from repro.sim.engine import Simulator
-from repro.sim.stats import StatGroup
+from repro.obs.tracer import ChromeTracer
 
 
 class Observability:
     """Configuration + live objects for one run's observability."""
 
-    def __init__(self, tracer: Optional[NullTracer] = None,
+    def __init__(self, tracer: Optional[ChromeTracer] = None,
                  sample_interval: int = 0,
                  attribute_latency: bool = False,
                  flame: Optional[FlameProfiler] = None,
                  inspect=None):
-        self.tracer: NullTracer = tracer if tracer is not None else NULL_TRACER
+        #: The recording tracer, ``None`` when the run is not traced.
+        self.tracer = tracer
         self.sample_interval = sample_interval
         self.attribute_latency = attribute_latency
         #: Optional deterministic self-profiler
@@ -45,8 +49,7 @@ class Observability:
         self.flame = flame
         #: Optional memory-hierarchy introspection collector
         #: (:class:`~repro.obs.inspect.MemoryInspector`).  Counter-based
-        #: like the flame profiler, so allowed on the functional tier;
-        #: the system attaches it to caches/channels post-construction.
+        #: like the flame profiler, so allowed on the functional tier.
         self.inspect = inspect
         self.sampler: Optional[MetricsSampler] = None
         self.latency: Optional[LatencyAttributor] = None
@@ -58,7 +61,7 @@ class Observability:
         sampling, latency attribution) — the ones that are meaningless
         on the clock-free functional tier.  The flame profiler counts
         events, not cycles, so it is deliberately excluded."""
-        return (self.tracer.enabled or self.sample_interval > 0
+        return (self.tracer is not None or self.sample_interval > 0
                 or self.attribute_latency)
 
     @property
@@ -66,8 +69,9 @@ class Observability:
         return (self.timed_enabled or self.flame is not None
                 or self.inspect is not None)
 
-    def attach(self, sim: Simulator, stats: StatGroup) -> None:
-        """Bind live observers to a freshly built system.
+    def attach(self, system) -> None:
+        """Connect every observer to a fully built
+        :class:`~repro.core.system.GpuSystem`.
 
         An enabled hub attaches exactly once; re-attaching raises
         until :meth:`detach` releases the previous system.  The shared
@@ -81,13 +85,41 @@ class Observability:
                 "Observability hub is already attached to a system; "
                 "each enabled hub observes one system — call detach() "
                 "first, or build a fresh hub per run")
-        self._attached_to = sim
+        self._attached_to = system
+        sim, stats = system.sim, system.stats
         if self.sample_interval > 0:
             self.sampler = MetricsSampler(sim, stats, self.sample_interval)
-        if self.attribute_latency:
-            self.latency = LatencyAttributor(sim, stats.child("latency"))
         if self.flame is not None:
             self.flame.instrument(sim)
+        mdcaches = system.scheme.metadata_caches()
+        tracer = self.tracer
+        if tracer is not None:
+            # One category answer each; a component outside the
+            # recorded categories keeps ``_tracer = None``.
+            for category, components in (
+                    ("sm", system.sms), ("l2", system.slices),
+                    ("dram", system.channels), ("mdcache", mdcaches),
+                    ("resilience", (system.recovery, system.injector))):
+                if tracer.wants(category):
+                    for component in components:
+                        if component is not None:
+                            component._tracer = tracer
+        if self.attribute_latency:
+            self.latency = LatencyAttributor(sim, stats.child("latency"))
+            for component in (*system.sms, *system.slices, system.ctx):
+                component._attributor = self.latency
+        insp = self.inspect
+        if insp is not None:
+            # Every L2 slice's sector cache, each DRAM channel's banks
+            # (the functional tier's channels have none) and the
+            # scheme's metadata caches.
+            for sl in system.slices:
+                insp.watch_cache(f"l2s{sl.slice_id}", sl.cache)
+            for channel in system.channels:
+                if isinstance(channel, MemoryChannel):
+                    insp.watch_dram(channel.name, channel)
+            for mdc in mdcaches:
+                insp.watch_mdcache(mdc.name, mdc)
 
     def detach(self) -> None:
         """Release the attached system so the hub can be reused.

@@ -2,9 +2,10 @@
 
 :class:`MemoryInspector` is the run-time half of the "why does this
 scheme hit or thrash" story (the trace-level half lives in
-:mod:`repro.analysis.locality`).  It attaches lightweight per-set,
-per-bank and per-structure views to the hardware models *after*
-construction:
+:mod:`repro.analysis.locality`).
+:meth:`repro.obs.hub.Observability.attach` hands lightweight per-set,
+per-bank and per-structure views to the hardware models once the
+system is built:
 
 * :class:`CacheIntrospection` — per-set access/miss/eviction counters
   for a :class:`~repro.cache.sectored.SectoredCache` (both the L2
@@ -23,11 +24,11 @@ construction:
   row was open and had to be precharged).
 
 The contract is zero impact when off: every hook site in the models
-guards on an ``_insp is not None`` attribute that only this module
-ever sets, no simulation counter or event is touched, and the
-introspection data is exported through its own artifact — never
-through ``stats.flatten()`` — so disabled runs are bit-identical on
-both fidelity tiers (``tests/test_inspect.py`` proves it, mirroring
+guards on an ``_insp is not None`` attribute that only this module's
+``watch_*`` methods set, no simulation counter or event is touched,
+and the introspection data is exported through its own artifact —
+never through ``stats.flatten()`` — so disabled runs are
+bit-identical on both fidelity tiers (``tests/test_inspect.py`` proves it, mirroring
 the flame-profiler parity test).
 """
 
@@ -183,8 +184,10 @@ class MemoryInspector:
     """The introspection collector one observed run carries.
 
     Built by :func:`repro.obs.hub.make_observability` when an
-    ``--inspect-out`` style flag is set; :class:`~repro.core.system.
-    GpuSystem` calls the ``watch_*`` methods after construction and
+    ``--inspect-out`` style flag is set;
+    :meth:`repro.obs.hub.Observability.attach` calls the ``watch_*``
+    methods once the system is built, and
+    :meth:`~repro.core.system.GpuSystem.load_workload` calls
     :meth:`set_trace` once the workload's columnar artifact exists.
     Like the flame profiler it is counter-based, so it is allowed on
     the clock-free functional tier (the DRAM row view is simply absent
@@ -201,7 +204,7 @@ class MemoryInspector:
         self._layout = None
         self._trace_report: Optional[Dict[str, object]] = None
 
-    # -- attachment (called by the system at build/load time) -------------
+    # -- attachment (at attach and load time) ------------------------------
 
     def watch_cache(self, label: str, cache) -> CacheIntrospection:
         view = CacheIntrospection(label, cache.num_sets, cache.ways)

@@ -11,7 +11,8 @@ Every L2-bound load transaction (an L1 miss) can carry a
 * ``t_data``    — the last DATA / VERIFY_FILL DRAM read issued on this
   token's behalf returned;
 * ``t_meta``    — the last METADATA DRAM read returned;
-* ``t_respond`` — the slice's response callback fired;
+* ``t_respond`` — the slice's response callback (the SM's
+  ``_queue_response``) fired;
 * ``t_complete``— the response crossed the crossbar back into the SM.
 
 :meth:`LatencyAttributor.complete` folds the stamps into three
@@ -37,9 +38,10 @@ wraps any DRAM read callback it enqueues inside that scope.  Reads a
 scheme defers to a later event (craft-buffer overflow retries, merged
 metadata fetches) fall outside the scope and land in ``queue``.
 
-When attribution is disabled the system-wide attributor reference is
-``None`` and every call site guards with one ``is not None`` check —
-no tokens, no stamps, no overhead.
+:meth:`repro.obs.hub.Observability.attach` hands the attributor to the
+SMs, the L2 slices and the protection context as their ``_attributor``;
+without attribution it stays ``None`` and every call site guards with
+one ``is not None`` check — no tokens, no stamps, no overhead.
 """
 
 from __future__ import annotations
@@ -98,12 +100,6 @@ class LatencyAttributor:
     def issue(self) -> LoadToken:
         """New token stamped at the current cycle (SM -> crossbar)."""
         return LoadToken(self.sim.now)
-
-    def arrive(self, token: LoadToken) -> None:
-        token.t_arrive = self.sim.now
-
-    def respond(self, token: LoadToken) -> None:
-        token.t_respond = self.sim.now
 
     # -- fetch scope ----------------------------------------------------------
 

@@ -1,19 +1,19 @@
 """Structured event tracing in Chrome trace format.
 
-Components emit *spans* (``ph="X"`` complete events), *instants*
-(``ph="i"``) and *counter samples* (``ph="C"``) into a bounded ring
-buffer; the buffer serializes to the Chrome/Perfetto ``traceEvents``
-JSON schema, so a run can be inspected in ``chrome://tracing`` or
-https://ui.perfetto.dev.  Timestamps are simulated core cycles written
-into the ``ts``/``dur`` microsecond fields (1 cycle == 1 "µs"), which
-keeps the viewer's zoom and duration arithmetic meaningful.
+Components emit *spans* (``ph="X"`` complete events) and *instants*
+(``ph="i"``) into a bounded ring buffer; the buffer serializes to the
+Chrome/Perfetto ``traceEvents`` JSON schema, so a run can be inspected
+in ``chrome://tracing`` or https://ui.perfetto.dev.  Timestamps are
+simulated core cycles written into the ``ts``/``dur`` microsecond
+fields (1 cycle == 1 "µs"), which keeps the viewer's zoom and duration
+arithmetic meaningful.
 
 Design constraints, in order:
 
-1. **The disabled path costs nothing.**  ``NULL_TRACER`` is a shared
-   no-op singleton whose ``wants()`` always answers ``False``;
-   components cache that answer per category at construction time, so a
-   disabled run pays one attribute load per *potential* event site and
+1. **The disabled path costs nothing.**  A component's ``_tracer`` is
+   ``None`` unless :meth:`repro.obs.hub.Observability.attach` handed it
+   a tracer that wants the component's category, so an untraced run
+   pays one ``is not None`` test per *potential* event site and
    allocates no event objects at all.
 2. **Bounded memory.**  The ring buffer keeps the most recent
    ``capacity`` events and counts what it dropped; a long run cannot
@@ -38,40 +38,10 @@ from __future__ import annotations
 
 import json
 from collections import deque
-from typing import IO, Deque, Dict, Iterable, List, Optional, Union
+from typing import IO, Deque, Iterable, List, Optional, Union
 
 
-class NullTracer:
-    """Shared do-nothing tracer; the default for every component.
-
-    All emit methods are no-ops and ``wants()`` is always ``False``, so
-    call sites can cache ``tracer.wants(cat)`` in a local boolean and
-    skip event construction entirely when tracing is off.
-    """
-
-    enabled = False
-
-    def wants(self, category: str) -> bool:
-        return False
-
-    def instant(self, category: str, name: str, ts: int,
-                args: Optional[dict] = None, tid: int = 0) -> None:
-        pass
-
-    def complete(self, category: str, name: str, ts: int, dur: int,
-                 args: Optional[dict] = None, tid: int = 0) -> None:
-        pass
-
-    def counter(self, category: str, name: str, ts: int,
-                values: Dict[str, float], tid: int = 0) -> None:
-        pass
-
-
-#: The process-wide disabled tracer. Everything defaults to this.
-NULL_TRACER = NullTracer()
-
-
-class ChromeTracer(NullTracer):
+class ChromeTracer:
     """A recording tracer with a bounded ring buffer.
 
     Parameters
@@ -82,8 +52,6 @@ class ChromeTracer(NullTracer):
     categories:
         Iterable of category names to record, or ``None`` for all.
     """
-
-    enabled = True
 
     def __init__(self, capacity: int = 1_000_000,
                  categories: Optional[Iterable[str]] = None):
@@ -122,13 +90,6 @@ class ChromeTracer(NullTracer):
         if args:
             event["args"] = args
         self._push(event)
-
-    def counter(self, category: str, name: str, ts: int,
-                values: Dict[str, float], tid: int = 0) -> None:
-        if not self.wants(category):
-            return
-        self._push({"name": name, "cat": category, "ph": "C", "ts": ts,
-                    "pid": 0, "tid": tid, "args": dict(values)})
 
     # -- export ---------------------------------------------------------------
 

@@ -71,21 +71,14 @@ class ProtectionContext:
                  sector_bytes: int, line_bytes: int,
                  slice_chunk_bytes: int,
                  functional: Optional[FunctionalMemory] = None,
-                 ecc_check_latency: int = 4,
-                 obs=None, recovery=None):
-        if obs is None:
-            from repro.obs.hub import OBS_OFF
-            obs = OBS_OFF
+                 ecc_check_latency: int = 4, recovery=None):
         self.sim = sim
         self.layout = layout
         self.channels = channels
         self.stats = stats
-        #: The run's observability hub (tracer + optional attributor).
-        self.obs = obs
-        self.tracer = obs.tracer
-        # Cached so the disabled hot path is a single None check; the
-        # attributor must already be attached when the context is built.
-        self._latency = obs.latency
+        #: The latency attributor, set by
+        #: :meth:`repro.obs.hub.Observability.attach`.
+        self._attributor = None
         self.sector_bytes = sector_bytes
         self.line_bytes = line_bytes
         self.sectors_per_line = line_bytes // sector_bytes
@@ -166,10 +159,6 @@ class ProtectionContext:
         slices[slice_id].invalidate_line(line_addr)
 
     # -- address helpers ------------------------------------------------------
-
-    def slice_of_addr(self, addr: int) -> int:
-        """Partition of a data byte address (chunk-interleaved)."""
-        return (addr // self.slice_chunk_bytes) % len(self.channels)
 
     def to_channel_local(self, addr: int) -> int:
         """Squeeze the slice-interleave bits out of a global address so
@@ -288,11 +277,11 @@ class ProtectionContext:
 
     def dram_read(self, slice_id: int, addr: int, kind: RequestKind,
                   callback: Callable[[], None], atoms: int = 1) -> None:
-        latency = self._latency
-        if latency is not None and latency.current is not None:
+        attributor = self._attributor
+        if attributor is not None and attributor.current is not None:
             # Inside an attributed fetch scope: stamp the in-scope load
             # token when this read's data returns (data vs metadata).
-            callback = latency.link_read(
+            callback = attributor.link_read(
                 kind is RequestKind.METADATA, callback)
         self.channels[slice_id].enqueue(self.to_channel_local(addr), False,
                                         kind, callback, atoms)
@@ -371,11 +360,12 @@ class ProtectionScheme(abc.ABC):
         """End-of-run hook: flush any scheme-private dirty state (e.g.
         a dedicated metadata cache) so writes are fully accounted."""
 
-    def attach_introspection(self, insp) -> None:
-        """Register scheme-private structures with a
-        :class:`~repro.obs.inspect.MemoryInspector` (opt-in
-        observability).  The base scheme has nothing to register;
-        schemes with dedicated caches override this."""
+    def metadata_caches(self) -> tuple:
+        """The scheme's dedicated metadata caches, which
+        :meth:`repro.obs.hub.Observability.attach` hands to the tracer
+        and the inspector.  The base scheme has none; schemes with
+        dedicated caches override this."""
+        return ()
 
     # -- overhead accounting ------------------------------------------------------
 

@@ -20,22 +20,22 @@ from repro.sim.stats import StatGroup
 class DedicatedMetadataCache:
     """A per-partition cache of 32 B metadata atoms.
 
-    ``sim`` and ``tracer`` are optional observability hooks: when both
-    are given, misses and fills emit ``mdcache``-category instant
-    events timestamped off ``sim.now``.
+    ``sim`` timestamps the ``mdcache``-category instants (misses, fills,
+    invalidations) a traced run records; it is required only once
+    :meth:`repro.obs.hub.Observability.attach` sets ``_tracer``.
     """
 
     def __init__(self, name: str, size_bytes: int, atom_bytes: int = 32,
                  ways: int = 8, stats: Optional[StatGroup] = None,
-                 sim=None, tracer=None):
+                 sim=None):
         if size_bytes < ways * atom_bytes:
             raise ValueError("metadata cache smaller than one set")
         self.name = name
         self.atom_bytes = atom_bytes
         self._sim = sim
-        self._tracer = tracer
-        self._trace = (sim is not None and tracer is not None
-                       and tracer.wants("mdcache"))
+        #: The ``mdcache``-category tracer, set by
+        #: :meth:`repro.obs.hub.Observability.attach`.
+        self._tracer = None
         #: Opt-in reconstruction-efficacy view; set exclusively by
         #: :class:`repro.obs.inspect.MemoryInspector` — every hook
         #: below guards on it, so disabled runs are unchanged.
@@ -62,7 +62,7 @@ class DedicatedMetadataCache:
         if self._insp is not None:
             self._insp.note_lookup(self._cache.line_addr_of(atom_addr),
                                    hit, granules)
-        if self._trace and not hit:
+        if not hit and self._tracer is not None:
             self._tracer.instant("mdcache", f"{self.name}_miss",
                                  self._sim.now, args={"atom": atom_addr})
         return hit
@@ -82,7 +82,7 @@ class DedicatedMetadataCache:
             self._insp.note_fill(
                 line_addr, granules,
                 evicted.line_addr if evicted is not None else None)
-        if self._trace:
+        if self._tracer is not None:
             self._tracer.instant(
                 "mdcache", f"{self.name}_fill", self._sim.now,
                 args={"atom": atom_addr, "dirty": dirty,
@@ -107,7 +107,7 @@ class DedicatedMetadataCache:
         if self._insp is not None and dropped:
             self._insp.note_invalidate(line_addr)
         self._cache.invalidate(line_addr)  # discard even if dirty
-        if self._trace and dropped:
+        if dropped and self._tracer is not None:
             self._tracer.instant("mdcache", f"{self.name}_invalidate",
                                  self._sim.now, args={"atom": atom_addr})
         return dropped

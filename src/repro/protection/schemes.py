@@ -8,7 +8,7 @@ is compared against.
 from __future__ import annotations
 
 from functools import partial
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, Optional, Tuple
 
 from repro.dram.channel import RequestKind
 from repro.protection.base import ProtectionScheme, _noop, register_scheme
@@ -181,15 +181,14 @@ class MetadataCacheScheme(InlineSectorCode):
             self._mdcs[slice_id] = DedicatedMetadataCache(
                 f"mdc{slice_id}", self.mdcache_kb * 1024,
                 atom_bytes=self.ctx.layout.atom_bytes, stats=self.stats,
-                sim=self.ctx.sim, tracer=self.ctx.tracer)
+                sim=self.ctx.sim)
 
     def sram_overhead_bytes(self) -> int:
         return self.mdcache_kb * 1024 * len(self._mdcs)
 
-    def attach_introspection(self, insp) -> None:
-        """Register the per-slice metadata caches with an inspector."""
-        for mdc in self._mdcs.values():
-            insp.watch_mdcache(mdc.name, mdc)
+    def metadata_caches(self) -> Tuple[DedicatedMetadataCache, ...]:
+        """The per-slice metadata caches, in slice order."""
+        return tuple(self._mdcs.values())
 
     def drain(self) -> None:
         ctx = self.ctx

@@ -36,15 +36,16 @@ class Injector:
         self._sim: Optional[Simulator] = None
         self._fm: Optional[FunctionalMemory] = None
         self._rng = random.Random(seed)
+        #: The ``resilience``-category tracer, set by
+        #: :meth:`repro.obs.hub.Observability.attach`.
         self._tracer = None
 
     def bind(self, sim: Simulator, functional: FunctionalMemory,
-             stats: Optional[StatGroup] = None, tracer=None) -> None:
+             stats: Optional[StatGroup] = None) -> None:
         """Attach to one system's simulator, store and stats."""
         self._sim = sim
         self._fm = functional
         self._rng = random.Random(self.seed)
-        self._tracer = tracer
         if stats is not None:
             self._data_flips = stats.counter("data_flips")
             self._meta_flips = stats.counter("metadata_flips")
@@ -154,7 +155,7 @@ class Injector:
         self._sim.schedule_daemon(self.interval, self._tick)
 
     def _trace(self, name: str, **args) -> None:
-        tracer = self._tracer
-        if tracer is not None and tracer.wants("resilience"):
+        if self._tracer is not None:
             assert self._sim is not None
-            tracer.instant("resilience", name, self._sim.now, args=args)
+            self._tracer.instant("resilience", name, self._sim.now,
+                                 args=args)

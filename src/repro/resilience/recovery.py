@@ -54,10 +54,12 @@ class RecoveryController:
     """Per-system recovery state machine shared by all slices."""
 
     def __init__(self, sim: Simulator, stats: StatGroup,
-                 policy: Optional[RecoveryPolicy] = None, tracer=None):
+                 policy: Optional[RecoveryPolicy] = None):
         self.sim = sim
         self.policy = policy if policy is not None else RecoveryPolicy()
-        self._tracer = tracer
+        #: The ``resilience``-category tracer, set by
+        #: :meth:`repro.obs.hub.Observability.attach`.
+        self._tracer = None
         #: Injector hook ``(granule, attempt) -> bits healed``; set by
         #: the system when an injector exists.
         self.heal_hook: Optional[Callable[[int, int], int]] = None
@@ -187,6 +189,5 @@ class RecoveryController:
             waiter()
 
     def _trace(self, name: str, **args) -> None:
-        tracer = self._tracer
-        if tracer is not None and tracer.wants("resilience"):
-            tracer.instant("resilience", name, self.sim.now, args=args)
+        if self._tracer is not None:
+            self._tracer.instant("resilience", name, self.sim.now, args=args)

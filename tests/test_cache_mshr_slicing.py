@@ -1,9 +1,8 @@
-"""Unit tests for MSHR files and slice hashing."""
+"""Unit tests for MSHR files."""
 
 import pytest
 
 from repro.cache.mshr import MshrFile
-from repro.cache.slicing import SliceHasher
 
 
 class TestMshr:
@@ -125,40 +124,3 @@ class TestMshrFill:
         assert mshrs.fill(1, 0b0001) is None  # 0b0100 still outstanding
         assert mshrs.fill(1, 0b0100) == ["w0", "w1", "w2"]
 
-
-class TestSliceHasher:
-    def test_single_slice(self):
-        assert SliceHasher(1).slice_of(12345) == 0
-
-    def test_in_range(self):
-        hasher = SliceHasher(8)
-        for addr in range(0, 100000, 777):
-            assert 0 <= hasher.slice_of(addr) < 8
-
-    def test_deterministic(self):
-        hasher = SliceHasher(4)
-        assert hasher.slice_of(999) == hasher.slice_of(999)
-
-    def test_strided_pattern_spreads(self):
-        """The XOR fold must not map a power-of-two stride to one slice."""
-        hasher = SliceHasher(4)
-        slices = {hasher.slice_of(i * 16) for i in range(64)}
-        assert len(slices) == 4
-
-    def test_balance_on_sequential(self):
-        hasher = SliceHasher(4)
-        counts = [0] * 4
-        for line in range(4096):
-            counts[hasher.slice_of(line)] += 1
-        assert max(counts) - min(counts) < 4096 * 0.2
-
-    def test_non_power_of_two(self):
-        hasher = SliceHasher(3)
-        counts = [0] * 3
-        for line in range(3000):
-            counts[hasher.slice_of(line)] += 1
-        assert all(c > 0 for c in counts)
-
-    def test_invalid(self):
-        with pytest.raises(ValueError):
-            SliceHasher(0)

@@ -1,10 +1,9 @@
-"""Unit tests for the DRAM substrate: timing, mapping, channel, layout."""
+"""Unit tests for the DRAM substrate: timing, channel, layout."""
 
 import pytest
 
 from repro.dram.channel import MemoryChannel, RequestKind
 from repro.dram.layout import InlineEccLayout
-from repro.dram.mapping import AddressMapping
 from repro.dram.timing import DramTiming
 from repro.sim.engine import Simulator
 
@@ -36,24 +35,6 @@ class TestTiming:
             DramTiming(t_cl=0)
         with pytest.raises(ValueError):
             DramTiming(banks=0)
-
-
-class TestMapping:
-    def test_coordinates_decompose(self):
-        mapping = AddressMapping(banks=16, row_bytes=2048)
-        coords = mapping.coordinates(2048 * 16 + 100)
-        assert coords.row == 1 and coords.bank == 0 and coords.column == 100
-
-    def test_adjacent_rows_hit_different_banks(self):
-        mapping = AddressMapping(banks=16, row_bytes=2048)
-        a = mapping.coordinates(0)
-        b = mapping.coordinates(2048)
-        assert a.bank != b.bank
-
-    def test_same_row_helper(self):
-        mapping = AddressMapping(banks=4, row_bytes=1024)
-        assert mapping.same_row(0, 1000)
-        assert not mapping.same_row(0, 1024)
 
 
 class TestChannelLatency:

@@ -5,30 +5,19 @@ import json
 
 import pytest
 
-from repro.core.system import run_workload
+from repro.core.system import GpuSystem, run_workload
 from repro.obs.hub import OBS_OFF, Observability, make_observability
 from repro.obs.latency import LatencyAttributor
 from repro.obs.profile import (check_breakdown_sums, hottest_components,
                                latency_breakdown_rows, render_profile)
 from repro.obs.sampler import MetricsSampler
-from repro.obs.tracer import NULL_TRACER, ChromeTracer, NullTracer
+from repro.obs.tracer import ChromeTracer
 from repro.sim.engine import Simulator
 from repro.sim.stats import StatsRegistry
 from repro.workloads import make_workload
 
 
 # -- tracer ------------------------------------------------------------------
-
-
-class TestNullTracer:
-    def test_singleton_is_disabled(self):
-        assert NULL_TRACER.enabled is False
-        assert NULL_TRACER.wants("dram") is False
-
-    def test_emits_are_noops(self):
-        NULL_TRACER.instant("l2", "x", 0)
-        NULL_TRACER.complete("l2", "x", 0, 5)
-        NULL_TRACER.counter("l2", "x", 0, {"v": 1})
 
 
 class TestChromeTracer:
@@ -50,12 +39,10 @@ class TestChromeTracer:
         tr = ChromeTracer()
         tr.instant("l2", "miss", 3, args={"line": 7}, tid=2)
         tr.complete("dram", "read", 5, dur=10, tid=1)
-        tr.counter("dram", "depth", 6, {"reads": 4})
-        inst, comp, cnt = tr.events
+        inst, comp = tr.events
         assert inst == {"name": "miss", "cat": "l2", "ph": "i", "ts": 3,
                         "pid": 0, "tid": 2, "s": "t", "args": {"line": 7}}
         assert comp["ph"] == "X" and comp["dur"] == 10 and comp["ts"] == 5
-        assert cnt["ph"] == "C" and cnt["args"] == {"reads": 4}
 
     def test_ring_buffer_bounds_memory(self):
         tr = ChromeTracer(capacity=3)
@@ -237,7 +224,7 @@ class TestLatencyAttribution:
         token = attr.issue()
 
         def at_l2():
-            attr.arrive(token)
+            token.t_arrive = sim.now
             attr.begin_fetch(token)
             data_cb = attr.link_read(False, lambda: None)
             meta_cb = attr.link_read(True, lambda: None)
@@ -308,10 +295,10 @@ class TestLatencyAttribution:
 
 
 class TestObservabilityHub:
-    def test_off_hub_is_inert(self):
+    def test_off_hub_is_inert(self, small_config):
         assert OBS_OFF.enabled is False
-        assert OBS_OFF.tracer is NULL_TRACER
-        OBS_OFF.attach(Simulator(), StatsRegistry())
+        assert OBS_OFF.tracer is None
+        GpuSystem(small_config, obs=OBS_OFF)
         assert OBS_OFF.sampler is None and OBS_OFF.latency is None
 
     def test_make_observability_defaults_off(self):
@@ -328,36 +315,36 @@ class TestObservabilityHub:
         with pytest.raises(ValueError):
             make_observability(metrics_out="m.jsonl", sample_interval=0)
 
-    def test_sampler_only_with_metrics_out(self):
+    def test_sampler_only_with_metrics_out(self, small_config):
         obs = make_observability(metrics_out="m.jsonl", sample_interval=250)
-        obs.attach(Simulator(), StatsRegistry())
+        GpuSystem(small_config, obs=obs)
         assert obs.sampler is not None and obs.sampler.interval == 250
         assert obs.enabled
 
-    def test_attach_builds_attributor(self):
+    def test_attach_builds_attributor(self, small_config):
         obs = Observability(attribute_latency=True)
-        obs.attach(Simulator(), StatsRegistry())
+        GpuSystem(small_config, obs=obs)
         assert obs.latency is not None
 
-    def test_enabled_hub_rejects_second_attach(self):
+    def test_enabled_hub_rejects_second_attach(self, small_config):
         obs = Observability(attribute_latency=True)
-        obs.attach(Simulator(), StatsRegistry())
+        GpuSystem(small_config, obs=obs)
         with pytest.raises(RuntimeError, match="already attached"):
-            obs.attach(Simulator(), StatsRegistry())
+            GpuSystem(small_config, obs=obs)
 
-    def test_detach_allows_reattach(self):
+    def test_detach_allows_reattach(self, small_config):
         obs = Observability(attribute_latency=True)
-        obs.attach(Simulator(), StatsRegistry())
+        GpuSystem(small_config, obs=obs)
         obs.detach()
-        obs.attach(Simulator(), StatsRegistry())  # no raise
+        GpuSystem(small_config, obs=obs)  # no raise
         assert obs.latency is not None
 
-    def test_disabled_hub_attach_is_repeatable(self):
+    def test_disabled_hub_attach_is_repeatable(self, small_config):
         # OBS_OFF is shared by every GpuSystem: the single-attach
         # contract must only bind hubs that actually observe.
         obs = Observability()
-        obs.attach(Simulator(), StatsRegistry())
-        obs.attach(Simulator(), StatsRegistry())  # no raise
+        GpuSystem(small_config, obs=obs)
+        GpuSystem(small_config, obs=obs)  # no raise
 
     def test_flame_hub_counts_as_enabled_but_not_timed(self):
         from repro.obs.flame import FlameProfiler

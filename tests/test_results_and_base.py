@@ -176,12 +176,6 @@ class TestProtectionContextHelpers:
                                 slice_chunk_bytes=1024)
         return sim, ctx
 
-    def test_slice_of_addr_chunk_interleave(self):
-        _sim, ctx = self._ctx(slices=2)
-        assert ctx.slice_of_addr(0) == 0
-        assert ctx.slice_of_addr(1024) == 1
-        assert ctx.slice_of_addr(2048) == 0
-
     def test_dram_read_routes_to_slice_channel(self):
         sim, ctx = self._ctx(slices=2)
         done = []
