@@ -241,9 +241,10 @@ def f2_traffic(harness: Optional[ExperimentHarness] = None,
     Traffic-only, so the default harness runs the functional fidelity
     tier at a fraction of the wall time.  Byte counters follow the
     parity contract of docs/MODEL.md — bit-for-bit on serialized
-    streams; on this concurrent default shape, reuse-sensitive cells
-    can drift a fraction of a percent with warp interleave (streaming
-    cells are identical).
+    streams.  On this concurrent default shape total DRAM bytes drift
+    from the event tier's, by scheme: at ``MODEL_VERSION`` 7 streaming
+    cells are identical, histogram drifts −0.5% to +2.8% and radix
+    +16% to +33% (docs/PERFORMANCE.md, "Fidelity tiers").
     """
     h = harness or ExperimentHarness(fidelity="functional")
     grid = h.matrix(workloads, schemes)

@@ -743,6 +743,10 @@ def _cmd_cache(args: argparse.Namespace) -> int:
               f"{memo['compiled_entries']} entries, "
               f"{memo['compiled_hits']} hits, "
               f"{memo['compiled_misses']} misses")
+        print(f"L2 stream memo (this process): "
+              f"{memo['stream_entries']} entries, "
+              f"{memo['stream_hits']} hits, "
+              f"{memo['stream_misses']} misses")
         return 0
     removed = cache.clear(stale_only=args.stale_only)
     what = "stale entries" if args.stale_only else "entries"

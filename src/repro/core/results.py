@@ -17,7 +17,11 @@ from typing import Dict, Optional
 #: stencil3d traces — and therefore its traffic — at scale != 1.
 #: v6: the functional tier stalls on a full L1 MSHR file (counts
 #: ``l1mshr.full_stalls``, drains, redoes the lookup) like the event SM.
-MODEL_VERSION = "6"
+#: v7: the functional tier installs the L1 fills of a drain in the
+#: order their requests were issued, not in the order the L2 answers,
+#: so its L1 no longer depends on the protection scheme; a line's
+#: metadata-atom reads go out in address order on both tiers.
+MODEL_VERSION = "7"
 
 #: Stat-key suffixes :meth:`RunResult.key_metrics` sums (hit rates,
 #: DRAM row locality, CacheCraft reconstruction efficacy).

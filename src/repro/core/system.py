@@ -25,10 +25,12 @@ from repro.resilience.injector import Injector
 from repro.resilience.recovery import RecoveryController
 from repro.sim.engine import Simulator, Watchdog
 from repro.sim.functional import (FunctionalChannel, FunctionalSm,
-                                  ImmediateQueue, replay_columnar)
+                                  ImmediateQueue, L1Geometry,
+                                  replay_columnar)
 from repro.sim.stats import StatsRegistry
 from repro.workloads.base import (GenContext, Workload, materialize,
-                                  materialize_compiled)
+                                  materialize_compiled,
+                                  materialize_l2_stream)
 
 
 class GpuSystem:
@@ -111,7 +113,10 @@ class GpuSystem:
         else:
             self.channels = [
                 MemoryChannel(f"dram{i}", self.sim, gpu.dram,
-                              stats=self.stats, atom_bytes=gpu.sector_bytes)
+                              stats=self.stats, atom_bytes=gpu.sector_bytes,
+                              channels=gpu.num_slices,
+                              chunk_bytes=gpu.slice_chunk_bytes,
+                              metadata_base=layout.metadata_base)
                 for i in range(gpu.num_slices)
             ]
 
@@ -151,14 +156,9 @@ class GpuSystem:
             # No interconnect timing to model — the replay drives the
             # slices directly, through the same receive_* interface.
             self.crossbar = None
-            self.sms = [
-                FunctionalSm(
-                    i, l1_size=gpu.l1_size_kb * 1024, l1_ways=gpu.l1_ways,
-                    line_bytes=gpu.line_bytes,
-                    l1_mshr_entries=gpu.l1_mshr_entries,
-                    store_buffer=gpu.store_buffer, stats=self.stats)
-                for i in range(gpu.num_sms)
-            ]
+            self.l1_geometry = L1Geometry.of(gpu)
+            self.sms = [FunctionalSm(i, stats=self.stats)
+                        for i in range(gpu.num_sms)]
         else:
             self.crossbar = Crossbar(
                 self.sim, gpu.num_slices, latency=gpu.xbar_latency,
@@ -271,11 +271,13 @@ class GpuSystem:
         (``now`` never advances by design), so only its wall-clock
         budget carries over; ``max_events`` bounds queue micro-tasks.
 
-        Replays the artifact :meth:`load_workload` compiled (see
-        :func:`repro.sim.functional.replay_columnar`).  Warps added by
-        hand with ``sm.add_warp`` are absent from it: when the SMs
-        hold any, all their warps are compiled afresh, SM-major, in
-        the order they were added.
+        Replays the artifact :meth:`load_workload` compiled: its L2
+        request stream (stage 1, memoized per trace and L1 geometry by
+        :func:`~repro.workloads.base.materialize_l2_stream`) drives the
+        slices (stage 2, :func:`repro.sim.functional.replay_columnar`).
+        Warps added by hand with ``sm.add_warp`` are absent from the
+        artifact: when the SMs hold any, all their warps are compiled
+        afresh, SM-major, in the order they were added.
         """
         queue = self.sim
         queue.set_budget(
@@ -291,8 +293,8 @@ class GpuSystem:
 
             compiled = compile_trace([sm.warps for sm in self.sms],
                                      gpu.line_bytes, gpu.sector_bytes)
-        replay_columnar(compiled, self.sms, self.slices, queue,
-                        gpu.slice_chunk_bytes, flame=self.obs.flame)
+        replay_columnar(materialize_l2_stream(compiled, self.l1_geometry),
+                        self.sms, self.slices, queue, flame=self.obs.flame)
         for sm in self.sms:
             sm.warps.clear()
         if self.config.flush_at_end:
@@ -355,4 +357,9 @@ def run_workload(workload: Workload, config: SystemConfig,
     started = time.perf_counter()
     cycles = system.run(max_events=max_events, watchdog=watchdog)
     host_seconds = time.perf_counter() - started
-    return system.result(workload.name, cycles, host_seconds)
+    result = system.result(workload.name, cycles, host_seconds)
+    # The context reaches the slices, and they reach it through the
+    # scheme: unwiring breaks that one cycle, so reference counting
+    # frees the finished system here, not the cyclic collector later.
+    system.ctx.wire_l2(None)
+    return result

@@ -87,11 +87,20 @@ class MemoryChannel:
     WRITE_LO = 8
 
     def __init__(self, name: str, sim: Simulator, timing: DramTiming,
-                 stats: Optional[StatGroup] = None, atom_bytes: int = 32):
+                 stats: Optional[StatGroup] = None, atom_bytes: int = 32,
+                 channels: int = 1, chunk_bytes: int = 4096,
+                 metadata_base: int = 0):
         self.name = name
         self.sim = sim
         self.timing = timing
         self.atom_bytes = atom_bytes
+        #: The slice interleave :meth:`to_channel_local` squeezes out:
+        #: ``channels`` channels take turns every ``chunk_bytes`` of
+        #: data, and the metadata region from ``metadata_base`` on is
+        #: split evenly among them.  One attribute: past 30 instance
+        #: attributes CPython stops sharing the instance dict's keys,
+        #: which slows every attribute access of the scheduler.
+        self._interleave = (channels, chunk_bytes, metadata_base)
         #: The ``dram``-category tracer, set by
         #: :meth:`repro.obs.hub.Observability.attach`.
         self._tracer = None
@@ -139,16 +148,30 @@ class MemoryChannel:
 
     # -- public interface ---------------------------------------------------
 
+    def to_channel_local(self, addr: int) -> int:
+        """Squeeze the slice-interleave bits out of a global address so
+        this channel sees a dense local address space (keeps the DRAM
+        row model honest)."""
+        channels, chunk, base = self._interleave
+        if channels == 1:
+            return addr
+        if addr >= base:
+            local = base // channels + (addr - base) // channels
+            return local - (local % self.atom_bytes)
+        return (addr // chunk // channels) * chunk + (addr % chunk)
+
     def enqueue(self, addr: int, is_write: bool, kind: RequestKind,
                 callback: Optional[Callable[[], None]] = None,
                 atoms: int = 1) -> None:
-        """Submit ``atoms`` consecutive atoms at ``addr``.  A read's
-        callback fires at data-return time; a write is posted, so its
-        callback (if any) fires at once.
+        """Submit ``atoms`` consecutive atoms at global address ``addr``.
+        A read's callback fires at data-return time; a write is posted,
+        so its callback (if any) fires at once.
 
-        A channel-local address decodes as ``row | bank | column``: the
-        bank bits sit just above the row's column bits, so consecutive
-        rows of one stream land in different banks."""
+        The channel-local address (:meth:`to_channel_local`) decodes as
+        ``row | bank | column``: the bank bits sit just above the row's
+        column bits, so consecutive rows of one stream land in
+        different banks."""
+        addr = self.to_channel_local(addr)
         banks = self.timing.banks
         frame = addr // self.timing.row_bytes
         bank = frame % banks

@@ -70,7 +70,8 @@ ARRAY_SPECS = (
 )
 
 
-def _frozen(values, dtype: str) -> np.ndarray:
+def frozen_array(values, dtype) -> np.ndarray:
+    """``values`` as a read-only numpy array of ``dtype``."""
     arr = np.asarray(values, dtype=dtype)
     arr.flags.writeable = False
     return arr
@@ -174,13 +175,13 @@ def compile_trace(traces: Sequence[Sequence[Sequence[WarpOp]]],
             warp_ptr.append(len(op_kind))
 
     arrays = [
-        _frozen(warp_sm, "<i4"),
-        _frozen(warp_ptr, "<i8"),
-        _frozen(op_kind, "<u1"),
-        _frozen(op_arg, "<i8"),
-        _frozen(op_txn_ptr, "<i8"),
-        _frozen(txn_line, "<i8"),
-        _frozen(txn_mask, "<u4"),
+        frozen_array(warp_sm, "<i4"),
+        frozen_array(warp_ptr, "<i8"),
+        frozen_array(op_kind, "<u1"),
+        frozen_array(op_arg, "<i8"),
+        frozen_array(op_txn_ptr, "<i8"),
+        frozen_array(txn_line, "<i8"),
+        frozen_array(txn_mask, "<u4"),
     ]
     num_sms = len(traces)
     digest = trace_digest(num_sms, line_bytes, sector_bytes, arrays)

@@ -15,8 +15,11 @@ cycles and records *windowed* values:
   ``<channel>.bus_utilization`` for every group exposing a
   ``bus_busy_cycles`` counter.
 
-Sampler ticks are scheduled as engine *daemon* events so a sampler
-never keeps the event queue alive after real work drains.
+Sampler ticks are scheduled as engine *observer* events
+(:meth:`~repro.sim.engine.Simulator.schedule_observer`): daemons, so a
+sampler never keeps the event queue alive after real work drains, that
+are not counted as model events, so a sampled run reports the same
+``engine.events`` as a bare one.
 
 Export is one JSON object per line (:meth:`to_jsonl`) or CSV over the
 union of observed keys (:meth:`to_csv`).  Zero-delta counter entries
@@ -61,12 +64,12 @@ class MetricsSampler:
         self._started = True
         self._prev_cycle = self.sim.now
         self._snapshot_baseline()
-        self.sim.schedule_daemon(self.interval, self._tick)
+        self.sim.schedule_observer(self.interval, self._tick)
 
     def _tick(self) -> None:
         self.record_window()
         if len(self.samples) < self.max_samples:
-            self.sim.schedule_daemon(self.interval, self._tick)
+            self.sim.schedule_observer(self.interval, self._tick)
 
     # -- sampling -------------------------------------------------------------
 

@@ -98,7 +98,6 @@ class ProtectionContext:
         self._span = layout.data_per_meta_atom
         self._span_granules = layout.granules_per_meta_atom
         self._granule_bytes = layout.granule_bytes
-        self._metadata_base = layout.metadata_base
         #: Last line base whose sectors all lie below the metadata region.
         self._last_data_base = layout.metadata_base - line_bytes
         self._tilings: Dict[Tuple[int, int], tuple] = {}
@@ -106,8 +105,9 @@ class ProtectionContext:
 
     # -- wiring -------------------------------------------------------------
 
-    def wire_l2(self, slices: Sequence) -> None:
-        """Connect the L2 slices (called by the system once they exist).
+    def wire_l2(self, slices: Optional[Sequence]) -> None:
+        """Connect the L2 slices (called by the system once they exist),
+        or disconnect them (``None``) once a run is over.
 
         Each ``l2_*`` service calls the slice's own method —
         ``resident_mask``, ``install_sectors``, ``poison_sectors`` or
@@ -158,23 +158,6 @@ class ProtectionContext:
         assert slices is not None, "context not wired"
         slices[slice_id].invalidate_line(line_addr)
 
-    # -- address helpers ------------------------------------------------------
-
-    def to_channel_local(self, addr: int) -> int:
-        """Squeeze the slice-interleave bits out of a global address so
-        each channel sees a dense local address space (keeps the DRAM
-        row model honest)."""
-        slices = len(self.channels)
-        if slices == 1:
-            return addr
-        base = self._metadata_base
-        if addr >= base:
-            offset = addr - base
-            local = base // slices + offset // slices
-            return local - (local % self.sector_bytes)
-        chunk = self.slice_chunk_bytes
-        return (addr // chunk // slices) * chunk + (addr % chunk)
-
     # -- granule geometry -----------------------------------------------------
 
     def granules_of(self, line_addr: int, sector_mask: int) -> Tuple[int, ...]:
@@ -197,13 +180,10 @@ class ProtectionContext:
             if len(granules) == 1:
                 return ((atom0 + atom, (first + granules[0],)),)
             return ((atom0 + atom, tuple([first + g for g in granules])),)
-        pairs = tuple([(atom0 + atom, tuple([first + g for g in granules]))
-                       for atom, granules in atoms])
-        # Several atoms go out in the iteration order of a set filled in
-        # sector order; that order depends on the atoms' values.
-        by_atom = dict(pairs)
-        return tuple([(atom, by_atom[atom])
-                      for atom in set([atom for atom, _g in pairs])])
+        # Atoms rise with the address (see :meth:`_tiling`), so the
+        # reads go out in address order.
+        return tuple([(atom0 + atom, tuple([first + g for g in granules]))
+                      for atom, granules in atoms])
 
     def granule_lines(self, granule: int) -> Tuple[Tuple[int, int], ...]:
         """``(line_addr, sector_mask)`` tiles covering a granule.
@@ -283,13 +263,11 @@ class ProtectionContext:
             # token when this read's data returns (data vs metadata).
             callback = attributor.link_read(
                 kind is RequestKind.METADATA, callback)
-        self.channels[slice_id].enqueue(self.to_channel_local(addr), False,
-                                        kind, callback, atoms)
+        self.channels[slice_id].enqueue(addr, False, kind, callback, atoms)
 
     def dram_write(self, slice_id: int, addr: int, kind: RequestKind,
                    atoms: int = 1) -> None:
-        self.channels[slice_id].enqueue(self.to_channel_local(addr), True,
-                                        kind, None, atoms)
+        self.channels[slice_id].enqueue(addr, True, kind, None, atoms)
 
 
 class ProtectionScheme(abc.ABC):

@@ -156,8 +156,11 @@ class Simulator:
         #: Queued events that are *daemons* (observability ticks etc.);
         #: they never keep a run alive on their own.
         self._daemons: int = 0
-        #: Total events executed; useful for performance accounting.
+        #: Total events executed, observer turns excepted; useful for
+        #: performance accounting.
         self.events_executed: int = 0
+        #: Observer turns run so far (see :meth:`schedule_observer`).
+        self._observer_turns = 0
 
     def _enqueue(self, when: int, fn: Optional[Callable[..., None]],
                  args: Any) -> None:
@@ -207,11 +210,12 @@ class Simulator:
                         *args: Any) -> None:
         """Schedule a *daemon* event ``delay`` cycles from now.
 
-        Daemon events (metrics-sampler ticks, watchdogs) run like any
-        other event while real work is queued, but :meth:`run` stops —
-        without executing them or advancing time — once only daemons
-        remain.  A periodic observer can therefore reschedule itself
-        freely without turning a finite simulation into an infinite one.
+        Daemon events (fault-injector ticks, and the observers of
+        :meth:`schedule_observer`) run like any other event while real
+        work is queued, but :meth:`run` stops — without executing them
+        or advancing time — once only daemons remain.  A periodic
+        daemon can therefore reschedule itself freely without turning a
+        finite simulation into an infinite one.
         """
         if delay < 0:
             raise SimulationError(f"cannot schedule {delay} cycles in the past")
@@ -220,6 +224,28 @@ class Simulator:
 
     def _run_daemon(self, fn: Callable[..., None], args: Tuple[Any, ...]) -> None:
         self._daemons -= 1
+        fn(*args)
+
+    def schedule_observer(self, delay: int, fn: Callable[..., None],
+                          *args: Any) -> None:
+        """Schedule an *observer* daemon ``delay`` cycles from now.
+
+        An observer (a metrics-sampler tick) watches the model without
+        acting in it.  It runs like any daemon, but its turn is not a
+        model event: :attr:`events_executed` leaves it out, and
+        ``max_events`` and a watchdog's check period count only the
+        other events, so an observed run executes, reports and bounds
+        exactly the events of a bare one.
+        """
+        if delay < 0:
+            raise SimulationError(f"cannot schedule {delay} cycles in the past")
+        self._daemons += 1
+        self._enqueue(self.now + int(delay), self._run_observer, (fn, args))
+
+    def _run_observer(self, fn: Callable[..., None],
+                      args: Tuple[Any, ...]) -> None:
+        self._daemons -= 1
+        self._observer_turns += 1
         fn(*args)
 
     def park(self, delay: int, poll: Poll) -> None:
@@ -285,10 +311,12 @@ class Simulator:
             watchdog.start()
             every = watchdog.check_every_events
         # One local comparison per event covers the budget and the
-        # watchdog: ``checkpoint`` is the next executed-event count at
-        # which either needs a look.
-        checkpoint = min(budget + 1, every)
+        # watchdog: ``stop`` is the next model-event count at which
+        # either needs a look, and ``checkpoint`` the executed-event
+        # count at which that is due if no observer turn runs first.
+        stop = checkpoint = min(budget + 1, every)
         executed = 0
+        observed = self._observer_turns
         buckets = self._buckets
         times = self._times
         heappop = heapq.heappop
@@ -330,13 +358,17 @@ class Simulator:
                             queued.append((None, args))
                     executed += 1
                     if executed == checkpoint:
-                        if executed > budget:
-                            raise SimulationError(
-                                f"exceeded max_events={max_events}; "
-                                f"likely a livelock"
-                            )
-                        watchdog.check(when)
-                        checkpoint = min(budget + 1, executed + every)
+                        counted = executed - (self._observer_turns
+                                              - observed)
+                        if counted == stop:
+                            if counted > budget:
+                                raise SimulationError(
+                                    f"exceeded max_events={max_events}; "
+                                    f"likely a livelock"
+                                )
+                            watchdog.check(when)
+                            stop = min(budget + 1, counted + every)
+                        checkpoint = executed + stop - counted
                 else:
                     del buckets[when]
                     heappop(times)
@@ -348,7 +380,8 @@ class Simulator:
                 i = 0
             self._head = i
             self._running = False
-            self.events_executed += executed
+            self.events_executed += executed - (self._observer_turns
+                                                - observed)
         if until is not None and self.now < until:
             self.now = until
         return self.now
@@ -378,13 +411,14 @@ class Simulator:
         fn, args = bucket[self._head]
         self._head += 1
         self._pending -= 1
+        observed = self._observer_turns
         try:
             self.now = when
             if fn is None:
                 self._turn(args)
             else:
                 fn(*args)
-            self.events_executed += 1
+            self.events_executed += 1 - (self._observer_turns - observed)
         finally:
             if self._head == len(bucket):
                 del self._buckets[heapq.heappop(self._times)]

@@ -4,7 +4,20 @@
 warp traces through the *same* L2 / MSHR-merge / ``mdcache`` /
 protection-scheme state machines as the discrete-event tier — but with
 no event heap, no cycle clock and no per-event dispatch overhead.
-Four pieces make that possible:
+
+The replay runs in two stages.  **Stage 1**
+(:func:`compile_l2_stream`) replays a compiled trace through the SMs'
+L1s alone and yields the stream of requests the L1s send the L2 (kind,
+slice, line and sector mask of each), the points where the queue
+drains, and each SM's L1, L1-MSHR and store-buffer tallies.  An L1
+fill is installed at its drain point in the order its request was
+issued, never in the order the L2 answers, so the L1 — and with it the
+stream — depends only on the trace and the L1 geometry, never on the
+protection scheme; it is memoized per trace and geometry
+(:func:`repro.workloads.base.materialize_l2_stream`), so a sweep over
+schemes runs the L1s once.  **Stage 2** (:func:`replay_columnar`)
+drives each scheme's L2 slices over the stream and drains the queue at
+the same points.  The pieces:
 
 ``ImmediateQueue``
     Duck-types the :class:`~repro.sim.engine.Simulator` scheduling
@@ -24,17 +37,9 @@ Four pieces make that possible:
     callbacks through the queue instead of the FR-FCFS timing model.
 
 ``FunctionalSm``
-    One SM's warps plus the lean front-end state the replay drives: an
-    exact LRU model of the event SM's sectored L1, the pending-fill map
-    that stands in for its L1 MSHR file, and its store-buffer credits.
-    It registers the event SM's statistics tree, so flattened results
-    are key-compatible with the event tier.
-
-:func:`replay_columnar`
-    Replays a compiled trace (:mod:`repro.gpu.columnar`) in the
-    round-robin op order, probing the lean L1 and driving every miss,
-    store and atomic straight into ``L2Slice.receive_load/store/atomic``,
-    draining the queue after each memory op.
+    One SM's warps and the event SM's statistics tree, so flattened
+    results are key-compatible with the event tier; stage 2 adds the
+    stream's tallies to it.
 
 **Parity contract** (enforced by ``tests/test_fidelity_parity.py``):
 on a *serialized memory stream* — one SM, one warp, one lane,
@@ -46,8 +51,8 @@ explicit list is :data:`TIMING_ONLY_STAT_PATTERNS`.  On *concurrent*
 configurations the functional tier is still deterministic and its
 counters remain valid hit/miss accounting, but concurrency-window
 effects (MSHR merge timing, reconstruction-buffer merging, FR-FCFS
-install order) make small event-vs-functional deviations expected —
-see docs/PERFORMANCE.md ("Fidelity tiers").
+install order, the L1 fill order) make event-vs-functional deviations
+expected — see docs/PERFORMANCE.md ("Fidelity tiers").
 """
 
 from __future__ import annotations
@@ -55,13 +60,22 @@ from __future__ import annotations
 import re
 import time
 from collections import OrderedDict, deque
+from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (TYPE_CHECKING, Callable, Dict, List, Optional,
+                    Sequence, Tuple)
 
 from repro.dram.channel import RequestKind
 from repro.gpu.trace import WarpOp
 from repro.sim.engine import SimulationError
 from repro.sim.stats import StatGroup
+
+# numpy and the columnar IR load with the first functional replay, so
+# an event-tier run never imports them.
+if TYPE_CHECKING:
+    import numpy as np
+
+    from repro.gpu.columnar import CompiledTrace
 
 
 class ImmediateQueue:
@@ -197,56 +211,31 @@ _SM_STATS: Tuple[Tuple[str, Tuple[str, ...]], ...] = (
     ("storebuf", ("acquires", "full_rejections")),
 )
 
-_UNFILLED = ("an L2 fill did not complete within its op's drain — the "
-             "serialized-replay contract is broken")
-_NO_CREDIT = ("store-buffer credit unavailable after drain "
-              "(functional-tier invariant violated)")
+#: The counters of that tree stage 1 tallies, in the column order of
+#: :attr:`L2Stream.tallies`; the others stay 0 on this tier.
+TALLIED: Tuple[str, ...] = (
+    "instructions", "loads", "stores", "atomics", "load_transactions",
+    "store_transactions", "storebuf.acquires", "l1.hits",
+    "l1.sector_misses", "l1.line_misses", "l1.line_miss_sectors",
+    "l1.evictions", "l1mshr.allocations", "l1mshr.full_stalls",
+    "storebuf.full_rejections")
+
+_UNFINISHED = ("an L2 request did not complete within its drain — the "
+               "serialized-replay contract is broken")
 
 
 class FunctionalSm:
-    """One SM of the functional tier: its warps and the lean front-end
-    state :func:`replay_columnar` drives.
+    """One SM of the functional tier: its warps and its statistics.
 
     Registers the event SM's statistics tree (``sm{i}`` plus its
     ``l1``, ``l1mshr`` and ``storebuf`` groups, see :data:`_SM_STATS`)
-    so flattened results are key-compatible with the event tier.  The
-    replay counts into plain slots; :meth:`flush` adds them to the tree
-    once per replay.
-
-    The L1 models the event SM's LRU ``SectoredCache`` exactly with one
-    ``OrderedDict`` per set: insertion order is fill order,
-    ``move_to_end`` is the hit promotion, ``popitem(last=False)`` the
-    victim choice (the real cache fills invalid ways first, but every
-    fill becomes MRU regardless of which physical way it landed in, so
-    the two recency orders are the same total order).  Each entry is a
-    one-element list holding the line's valid sector mask; a line whose
-    mask atomics zeroed stays resident (tag match, all sectors miss)
-    and, like the real cache, does not count as an eviction when
-    displaced.  ``pending`` (line -> sectors still awaiting their L2
-    fill) stands in for the L1 MSHR file, ``credits`` for the store
-    buffer.
-
-    Structural stalls resolve by draining the queue, which lands every
-    outstanding fill and ack: a full MSHR file or store buffer counts
-    its stall (``l1mshr.full_stalls``, ``storebuf.full_rejections``),
-    drains, and goes on.  Nothing waits for a later cycle, so
-    ``stall_retries`` stays 0.
+    so flattened results are key-compatible with the event tier.
+    :meth:`flush` adds one replay's tallies to it.
     """
 
-    __slots__ = ("sm_id", "stats", "warps", "sets", "num_sets", "ways",
-                 "pending", "mshr_entries", "credits", "store_buffer",
-                 "hits", "sector_misses", "line_misses",
-                 "line_miss_sectors", "evictions", "mshr_allocs",
-                 "mshr_full_stalls", "store_rejections", "_counters")
+    __slots__ = ("sm_id", "stats", "warps", "_counters")
 
-    def __init__(self, sm_id: int, l1_size: int = 32 * 1024,
-                 l1_ways: int = 4, line_bytes: int = 128,
-                 l1_mshr_entries: int = 64, store_buffer: int = 64,
-                 stats: Optional[StatGroup] = None):
-        if l1_size % (l1_ways * line_bytes):
-            raise ValueError("L1 size must be a multiple of ways * line_bytes")
-        if l1_mshr_entries < 1 or store_buffer < 1:
-            raise ValueError("l1_mshr_entries and store_buffer must be >= 1")
+    def __init__(self, sm_id: int, stats: Optional[StatGroup] = None):
         self.sm_id = sm_id
         group = stats.child(f"sm{sm_id}") if stats is not None \
             else StatGroup(f"sm{sm_id}")
@@ -256,20 +245,6 @@ class FunctionalSm:
                 (group.child(child) if child else group).counter(name)
             for child, names in _SM_STATS for name in names}
         self.warps: List[Sequence[WarpOp]] = []
-        self.num_sets = l1_size // (l1_ways * line_bytes)
-        self.ways = l1_ways
-        self.sets: List[OrderedDict] = [
-            OrderedDict() for _ in range(self.num_sets)]
-        self.pending: Dict[int, int] = {}
-        self.mshr_entries = l1_mshr_entries
-        self.credits = 0
-        self.store_buffer = store_buffer
-        self._zero_tallies()
-
-    def _zero_tallies(self) -> None:
-        self.hits = self.sector_misses = self.line_misses = 0
-        self.line_miss_sectors = self.evictions = self.mshr_allocs = 0
-        self.mshr_full_stalls = self.store_rejections = 0
 
     # -- setup (same surface as StreamingMultiprocessor) ---------------------
 
@@ -284,101 +259,126 @@ class FunctionalSm:
     def done(self) -> bool:
         return not self.warps
 
-    # -- L2 callbacks ----------------------------------------------------------
-
-    def fill(self, line_addr: int, granted: int) -> None:
-        """L2 fill: allocate the line (evicting LRU, without promoting
-        an already-resident line), install the granted sectors and
-        retire them from ``pending`` — the event SM's
-        ``_on_l2_response``."""
-        sd = self.sets[line_addr % self.num_sets]
-        ent = sd.get(line_addr)
-        if ent is None:
-            if len(sd) >= self.ways:
-                _victim, vent = sd.popitem(last=False)
-                if vent[0]:
-                    self.evictions += 1
-            ent = [0]
-            sd[line_addr] = ent
-        ent[0] |= granted
-        rem = self.pending.get(line_addr)
-        if rem is not None:
-            rem &= ~granted
-            if rem:
-                self.pending[line_addr] = rem
-            else:
-                del self.pending[line_addr]
-
-    def release(self) -> None:
-        """Store/atomic ack from the L2 — frees one store credit."""
-        self.credits -= 1
-
-    def flush(self, instructions: int, loads: int, stores: int,
-              atomics: int, load_txns: int, store_txns: int) -> None:
-        """Add one replay's counts (the static ones passed in, the
-        tallied ones from the slots) to the stat tree; zero the
-        tallies."""
+    def flush(self, tallies: Sequence[int]) -> None:
+        """Add one replay's tallies (one per :data:`TALLIED` name) to
+        the stat tree."""
         counters = self._counters
-        for key, value in (
-                ("instructions", instructions), ("loads", loads),
-                ("stores", stores), ("atomics", atomics),
-                ("load_transactions", load_txns),
-                ("store_transactions", store_txns),
-                ("l1.hits", self.hits),
-                ("l1.sector_misses", self.sector_misses),
-                ("l1.line_misses", self.line_misses),
-                ("l1.line_miss_sectors", self.line_miss_sectors),
-                ("l1.evictions", self.evictions),
-                ("l1mshr.allocations", self.mshr_allocs),
-                ("l1mshr.full_stalls", self.mshr_full_stalls),
-                ("storebuf.acquires", store_txns),
-                ("storebuf.full_rejections", self.store_rejections)):
+        for key, value in zip(TALLIED, tallies):
             counters[key].add(value)
-        self._zero_tallies()
 
 
-def replay_columnar(compiled, sms: List[FunctionalSm],
-                    slices: List, queue: ImmediateQueue,
-                    slice_chunk_bytes: int, flame=None) -> None:
-    """Replay a compiled trace through the SMs and the L2 slices.
+@dataclass(frozen=True)
+class L1Geometry:
+    """What stage 1's output depends on besides the trace: the SM
+    count, each SM's L1 (sets, ways, MSHR entries, store-buffer depth)
+    and the slice interleave its requests route by.  It keys the
+    stream memo."""
+
+    num_sms: int
+    l1_sets: int
+    l1_ways: int
+    l1_mshr_entries: int
+    store_buffer: int
+    slice_chunk_bytes: int
+    num_slices: int
+
+    @classmethod
+    def of(cls, gpu) -> "L1Geometry":
+        """The geometry of a :class:`~repro.core.config.GpuConfig`."""
+        l1_bytes = gpu.l1_size_kb * 1024
+        if l1_bytes % (gpu.l1_ways * gpu.line_bytes):
+            raise ValueError("L1 size must be a multiple of ways * line_bytes")
+        if gpu.l1_mshr_entries < 1 or gpu.store_buffer < 1:
+            raise ValueError("l1_mshr_entries and store_buffer must be >= 1")
+        return cls(gpu.num_sms, l1_bytes // (gpu.l1_ways * gpu.line_bytes),
+                   gpu.l1_ways, gpu.l1_mshr_entries, gpu.store_buffer,
+                   gpu.slice_chunk_bytes, gpu.num_slices)
+
+
+@dataclass(frozen=True)
+class L2Stream:
+    """Stage 1's output: the requests the L1s send the L2, in issue
+    order, and where the queue drains.  A request's ``port`` is its
+    slice, plus the slice count ``S`` for a store or twice that for an
+    atomic.  Arrays are frozen; the stream is memoized and shared
+    across runs, like a :class:`~repro.gpu.columnar.CompiledTrace`."""
+
+    port: np.ndarray      # uint16 (R,)  slice, + S for a store, + 2S atomic
+    line: np.ndarray      # int64  (R,)  line index
+    mask: np.ndarray      # uint32 (R,)  sector mask
+    drain_at: np.ndarray  # int64  (D,)  requests issued before each drain
+    drain_sm: np.ndarray  # int32  (D,)  SM whose op drains there
+    tallies: np.ndarray   # int64  (S, len(TALLIED)) per-SM counters
+
+
+class _L1:
+    """One SM's L1 in stage 1: an exact LRU model of the event SM's
+    sectored L1, with one ``OrderedDict`` (line -> valid sector mask)
+    per set.  Insertion order is fill order, ``move_to_end`` the hit
+    promotion, ``popitem(last=False)`` the victim (the real cache
+    fills invalid ways first, but every fill becomes MRU wherever it
+    lands, so the two recency orders are the same total order).  A
+    line whose mask atomics zeroed stays resident (tag match, every
+    sector misses) and, like the real cache, is not counted as an
+    eviction when displaced."""
+
+    __slots__ = ("sets", "hits", "sector_misses", "line_misses",
+                 "line_miss_sectors", "evictions", "mshr_allocs",
+                 "mshr_full_stalls", "store_rejections")
+
+    def __init__(self, num_sets: int):
+        self.sets = [OrderedDict() for _ in range(num_sets)]
+        self.hits = self.sector_misses = self.line_misses = 0
+        self.line_miss_sectors = self.evictions = self.mshr_allocs = 0
+        self.mshr_full_stalls = self.store_rejections = 0
+
+    def install(self, fills: List[Tuple[int, int]], ways: int) -> None:
+        """Install a drain's fills in issue order (allocating, and
+        evicting LRU, without promoting a line already resident)."""
+        sets = self.sets
+        nsets = len(sets)
+        for line, mask in fills:
+            sd = sets[line % nsets]
+            valid = sd.get(line)
+            if valid is not None:
+                sd[line] = valid | mask
+                continue
+            if len(sd) >= ways and sd.popitem(last=False)[1]:
+                self.evictions += 1
+            sd[line] = mask
+        fills.clear()
+
+
+def compile_l2_stream(compiled: CompiledTrace,
+                      geometry: L1Geometry) -> L2Stream:
+    """Stage 1: replay ``compiled`` through the SMs' L1s alone.
 
     Warps run round-robin, one op per still-active warp per round, in
-    flattened SM-major warp order, and the queue drains after every
-    memory op; execution is therefore serialized at op granularity and
-    the rotation is a fixed total order, which
-    :func:`repro.gpu.columnar.round_robin_order` precomputes.  With the
-    order and the per-op coalesced transactions both compile-time
-    data, replay reduces to:
+    flattened SM-major warp order (:func:`round_robin_order`), and the
+    queue drains after every memory op that issued a request; the
+    rotation is therefore a fixed total order.  Instruction, op-kind
+    and transaction counts are exact functions of the artifact, summed
+    per SM in numpy.  The L1 pass then walks the memory ops:
 
-    * **batched bookkeeping** — instruction/op-kind/transaction
-      counters are exact functions of the artifact, summed per SM in
-      numpy and added once (compute ops cost *nothing* per-op);
-    * **a lean L1 pass** (:class:`FunctionalSm`) over the transaction
-      columns, touching local integers on the hit path;
-    * **the verbatim L2/scheme machinery** for every miss, store and
-      atomic, drained at op boundaries, so the protection-layer state
-      machines (the part the paper is about) are never reimplemented.
-
-    With a flame profiler (``flame``) each memory op runs under an
-    ``sm{N}.step`` root frame, so the micro-tasks it schedules stack
-    under its SM; without one no per-op cost is paid.
-
-    Raises :class:`SimulationError` if an L2 fill or a store ack fails
-    to complete inside a drain (impossible on the serialized contract;
-    the guard keeps a future concurrent L2 model from silently
-    breaking counter parity).
+    * a load probes the L1 per transaction and sends each missing
+      sector mask to the L2; a full L1 MSHR file (``l1_mshr_entries``
+      requests in flight) counts ``l1mshr.full_stalls``, drains and
+      redoes the lookup;
+    * a store or atomic takes a store-buffer credit per transaction (a
+      full buffer counts ``storebuf.full_rejections`` and drains) and
+      goes to the L2; an atomic also clears its sectors in the L1
+      copy, and a store leaves the L1 alone (write-through,
+      no-allocate);
+    * at a drain every request in flight completes: the fills install
+      in issue order and every credit frees.  Nothing waits for a later
+      cycle, so ``stall_retries`` stays 0.
     """
     import numpy as np
 
     from repro.gpu.columnar import (OP_ATOMIC, OP_COMPUTE, OP_LOAD,
-                                    round_robin_order)
+                                    frozen_array, round_robin_order)
 
-    n = len(sms)
-    if compiled.num_ops == 0 or n == 0:
-        queue.drain()
-        return
-
-    # Execution order and per-op attribution (see round_robin_order).
+    n = geometry.num_sms
     counts = np.diff(compiled.warp_ptr)
     op_warp = np.repeat(np.arange(compiled.num_warps, dtype=np.int64),
                         counts)
@@ -387,127 +387,210 @@ def replay_columnar(compiled, sms: List[FunctionalSm],
     kind = compiled.op_kind
     txn_counts = np.diff(compiled.op_txn_ptr)
 
-    # Batched static counters: exact per-SM sums over executed ops.
+    # Static counters: exact per-SM sums over executed ops.
     k_sm = op_sm[order]
     k_kind = kind[order]
     k_txns = txn_counts[order]
     is_load = k_kind == OP_LOAD
     is_atomic = k_kind == OP_ATOMIC
     is_store_like = k_kind >= 2  # OP_STORE | OP_ATOMIC
-    instructions = np.bincount(k_sm, minlength=n)
-    loads = np.bincount(k_sm[is_load], minlength=n)
-    atomics = np.bincount(k_sm[is_atomic], minlength=n)
-    stores = np.bincount(k_sm[is_store_like & ~is_atomic], minlength=n)
-    load_txns = np.bincount(k_sm[is_load], weights=k_txns[is_load],
-                            minlength=n)
     store_txns = np.bincount(k_sm[is_store_like],
                              weights=k_txns[is_store_like], minlength=n)
+    static = (np.bincount(k_sm, minlength=n),
+              np.bincount(k_sm[is_load], minlength=n),
+              np.bincount(k_sm[is_store_like & ~is_atomic], minlength=n),
+              np.bincount(k_sm[is_atomic], minlength=n),
+              np.bincount(k_sm[is_load], weights=k_txns[is_load],
+                          minlength=n),
+              store_txns, store_txns)
 
-    # Per-transaction slice routing, vectorized once.
-    num_slices = len(slices)
     routes = ((compiled.txn_line * compiled.line_bytes)
-              // slice_chunk_bytes) % num_slices
-
-    # The memory-op schedule as plain python lists (plain-int access
-    # in the hot loop is much faster than numpy scalar extraction).
+              // geometry.slice_chunk_bytes) % geometry.num_slices
     sel = order[kind[order] != OP_COMPUTE]
-    sched_sm = op_sm[sel].tolist()
-    run = partial(_replay_ops, kind[sel].tolist(), sched_sm,
-                  compiled.op_txn_ptr[sel].tolist(),
-                  compiled.op_txn_ptr[sel + 1].tolist(),
-                  compiled.txn_line.tolist(), compiled.txn_mask.tolist(),
-                  routes.tolist(), sms, slices, queue.drain)
-    if flame is None:
-        run(0, len(sched_sm))
-    else:
-        roots = [flame.wrap_root(f"sm{sm.sm_id}.step", run) for sm in sms]
-        for i, sm_index in enumerate(sched_sm):
-            roots[sm_index](i, i + 1)
+    l1s = [_L1(geometry.l1_sets) for _ in range(n)]
+    stream = _l1_pass(kind[sel].tolist(), op_sm[sel].tolist(),
+                      compiled.op_txn_ptr[sel].tolist(),
+                      compiled.op_txn_ptr[sel + 1].tolist(),
+                      compiled.txn_line.tolist(), compiled.txn_mask.tolist(),
+                      routes.tolist(), l1s, geometry)
+    l1_tallies = np.array(
+        [(l1.hits, l1.sector_misses, l1.line_misses, l1.line_miss_sectors,
+          l1.evictions, l1.mshr_allocs, l1.mshr_full_stalls,
+          l1.store_rejections) for l1 in l1s], dtype=np.int64).reshape(n, 8)
+    tallies = np.column_stack(static + (l1_tallies,))
+    port, lines, masks, drain_at, drain_sm = stream
+    return L2Stream(frozen_array(port, np.uint16),
+                    frozen_array(lines, np.int64),
+                    frozen_array(masks, np.uint32),
+                    frozen_array(drain_at, np.int64),
+                    frozen_array(drain_sm, np.int32),
+                    frozen_array(tallies, np.int64))
 
-    for i, sm in enumerate(sms):
-        sm.flush(int(instructions[i]), int(loads[i]), int(stores[i]),
-                 int(atomics[i]), int(load_txns[i]), int(store_txns[i]))
-    queue.drain()
 
-
-def _replay_ops(kinds: List[int], sms_of: List[int], starts: List[int],
-                ends: List[int], tl: List[int], tm: List[int],
-                rt: List[int], sms: List[FunctionalSm], slices: List,
-                drain: Callable[[], None], lo: int, hi: int) -> None:
-    """The hot loop of :func:`replay_columnar`: memory ops ``lo..hi``
-    of the schedule (op kind, SM and transaction range per op; line,
-    sector mask and slice per transaction)."""
+def _l1_pass(kinds: List[int], sms_of: List[int], starts: List[int],
+             ends: List[int], tl: List[int], tm: List[int], rt: List[int],
+             l1s: List[_L1], geometry: L1Geometry) -> Tuple[List[int], ...]:
+    """The hot loop of :func:`compile_l2_stream` over the scheduled
+    memory ops (op kind, SM and transaction range per op; line, sector
+    mask and slice per transaction).  Returns the stream's columns as
+    lists: port, line, mask, drain points and their SMs."""
     from repro.gpu.columnar import OP_ATOMIC, OP_LOAD
 
-    for i in range(lo, hi):
-        sm = sms[sms_of[i]]
-        k = kinds[i]
-        s = starts[i]
-        e = ends[i]
+    ways = geometry.l1_ways
+    mshr_entries = geometry.l1_mshr_entries
+    store_buffer = geometry.store_buffer
+    store_base = geometry.num_slices
+    atomic_base = 2 * geometry.num_slices
+    port: List[int] = []
+    lines: List[int] = []
+    masks: List[int] = []
+    drain_at: List[int] = []
+    drain_sm: List[int] = []
+    # Loads in flight since the last drain, in issue order.
+    fills: List[Tuple[int, int]] = []
+
+    for i, k in enumerate(kinds):
+        sm_index = sms_of[i]
+        l1 = l1s[sm_index]
+        sets = l1.sets
+        nsets = len(sets)
         if k == OP_LOAD:
-            sets = sm.sets
-            nsets = sm.num_sets
-            pending = sm.pending
-            mshr_entries = sm.mshr_entries
-            missed = False
-            for t in range(s, e):
+            for t in range(starts[i], ends[i]):
                 line = tl[t]
                 mask = tm[t]
                 sd = sets[line % nsets]
                 while True:
-                    ent = sd.get(line)
-                    if ent is None:
-                        sm.line_misses += 1
-                        sm.line_miss_sectors += mask.bit_count()
+                    valid = sd.get(line)
+                    if valid is None:
+                        l1.line_misses += 1
+                        l1.line_miss_sectors += mask.bit_count()
                         miss = mask
                     else:
-                        valid = ent[0]
                         hit = mask & valid
                         miss = mask & ~valid
                         if hit:
-                            sm.hits += hit.bit_count()
+                            l1.hits += hit.bit_count()
                             sd.move_to_end(line)
                         if not miss:
                             break
-                        sm.sector_misses += miss.bit_count()
-                    if len(pending) < mshr_entries:
-                        sm.mshr_allocs += 1
-                        pending[line] = miss
-                        missed = True
-                        slices[rt[t]].receive_load(line, miss,
-                                                   partial(sm.fill, line))
+                        l1.sector_misses += miss.bit_count()
+                    if len(fills) < mshr_entries:
+                        l1.mshr_allocs += 1
+                        fills.append((line, miss))
+                        port.append(rt[t])
+                        lines.append(line)
+                        masks.append(miss)
                         break
                     # A full MSHR file stalls like the event SM: drain
-                    # (every pending fill lands), then redo the lookup.
-                    sm.mshr_full_stalls += 1
-                    drain()
-                    if pending:
-                        raise SimulationError(_UNFILLED)
-            if missed:
-                drain()
-                if pending:
-                    raise SimulationError(_UNFILLED)
+                    # (every fill lands), then redo the lookup.
+                    l1.mshr_full_stalls += 1
+                    l1.install(fills, ways)
+                    drain_at.append(len(lines))
+                    drain_sm.append(sm_index)
+            if fills:
+                l1.install(fills, ways)
+                drain_at.append(len(lines))
+                drain_sm.append(sm_index)
         else:  # OP_STORE / OP_ATOMIC
-            release = sm.release
             atomic = k == OP_ATOMIC
-            for t in range(s, e):
-                if sm.credits >= sm.store_buffer:
-                    sm.store_rejections += 1
-                    drain()
-                    if sm.credits >= sm.store_buffer:
-                        sm.store_rejections += 1
-                        raise SimulationError(_NO_CREDIT)
-                sm.credits += 1
+            base = atomic_base if atomic else store_base
+            credits = 0
+            for t in range(starts[i], ends[i]):
+                if credits >= store_buffer:
+                    # A full store buffer drains: every ack lands.
+                    l1.store_rejections += 1
+                    drain_at.append(len(lines))
+                    drain_sm.append(sm_index)
+                    credits = 0
+                credits += 1
                 line = tl[t]
                 mask = tm[t]
                 if atomic:
-                    ent = sm.sets[line % sm.num_sets].get(line)
-                    if ent is not None:
-                        ent[0] &= ~mask  # L1 copy is now stale
-                    slices[rt[t]].receive_atomic(line, mask, release)
-                else:  # write-through, no-allocate: L1 untouched
-                    slices[rt[t]].receive_store(line, mask, release)
-            drain()
+                    sd = sets[line % nsets]
+                    valid = sd.get(line)
+                    if valid is not None:
+                        sd[line] = valid & ~mask  # L1 copy is now stale
+                port.append(base + rt[t])
+                lines.append(line)
+                masks.append(mask)
+            if credits:
+                drain_at.append(len(lines))
+                drain_sm.append(sm_index)
+    return port, lines, masks, drain_at, drain_sm
+
+
+class _Completions(list):
+    """Stage 2's completion sink: the L2's respond and ack callables
+    are this list's ``append`` (a C-level call per completion), and the
+    replay checks its length at each drain.  ``name`` labels the
+    flame profiler's frames."""
+
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        super().__init__()
+        self.name = name
+
+
+def replay_columnar(stream: L2Stream, sms: List[FunctionalSm],
+                    slices: List, queue: ImmediateQueue,
+                    flame=None) -> None:
+    """Stage 2: drive the L2 slices over a stage-1 stream.
+
+    Each drain segment sends its requests to
+    ``L2Slice.receive_load``/``receive_store``/``receive_atomic`` in
+    issue order and drains the queue; every request of the segment
+    must have completed by then, or :class:`SimulationError` is raised
+    (impossible on the serialized contract; the guard keeps a future
+    concurrent L2 model from silently breaking counter parity).  The
+    protection-layer state machines (the part the paper is about) are
+    never reimplemented.  Each SM's tallies go to its stat tree.
+
+    With a flame profiler (``flame``) each drain segment runs under its
+    SM's ``sm{N}.step`` root frame, so the micro-tasks it schedules
+    stack under that SM; without one no per-segment cost is paid.
+    """
+    fills = _Completions("l1")
+    acks = _Completions("storebuf")
+    respond = fills.append
+    ack = partial(acks.append, None)
+    num_slices = len(slices)
+    receivers = ([sl.receive_load for sl in slices]
+                 + [sl.receive_store for sl in slices]
+                 + [sl.receive_atomic for sl in slices])
+    callbacks = [respond] * num_slices + [ack] * (2 * num_slices)
+    drain_at = stream.drain_at.tolist()
+    run = partial(_replay_segments, stream.port.tolist(),
+                  stream.line.tolist(), stream.mask.tolist(), drain_at,
+                  receivers, callbacks, fills, acks, queue.drain)
+    if flame is None:
+        run(0, len(drain_at))
+    else:
+        roots = [flame.wrap_root(f"sm{sm.sm_id}.step", run) for sm in sms]
+        for j, sm_index in enumerate(stream.drain_sm.tolist()):
+            roots[sm_index](j, j + 1)
+    for sm, tallies in zip(sms, stream.tallies.tolist()):
+        sm.flush(tallies)
+
+
+def _replay_segments(ports: List[int], lines: List[int], masks: List[int],
+                     drain_at: List[int], receivers: List[Callable],
+                     callbacks: List[Callable], fills: List, acks: List,
+                     drain: Callable[[], None], lo: int, hi: int) -> None:
+    """The hot loop of :func:`replay_columnar`: drain segments
+    ``lo..hi`` of the stream."""
+    start = drain_at[lo - 1] if lo else 0
+    for j in range(lo, hi):
+        end = drain_at[j]
+        for i in range(start, end):
+            p = ports[i]
+            receivers[p](lines[i], masks[i], callbacks[p])
+        drain()
+        if len(fills) + len(acks) != end - start:
+            raise SimulationError(_UNFINISHED)
+        fills.clear()
+        acks.clear()
+        start = end
 
 
 # -- parity helpers ----------------------------------------------------------

@@ -187,18 +187,26 @@ def trace_cache_stats() -> Dict[str, int]:
             "misses": _trace_misses, "capacity": TRACE_CACHE_CAPACITY,
             "compiled_entries": len(_compiled_cache),
             "compiled_hits": _compiled_hits,
-            "compiled_misses": _compiled_misses}
+            "compiled_misses": _compiled_misses,
+            "stream_entries": len(_stream_cache),
+            "stream_hits": _stream_hits,
+            "stream_misses": _stream_misses}
 
 
 def trace_cache_clear() -> None:
-    """Empty the trace memo and reset its hit/miss counters (tests)."""
+    """Empty the trace, compiled and L2-stream memos and reset their
+    hit/miss counters."""
     global _trace_hits, _trace_misses, _compiled_hits, _compiled_misses
+    global _stream_hits, _stream_misses
     _trace_cache.clear()
     _trace_hits = 0
     _trace_misses = 0
     _compiled_cache.clear()
     _compiled_hits = 0
     _compiled_misses = 0
+    _stream_cache.clear()
+    _stream_hits = 0
+    _stream_misses = 0
 
 
 # -- compiled (columnar) artifacts -------------------------------------------
@@ -261,6 +269,45 @@ def compiled_digest(workload: Workload, ctx: GenContext,
     cache mixes into functional-tier keys."""
     return materialize_compiled(workload, ctx, line_bytes,
                                 sector_bytes).digest
+
+
+# -- L2 request streams (stage 1 of the functional tier) ---------------------
+#
+# With L1 fills installed in issue order, what the L1s send the L2 is a
+# function of the compiled trace and the L1 geometry alone (see
+# :mod:`repro.sim.functional`), so a sweep over protection schemes
+# replays one memoized stream per trace.
+
+#: Maximum memoized L2 request streams per process.
+STREAM_CACHE_CAPACITY = 16
+
+_stream_cache: "OrderedDict[tuple, object]" = OrderedDict()
+_stream_hits = 0
+_stream_misses = 0
+
+
+def materialize_l2_stream(compiled, geometry):
+    """Memoized stage 1 of the functional tier: the
+    :class:`repro.sim.functional.L2Stream` of ``compiled`` (a
+    :class:`repro.gpu.columnar.CompiledTrace`) on the SMs and L1s of
+    ``geometry`` (a :class:`repro.sim.functional.L1Geometry`), keyed on
+    the trace's digest and the geometry.  The stream's arrays are
+    frozen; callers share it."""
+    global _stream_hits, _stream_misses
+    from repro.sim.functional import compile_l2_stream
+
+    key = (compiled.digest, geometry)
+    cached = _stream_cache.get(key)
+    if cached is not None:
+        _stream_cache.move_to_end(key)
+        _stream_hits += 1
+        return cached
+    _stream_misses += 1
+    stream = compile_l2_stream(compiled, geometry)
+    _stream_cache[key] = stream
+    while len(_stream_cache) > STREAM_CACHE_CAPACITY:
+        _stream_cache.popitem(last=False)
+    return stream
 
 
 def array_layout(sizes_bytes: List[int], align: int = 4096,

@@ -37,7 +37,7 @@ SCALE = 0.02
 SEED = 42
 
 #: The ``MODEL_VERSION`` the table below was recorded at.
-RECORDED_AT = "6"
+RECORDED_AT = "7"
 
 
 def cell_fingerprint(label: str, workload: str, fidelity: str) -> str:
@@ -57,53 +57,53 @@ def cell_fingerprint(label: str, workload: str, fidelity: str) -> str:
 
 FINGERPRINTS = {
     ("full", "bfs", "event"): "d87cd259a5fe508b",
-    ("full", "bfs", "functional"): "6487772a666a1232",
+    ("full", "bfs", "functional"): "f1baf410d6751560",
     ("full", "histogram", "event"): "f505b44bac097fdd",
-    ("full", "histogram", "functional"): "d1fb4e192faf2caf",
+    ("full", "histogram", "functional"): "64861f74a215a22d",
     ("-directory", "bfs", "event"): "fbd4a28fcadaf859",
-    ("-directory", "bfs", "functional"): "5f04db75ac4622ce",
+    ("-directory", "bfs", "functional"): "16d0d2666c53ecd2",
     ("-directory", "histogram", "event"): "5af377847a92de0f",
-    ("-directory", "histogram", "functional"): "228b359f881e6323",
+    ("-directory", "histogram", "functional"): "bb7897ea3ebe1604",
     ("-reconstruction", "bfs", "event"): "fbd4a28fcadaf859",
-    ("-reconstruction", "bfs", "functional"): "5f04db75ac4622ce",
+    ("-reconstruction", "bfs", "functional"): "16d0d2666c53ecd2",
     ("-reconstruction", "histogram", "event"): "5af377847a92de0f",
-    ("-reconstruction", "histogram", "functional"): "228b359f881e6323",
+    ("-reconstruction", "histogram", "functional"): "bb7897ea3ebe1604",
     ("-adaptive", "bfs", "event"): "d87cd259a5fe508b",
-    ("-adaptive", "bfs", "functional"): "6487772a666a1232",
+    ("-adaptive", "bfs", "functional"): "f1baf410d6751560",
     ("-adaptive", "histogram", "event"): "f505b44bac097fdd",
-    ("-adaptive", "histogram", "functional"): "d1fb4e192faf2caf",
+    ("-adaptive", "histogram", "functional"): "64861f74a215a22d",
     ("-meta_in_l2", "bfs", "event"): "f39485180a5e0bc0",
-    ("-meta_in_l2", "bfs", "functional"): "250c6eaad0b4c781",
+    ("-meta_in_l2", "bfs", "functional"): "a4ffc480cf026c67",
     ("-meta_in_l2", "histogram", "event"): "a828168855b3499f",
-    ("-meta_in_l2", "histogram", "functional"): "3014717865ae4d08",
+    ("-meta_in_l2", "histogram", "functional"): "05da90f517bfed90",
     ("-verified_bits", "bfs", "event"): "d87cd259a5fe508b",
-    ("-verified_bits", "bfs", "functional"): "6487772a666a1232",
+    ("-verified_bits", "bfs", "functional"): "f1baf410d6751560",
     ("-verified_bits", "histogram", "event"): "f505b44bac097fdd",
-    ("-verified_bits", "histogram", "functional"): "d1fb4e192faf2caf",
+    ("-verified_bits", "histogram", "functional"): "64861f74a215a22d",
     ("craft=8", "bfs", "event"): "7af75f8cb783ccdc",
-    ("craft=8", "bfs", "functional"): "91162380b1ffc6da",
+    ("craft=8", "bfs", "functional"): "651134bfc0360abd",
     ("craft=8", "histogram", "event"): "42590a9cf2a2a3cf",
-    ("craft=8", "histogram", "functional"): "fd118a3646698776",
+    ("craft=8", "histogram", "functional"): "ee4ba9998c8db86a",
     ("+way-partition", "bfs", "event"): "447878122c7ac3c8",
-    ("+way-partition", "bfs", "functional"): "6487772a666a1232",
+    ("+way-partition", "bfs", "functional"): "f1baf410d6751560",
     ("+way-partition", "histogram", "event"): "f505b44bac097fdd",
-    ("+way-partition", "histogram", "functional"): "d1fb4e192faf2caf",
+    ("+way-partition", "histogram", "functional"): "64861f74a215a22d",
     ("speculative", "bfs", "event"): "17b386aa24997d92",
-    ("speculative", "bfs", "functional"): "066abb39b60893e0",
+    ("speculative", "bfs", "functional"): "cfa9211e6fef0393",
     ("speculative", "histogram", "event"): "4da25cf994125dbf",
-    ("speculative", "histogram", "functional"): "9266b3048e02b7f3",
+    ("speculative", "histogram", "functional"): "101968451bc5628a",
     ("mac64", "bfs", "event"): "e48478b0e3099d38",
-    ("mac64", "bfs", "functional"): "79f9da7fc4a16d12",
+    ("mac64", "bfs", "functional"): "dbef4390d573658a",
     ("mac64", "histogram", "event"): "15febadc15ff9b55",
-    ("mac64", "histogram", "functional"): "3f32960a1fb7c363",
+    ("mac64", "histogram", "functional"): "98eef90dc318ea16",
     ("granule=64", "bfs", "event"): "7cafdd8249787d9a",
-    ("granule=64", "bfs", "functional"): "d9cdb25cd3422e4e",
+    ("granule=64", "bfs", "functional"): "41ac8e1652251e69",
     ("granule=64", "histogram", "event"): "99c54d33c8632ad5",
-    ("granule=64", "histogram", "functional"): "77197d1baf08f53e",
+    ("granule=64", "histogram", "functional"): "1f1a388e346ba94f",
     ("granule=256", "bfs", "event"): "b71d2c5b0965d159",
-    ("granule=256", "bfs", "functional"): "5807067e035eb9d1",
+    ("granule=256", "bfs", "functional"): "783ccbf5d6c17622",
     ("granule=256", "histogram", "event"): "bb1ea19c680e2a50",
-    ("granule=256", "histogram", "functional"): "04973e355b284555",
+    ("granule=256", "histogram", "functional"): "5d6dbf7cdeaafdab",
 }
 
 

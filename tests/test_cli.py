@@ -145,6 +145,19 @@ def test_cache_stats_and_clear(tmp_path, capsys):
     assert "entries: 0" in capsys.readouterr().out
 
 
+def test_cache_stats_reports_the_l2_stream_memo(tmp_path, capsys):
+    """A functional compare runs the L1s once: one stream, five hits."""
+    from repro.workloads.base import trace_cache_clear
+
+    trace_cache_clear()
+    main(["compare", "-w", "vecadd", "--scale", "0.03", "--no-cache",
+          "--fidelity", "functional"])
+    capsys.readouterr()
+    main(["cache", "stats", "--cache-dir", str(tmp_path / "cache")])
+    assert "L2 stream memo (this process): 1 entries, 5 hits, 1 misses" \
+        in capsys.readouterr().out
+
+
 def test_cache_stats_empty_dir(tmp_path, capsys):
     assert main(["cache", "stats", "--cache-dir",
                  str(tmp_path / "nothing")]) == 0

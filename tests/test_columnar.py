@@ -20,7 +20,7 @@ import pytest
 
 from repro.cache.mshr import MshrFile
 from repro.cache.sectored import SectoredCache
-from repro.core.config import test_config as small_config
+from repro.core.config import ALL_SCHEMES, test_config as small_config
 from repro.core.system import GpuSystem
 from repro.gpu.coalescer import coalesce
 from repro.gpu.columnar import (
@@ -35,6 +35,7 @@ from repro.gpu.columnar import (
 )
 from repro.gpu.trace import ComputeOp, MemoryOp
 from repro.gpu.tracefile import dump_columnar, load_columnar
+from repro.sim.engine import SimulationError
 from repro.sim.resources import OccupancyLimiter
 from repro.sim.stats import StatGroup
 from repro.workloads.base import (
@@ -235,7 +236,10 @@ class TestCompiledMemo:
 class _ReferenceSm:
     """One SM's front end on the real ``SectoredCache``, ``MshrFile``
     and ``OccupancyLimiter``, with the event SM's semantics and the
-    queue drained after every memory op.  Its stats go to a private
+    queue drained after every memory op.  The L1 fills that land in a
+    drain are installed when it ends, in the order their requests were
+    issued (never in the order the L2 answers), so the L1 does not
+    depend on the protection scheme.  Its stats go to a private
     ``sm{i}`` group; :func:`reference_run` drops the system's own,
     unused ones."""
 
@@ -256,6 +260,17 @@ class _ReferenceSm:
         self.count = {name: self.stats.counter(name) for name in (
             "instructions", "loads", "stores", "atomics",
             "load_transactions", "store_transactions", "stall_retries")}
+        #: ``[line, granted]`` per load request since the last drain, in
+        #: issue order; ``granted`` is set when the L2 answers.
+        self.issued = []
+
+    def drain(self):
+        """Drain the queue, then install its fills in issue order."""
+        self.queue.drain()
+        for line, granted in self.issued:
+            assert granted is not None  # every fill lands in its drain
+            self.fill(line, granted)
+        self.issued.clear()
 
     def op(self, kind, txns):
         self.count["instructions"].add(1)
@@ -272,7 +287,7 @@ class _ReferenceSm:
             issue = self.store
         for line, mask in txns:
             issue(line, mask)
-        self.queue.drain()
+        self.drain()
 
     def load(self, line, mask):
         hit, _ = self.l1.lookup_mask(line, mask, require_verified=False)
@@ -283,12 +298,14 @@ class _ReferenceSm:
         new = self.mshrs.allocate(line, miss, waiter=lambda: None)
         if new is None:  # full: un-count, drain, redo from the lookup
             self.count["load_transactions"].add(-1)
-            self.queue.drain()
+            self.drain()
             self.load(line, mask)
             return
         if new:
+            issued = [line, None]
+            self.issued.append(issued)
             self.slices[self.route(line)].receive_load(
-                line, new, lambda granted: self.fill(line, granted))
+                line, new, lambda granted: issued.__setitem__(1, granted))
 
     def fill(self, line, granted):
         cached, _evicted = self.l1.allocate(line)
@@ -305,7 +322,7 @@ class _ReferenceSm:
 
     def credit(self):
         if not self.credits.try_acquire():
-            self.queue.drain()
+            self.drain()
             assert self.credits.try_acquire()
         self.count["store_transactions"].add(1)
 
@@ -476,3 +493,95 @@ class TestReplayEquivalence:
         loaded.run()
         assert by_hand.traffic() == loaded.traffic()
         assert by_hand.stats.flatten() == loaded.stats.flatten()
+
+
+class TestStageTwoGuard:
+    """Stage 2 checks at each drain point that every request issued
+    since the previous one completed."""
+
+    @pytest.mark.parametrize("method", ["receive_load", "receive_store"])
+    def test_an_unanswered_request_raises(self, method):
+        config = small_config(num_sms=2, warps_per_sm=3) \
+            .with_scheme("none").with_fidelity("functional")
+        system = GpuSystem(config)
+        system.load_workload(make_workload("histogram"),
+                             TestReplayEquivalence.CTX)
+        setattr(system.slices[1], method, lambda line, mask, done: None)
+        with pytest.raises(SimulationError, match="did not complete"):
+            system.run()
+
+
+class TestSchemeIndependentL1:
+    """Stage 1's premise on the concurrent shape of
+    :class:`TestReplayEquivalence`: with fills installed in issue order
+    the L1, L1-MSHR and store-buffer counters are the same under every
+    protection scheme."""
+
+    @pytest.mark.parametrize("workload", ["bfs", "histogram"])
+    def test_front_end_counters_equal_across_schemes(self, workload):
+        front_end = re.compile(r"sm\d+\.(l1|l1mshr|storebuf)\.")
+        seen = {}
+        for scheme in ALL_SCHEMES:
+            config = small_config(num_sms=2, warps_per_sm=3) \
+                .with_scheme(scheme).with_fidelity("functional")
+            system = GpuSystem(config)
+            system.load_workload(make_workload(workload),
+                                 TestReplayEquivalence.CTX)
+            system.run()
+            counters = {k: v for k, v in system.stats.flatten().items()
+                        if front_end.match(k)}
+            assert sum(v for k, v in counters.items()
+                       if k.endswith("l1.line_misses")) > 0
+            seen[scheme] = counters
+        assert all(counters == seen["none"] for counters in seen.values())
+
+
+class TestL2StreamMemo:
+    """Stage 1 runs once per trace and L1 geometry, inside
+    ``GpuSystem.run``."""
+
+    CTX = TestReplayEquivalence.CTX
+
+    def setup_method(self):
+        trace_cache_clear()
+
+    def _system(self, scheme="none", **gpu):
+        shape = {"num_sms": 2, "warps_per_sm": 3, **gpu}
+        config = small_config(**shape).with_scheme(scheme) \
+            .with_fidelity("functional")
+        system = GpuSystem(config)
+        system.load_workload(make_workload("bfs"), self.CTX)
+        return system
+
+    @staticmethod
+    def _memo():
+        stats = trace_cache_stats()
+        return (stats["stream_entries"], stats["stream_hits"],
+                stats["stream_misses"])
+
+    def test_second_run_of_a_trace_hits(self):
+        self._system("none").run()
+        assert self._memo() == (1, 0, 1)
+        self._system("cachecraft").run()
+        assert self._memo() == (1, 1, 1)
+
+    def test_load_workload_leaves_stage_one_to_run(self):
+        system = self._system()
+        assert self._memo() == (0, 0, 0)
+        system.run()
+        assert self._memo() == (1, 0, 1)
+
+    @pytest.mark.parametrize("change", [
+        {"l1_ways": 2}, {"l1_mshr_entries": 2}, {"store_buffer": 2},
+        {"num_sms": 1}], ids=["l1_ways", "l1_mshr_entries", "store_buffer",
+                              "num_sms"])
+    def test_geometry_gets_its_own_entry(self, change):
+        self._system().run()
+        self._system(**change).run()
+        assert self._memo() == (2, 0, 2)
+
+    def test_clear_empties_the_memo(self):
+        self._system().run()
+        assert self._memo() == (1, 0, 1)
+        trace_cache_clear()
+        assert self._memo() == (0, 0, 0)

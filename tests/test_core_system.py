@@ -1,9 +1,15 @@
 """Integration tests: the full system running real workloads."""
 
+import gc
+import os
+import subprocess
+import sys
 import tracemalloc
+import weakref
 
 import pytest
 
+import repro
 from repro.analysis.harness import bench_config
 from repro.core.config import (
     ALL_SCHEMES,
@@ -90,6 +96,58 @@ def test_construction_allocates_under_1mib_with_16mib_l2(fidelity):
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("fidelity", FIDELITIES)
+@pytest.mark.parametrize("scheme", ALL_SCHEMES)
+def test_finished_system_is_freed_without_the_collector(fidelity, scheme,
+                                                        monkeypatch):
+    """``run_workload`` breaks the system's reference cycle, so with the
+    cyclic collector off nothing of the system outlives the call."""
+    built = []
+    real_result = GpuSystem.result
+
+    def result(system, *args, **kwargs):
+        built.append(system)
+        return real_result(system, *args, **kwargs)
+
+    monkeypatch.setattr(GpuSystem, "result", result)
+    config = make_test_config(num_sms=2, warps_per_sm=2) \
+        .with_scheme(scheme).with_fidelity(fidelity)
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        run_workload(make_workload("histogram"), config,
+                     gen_ctx=GenContext(num_sms=2, warps_per_sm=2,
+                                        scale=0.02))
+        system = built.pop()
+        parts = {"context": system.ctx, "scheme": system.scheme,
+                 "slice": system.slices[0], "channel": system.channels[0],
+                 "engine": system.sim}
+        refs = {name: weakref.ref(part) for name, part in parts.items()}
+        del system, parts
+        assert [name for name, ref in refs.items() if ref() is not None] \
+            == []
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+def test_event_tier_run_does_not_import_numpy():
+    """numpy holds about 10 MB of resident memory; only the functional
+    tier and the inspector's trace analytics need it."""
+    code = ("import sys\n"
+            "from repro.core.config import test_config\n"
+            "from repro.core.system import run_workload\n"
+            "from repro.workloads import make_workload\n"
+            "run_workload(make_workload('bfs'), "
+            "test_config().with_scheme('cachecraft'))\n"
+            "print('numpy' in sys.modules)\n")
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True, env=env).stdout
+    assert out.strip() == "False"
 
 
 class TestEndToEnd:

@@ -5,6 +5,7 @@ import pytest
 from repro.dram.channel import MemoryChannel, RequestKind
 from repro.dram.layout import InlineEccLayout
 from repro.dram.timing import DramTiming
+from repro.protection.base import METADATA_BASE
 from repro.sim.engine import Simulator
 
 
@@ -170,6 +171,40 @@ class TestChannelBehaviour:
         flat = ch.stats.flatten()
         assert flat["ch.refreshes"] >= 1
         assert done[1] >= 350  # blocked behind the 100-cycle blackout
+
+
+class TestChannelLocal:
+    """The slice-interleave squeeze a channel applies to each global
+    address before decoding it (1 KiB chunks)."""
+
+    @staticmethod
+    def _channel(channels=4):
+        return MemoryChannel("ch", Simulator(),
+                             DramTiming(refresh_enabled=False),
+                             channels=channels, chunk_bytes=1024,
+                             metadata_base=METADATA_BASE)
+
+    def test_data_addresses_compress_per_slice(self):
+        # Chunks 0, 4 and 8 belong to slice 0 and must map to
+        # consecutive local chunks.
+        ch = self._channel()
+        assert [ch.to_channel_local(i * 4 * 1024) for i in range(3)] \
+            == [0, 1024, 2048]
+
+    def test_metadata_stays_above_data(self):
+        local = self._channel().to_channel_local(METADATA_BASE + 4096)
+        assert local > 1 << 28
+        assert local % 32 == 0
+
+    def test_single_slice_identity(self):
+        assert self._channel(channels=1).to_channel_local(12345) == 12345
+
+    def test_channel_local_preserves_sector_alignment(self):
+        ch = self._channel(channels=2)
+        for addr in (0, 32, 1024, 4096 + 64, METADATA_BASE + 320):
+            assert ch.to_channel_local(addr) % 32 == addr % 32 \
+                or addr >= METADATA_BASE
+        assert ch.to_channel_local(METADATA_BASE + 320) % 32 == 0
 
 
 class TestInlineLayout:

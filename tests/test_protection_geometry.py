@@ -83,8 +83,8 @@ def ref_tiles_by_sector(layout, line_bytes, granule):
 
 
 def ref_meta_atoms(layout, line_bytes, line_addr, mask):
-    """Atoms in the iteration order of a set filled in sector order,
-    each with its distinct granules in sector order."""
+    """Atoms in address order, each with its distinct granules in
+    sector order."""
     base = line_addr * line_bytes
     atoms = set()
     by_atom = {}
@@ -95,7 +95,7 @@ def ref_meta_atoms(layout, line_bytes, line_addr, mask):
         members = by_atom.setdefault(atom, [])
         if granule not in members:
             members.append(granule)
-    return tuple((atom, tuple(by_atom[atom])) for atom in atoms)
+    return tuple((atom, tuple(by_atom[atom])) for atom in sorted(atoms))
 
 
 def ref_meta_location(line_bytes, atom):
@@ -191,6 +191,21 @@ class TestLineTiling:
             atom = layout.metadata_atom(granule)
             assert ctx.meta_line_and_bit(atom) == ref_meta_location(
                 line_bytes, atom)
+
+    def test_atoms_read_in_address_order(self):
+        """32 B granules, 32 B of metadata each, 256 B lines: mask
+        0b10000011 reads the atoms at offsets 0, 32 and 224 from the
+        line's first atom, on every line (set-iteration order read
+        line 0's as 0, 224, 32)."""
+        layout = InlineEccLayout(granule_bytes=32, meta_per_granule=32,
+                                 metadata_base=METADATA_BASE,
+                                 atom_bytes=SECTOR)
+        ctx = make_ctx(layout, 256)
+        for line_addr in (0, 4):
+            atoms = [atom for atom, _granules
+                     in ctx.meta_atoms_of(line_addr, 0b10000011)]
+            first = layout.metadata_atom(line_addr * 256 // 32)
+            assert [atom - first for atom in atoms] == [0, 32, 224]
 
     def test_metadata_region_refused(self):
         layout = InlineEccLayout(granule_bytes=128, meta_per_granule=2)

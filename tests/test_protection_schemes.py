@@ -154,29 +154,6 @@ class TestMaskRuns:
         assert list(mask_runs(0xF, 4)) == [(0, 4)]
 
 
-class TestChannelLocal:
-    def test_data_addresses_compress_per_slice(self):
-        scheme = make_scheme("none")
-        _sim, ctx, _r, _i = make_ctx(scheme, slices=4)
-        # Chunks 0,4,8 belong to slice 0 and must map to consecutive
-        # local chunks.
-        chunk = ctx.slice_chunk_bytes
-        locals_ = [ctx.to_channel_local(i * 4 * chunk) for i in range(3)]
-        assert locals_ == [0, chunk, 2 * chunk]
-
-    def test_metadata_stays_above_data(self):
-        scheme = make_scheme("inline-sector")
-        _sim, ctx, _r, _i = make_ctx(scheme, slices=4)
-        local = ctx.to_channel_local(ctx.layout.metadata_base + 4096)
-        assert local > 1 << 28
-        assert local % 32 == 0
-
-    def test_single_slice_identity(self):
-        scheme = make_scheme("none")
-        _sim, ctx, _r, _i = make_ctx(scheme, slices=1)
-        assert ctx.to_channel_local(12345) == 12345
-
-
 class TestNoProtection:
     def test_fetch_reads_only_requested(self):
         scheme = make_scheme("none")

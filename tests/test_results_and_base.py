@@ -196,15 +196,6 @@ class TestProtectionContextHelpers:
         with pytest.raises(AssertionError):
             ctx.l2_resident_verified(0, 0)
 
-    def test_channel_local_preserves_sector_alignment(self):
-        _sim, ctx = self._ctx(slices=2)
-        for addr in (0, 32, 1024, 4096 + 64,
-                     ctx.layout.metadata_base + 320):
-            assert ctx.to_channel_local(addr) % 32 == addr % 32 or \
-                ctx.layout.is_metadata(addr)
-        meta_local = ctx.to_channel_local(ctx.layout.metadata_base + 320)
-        assert meta_local % 32 == 0
-
 
 class TestSchemeReadMask:
     def test_read_mask_groups_contiguous_runs(self):

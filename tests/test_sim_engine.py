@@ -646,3 +646,81 @@ def test_parked_poll_replays_counts_until_the_epoch_moves():
     # bumped epoch and runs the real retry.
     assert polled.value == 6 and fired == ["retry"]
     assert sim.now == 16 and sim.events_executed == 5
+
+
+class TestObserverEvents:
+    """Observer daemons (metrics-sampler ticks) are not model events."""
+
+    def _sim_with_observer(self, every=3):
+        sim = Simulator()
+        ticks = []
+
+        def tick():
+            ticks.append(sim.now)
+            sim.schedule_observer(every, tick)
+
+        sim.schedule_observer(every, tick)
+        return sim, ticks
+
+    def test_observer_turns_are_not_counted(self):
+        sim, ticks = self._sim_with_observer()
+        for t in range(1, 11):
+            sim.schedule(t, lambda: None)
+        sim.run()
+        assert ticks == [3, 6, 9]
+        assert sim.events_executed == 10
+        assert sim.now == 10 and sim.pending_work() == 0
+
+    def test_step_does_not_count_observer_turns(self):
+        sim, ticks = self._sim_with_observer()
+        sim.schedule(5, lambda: None)
+        while sim.step():
+            pass
+        assert ticks == [3]
+        assert sim.events_executed == 1
+
+    def test_max_events_counts_model_events_only(self):
+        sim, ticks = self._sim_with_observer(every=1)
+        for t in range(1, 6):
+            sim.schedule(t, lambda: None)
+        sim.run(max_events=5)  # five model events fit, observers aside
+        assert sim.events_executed == 5 and ticks
+
+        sim2, _ticks = self._sim_with_observer(every=1)
+        for t in range(1, 7):
+            sim2.schedule(t, lambda: None)
+        with pytest.raises(SimulationError):
+            sim2.run(max_events=5)
+        assert sim2.events_executed == 6
+
+    def test_watchdog_period_counts_model_events_only(self):
+        checks = []
+
+        class Recording(Watchdog):
+            def check(self, now):
+                checks.append(now)
+
+        sim, _ticks = self._sim_with_observer(every=1)
+        for t in range(1, 9):
+            sim.schedule(t, lambda: None)
+        sim.run(watchdog=Recording(check_every_events=4))
+        assert checks == [4, 8]
+
+
+def test_sampled_run_counts_the_events_of_a_bare_run():
+    """spmv/metadata-cache on the bench machine: the sampler's ticks
+    are absent from ``engine.events`` and so from events/s."""
+    from repro.analysis.harness import bench_config, bench_gen_ctx
+    from repro.core.system import run_workload
+    from repro.obs.hub import Observability
+    from repro.workloads import make_workload
+
+    config = bench_config().with_scheme("metadata-cache")
+    gen_ctx = bench_gen_ctx(config, scale=0.01, seed=42)
+    bare = run_workload(make_workload("spmv"), config, gen_ctx=gen_ctx)
+    obs = Observability(sample_interval=200)
+    sampled = run_workload(make_workload("spmv"), config, gen_ctx=gen_ctx,
+                           obs=obs)
+    assert len(obs.sampler.samples) > 10
+    assert sampled.stats == bare.stats
+    assert sampled.events_executed == bare.events_executed
