@@ -16,7 +16,8 @@ import tempfile
 from typing import (Callable, Dict, Iterable, List, Optional, Sequence, Tuple,
                     Union)
 
-from repro.analysis.result_cache import ResultCache, cache_key
+from repro.analysis.result_cache import (ResultCache, cache_key,
+                                         trace_digest_for)
 from repro.core.config import ALL_SCHEMES, FIDELITIES, SystemConfig
 from repro.core.results import RunResult
 from repro.core.system import run_workload
@@ -25,7 +26,7 @@ from repro.obs.progress import ProgressWriter
 from repro.obs.structlog import NullLog, resolve_log, run_context
 from repro.sim.engine import Watchdog
 from repro.workloads import make_workload
-from repro.workloads.base import (GenContext, Workload, compiled_digest)
+from repro.workloads.base import GenContext, Workload
 
 
 def bench_config(**gpu_overrides) -> SystemConfig:
@@ -147,26 +148,6 @@ class ExperimentHarness:
         return (workload, cfg.protection.scheme, cfg, self.scale, self.seed,
                 tuple(sorted(self.workload_params.get(workload, {}).items())))
 
-    def _trace_digest(self, workload: str,
-                      cfg: SystemConfig) -> Optional[str]:
-        """Content address of the columnar trace a functional-tier
-        cell replays (None for event cells).
-
-        Mixing it into the persistent key makes functional results
-        addressed by the *actual replayed trace*, so a generator edit
-        that changes traffic can never satisfy a lookup minted before
-        it — even if someone forgets the :data:`MODEL_VERSION` bump.
-        The compile is memoized (:func:`materialize_compiled`), and
-        the replay needs the artifact anyway, so keying costs nothing
-        extra on simulated cells.
-        """
-        if cfg.fidelity != "functional":
-            return None
-        return compiled_digest(
-            self._build_workload(workload), self._gen_ctx(cfg),
-            line_bytes=cfg.gpu.line_bytes,
-            sector_bytes=cfg.gpu.sector_bytes)
-
     def _store(self) -> Optional[ResultCache]:
         """The persistent cache this harness reads and writes, if any."""
         return self.result_cache if self.obs_factory is None else None
@@ -181,7 +162,8 @@ class ExperimentHarness:
             return None
         args = (workload, cfg, self.scale, self.seed,
                 self.workload_params.get(workload, {}))
-        digest = self._trace_digest(workload, cfg)
+        digest = trace_digest_for(self._build_workload(workload),
+                                  self._gen_ctx(cfg), cfg)
         if store is None:
             return cache_key(*args, trace_digest=digest)
         return store.key_for(*args, trace_digest=digest)

@@ -43,6 +43,7 @@ from typing import Any, Dict, Optional
 
 from repro.core.config import SystemConfig
 from repro.core.results import MODEL_VERSION, RunResult
+from repro.workloads.base import GenContext, Workload, compiled_digest
 
 #: On-disk format version; bump on incompatible layout changes.
 CACHE_FORMAT = 1
@@ -111,6 +112,25 @@ def cache_key(workload: str, config: SystemConfig, scale: float, seed: int,
         payload["trace_digest"] = trace_digest
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+
+def trace_digest_for(workload: Workload, gen_ctx: GenContext,
+                     config: SystemConfig) -> Optional[str]:
+    """The ``trace_digest`` a cell's :func:`cache_key` binds.
+
+    A functional cell binds the digest of the compiled trace it
+    replays (which its run compiles anyway), so a generator edit that
+    changes traffic can never satisfy an older entry, even without a
+    :data:`MODEL_VERSION` bump.  An event cell binds none: the compile
+    and :class:`~repro.gpu.columnar.CompiledTrace` use numpy, which an
+    event-tier process never imports and which adds about 11 MB to its
+    resident memory.
+    """
+    if config.fidelity != "functional":
+        return None
+    return compiled_digest(workload, gen_ctx,
+                           line_bytes=config.gpu.line_bytes,
+                           sector_bytes=config.gpu.sector_bytes)
 
 
 def _active_chaos():

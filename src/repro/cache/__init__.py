@@ -8,7 +8,9 @@ not pay full-line fetch bandwidth.  This package provides:
   replacement, all behind one per-set interface;
 * :mod:`repro.cache.sectored` — the sectored set-associative cache with
   per-sector valid/dirty/*verified* state (the verified bit is what the
-  CacheCraft protection layer builds on);
+  CacheCraft protection layer builds on), used by the L2 slices and the
+  dedicated metadata caches;
+* :mod:`repro.cache.l1` — the SMs' write-through LRU L1;
 * :mod:`repro.cache.mshr` — miss-status holding registers with
   same-line merge.
 """

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.cache.replacement import ReplacementPolicy, make_policy
-from repro.sim.stats import Counter, StatGroup
+from repro.sim.stats import StatGroup
 
 
 class LookupResult(enum.Enum):
@@ -195,18 +195,17 @@ class SectoredCache:
         self._sector_misses.value += 1
         return LookupResult.MISS_SECTOR, line
 
-    def lookup_mask(self, line_addr: int, sector_mask: int, *,
-                    require_verified: bool = True
+    def lookup_mask(self, line_addr: int, sector_mask: int
                     ) -> Tuple[int, Optional[CacheLine]]:
         """Multi-sector lookup: returns ``(hit_mask, line)``.
 
-        ``hit_mask`` is the subset of ``sector_mask`` resident (and
-        verified, if required).  Hits and sector misses count each
-        requested sector; a line (tag) miss counts **once per access**,
-        exactly like :meth:`lookup`, so hit-rate reporting does not
-        depend on which entry point served the request.  The sectors a
-        line miss requested are tracked separately in
-        ``line_miss_sectors`` (conservation-law checks need them).
+        ``hit_mask`` is the subset of ``sector_mask`` resident and
+        verified.  Hits and sector misses count each requested sector;
+        a line (tag) miss counts **once per access**, exactly like
+        :meth:`lookup`, so hit-rate reporting does not depend on which
+        entry point served the request.  The sectors a line miss
+        requested are tracked separately in ``line_miss_sectors``
+        (conservation-law checks need them).
         """
         loc = self._directory.get(line_addr)
         if loc is None:
@@ -217,9 +216,7 @@ class SectoredCache:
             return 0, None
         set_idx, way = loc
         line = self._sets[set_idx][way]
-        hit_mask = sector_mask & line.valid_mask
-        if require_verified:
-            hit_mask &= line.verified_mask
+        hit_mask = sector_mask & line.valid_mask & line.verified_mask
         hits = hit_mask.bit_count()
         requested = sector_mask.bit_count()
         if self._insp is not None:
@@ -232,19 +229,6 @@ class SectoredCache:
         if requested - hits:
             self._sector_misses.value += requested - hits
         return hit_mask, line
-
-    def miss_counts(self, line: Optional[CacheLine], sector_mask: int
-                    ) -> Optional[Tuple[Tuple[Counter, int], ...]]:
-        """What a :meth:`lookup_mask` of ``sector_mask`` that hit no
-        sector adds to the counters, given the ``line`` it returned
-        (``None``: a tag miss).  ``None`` while an inspector is attached,
-        because the inspector records every access as well."""
-        if self._insp is not None:
-            return None
-        sectors = sector_mask.bit_count()
-        if line is None:
-            return ((self._line_misses, 1), (self._line_miss_sectors, sectors))
-        return ((self._sector_misses, sectors),)
 
     def probe(self, line_addr: int) -> Optional[CacheLine]:
         """Non-intrusive tag probe: no stats, no replacement update."""

@@ -566,17 +566,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 inspect_meta=(args.workload, args.scheme, args.fidelity))
     ledger = _ledger_from_args(args)
     if ledger is not None:
-        from repro.analysis.result_cache import cache_key
+        from repro.analysis.result_cache import cache_key, trace_digest_for
         from repro.obs.ledger import record_from_result
-        from repro.workloads.base import compiled_digest
 
-        # The key a harness would file this cell under: functional
-        # cells are addressed by their compiled trace (memoized by the
-        # run above).
-        digest = (compiled_digest(workload, gen_ctx,
-                                  line_bytes=config.gpu.line_bytes,
-                                  sector_bytes=config.gpu.sector_bytes)
-                  if config.fidelity == "functional" else None)
+        # The key a harness would file this cell under.
+        digest = trace_digest_for(workload, gen_ctx, config)
         ledger.safe_append(record_from_result(
             result, label="cli.run",
             config_key=cache_key(args.workload, config, args.scale,

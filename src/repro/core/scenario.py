@@ -118,6 +118,7 @@ class Scenario:
             prev_cycles = now
             prev_traffic = traffic_now
             self._reset_sms(system)
+        system.release()
 
         return ScenarioResult(
             kernels=results,

@@ -24,9 +24,8 @@ from repro.protection.base import ProtectionContext, make_scheme
 from repro.resilience.injector import Injector
 from repro.resilience.recovery import RecoveryController
 from repro.sim.engine import Simulator, Watchdog
-from repro.sim.functional import (FunctionalChannel, FunctionalSm,
-                                  ImmediateQueue, L1Geometry,
-                                  replay_columnar)
+from repro.sim.functional import (FunctionalChannel, ImmediateQueue,
+                                  L1Geometry, replay_columnar)
 from repro.sim.stats import StatsRegistry
 from repro.workloads.base import (GenContext, Workload, materialize,
                                   materialize_compiled,
@@ -149,34 +148,33 @@ class GpuSystem:
 
         self.route = route
         #: Columnar artifact of the loaded workload (set by
-        #: :meth:`load_workload`): what the functional tier replays and
-        #: what the inspector's trace-level analytics read.
+        #: :meth:`load_workload`): what the functional tier replays (and
+        #: consumes, as event SMs consume their warps) and what the
+        #: inspector's trace-level analytics read.
         self.compiled = None
         if functional_tier:
             # No interconnect timing to model — the replay drives the
             # slices directly, through the same receive_* interface.
             self.crossbar = None
             self.l1_geometry = L1Geometry.of(gpu)
-            self.sms = [FunctionalSm(i, stats=self.stats)
-                        for i in range(gpu.num_sms)]
         else:
             self.crossbar = Crossbar(
                 self.sim, gpu.num_slices, latency=gpu.xbar_latency,
                 cycles_per_request=gpu.xbar_cycles_per_request,
                 cycles_per_sector=gpu.xbar_cycles_per_sector,
                 stats=self.stats)
-            self.sms = [
-                StreamingMultiprocessor(
-                    i, self.sim, self.crossbar, self.slices, route,
-                    l1_size=gpu.l1_size_kb * 1024, l1_ways=gpu.l1_ways,
-                    line_bytes=gpu.line_bytes, sector_bytes=gpu.sector_bytes,
-                    l1_latency=gpu.l1_latency,
-                    l1_mshr_entries=gpu.l1_mshr_entries,
-                    store_buffer=gpu.store_buffer, stats=self.stats,
-                    scheduler=gpu.warp_scheduler,
-                    blocking_stores=gpu.blocking_stores)
-                for i in range(gpu.num_sms)
-            ]
+        self.sms = [
+            StreamingMultiprocessor(
+                i, self.sim, self.crossbar, self.slices, route,
+                l1_size=gpu.l1_size_kb * 1024, l1_ways=gpu.l1_ways,
+                line_bytes=gpu.line_bytes, sector_bytes=gpu.sector_bytes,
+                l1_latency=gpu.l1_latency,
+                l1_mshr_entries=gpu.l1_mshr_entries,
+                store_buffer=gpu.store_buffer, stats=self.stats,
+                scheduler=gpu.warp_scheduler,
+                blocking_stores=gpu.blocking_stores)
+            for i in range(gpu.num_sms)
+        ]
         # Every observer connects here, once every component exists.
         self.obs.attach(self)
 
@@ -184,19 +182,25 @@ class GpuSystem:
 
     def load_workload(self, workload: Workload,
                       gen_ctx: Optional[GenContext] = None) -> GenContext:
-        """Generate and distribute traces to the SMs."""
+        """Generate the workload's traces: on the event tier, add them to
+        the SMs as warps; on the functional tier, compile the artifact
+        :meth:`run` replays (one workload per run)."""
         gpu = self.config.gpu
+        functional_tier = self.config.fidelity == "functional"
+        if functional_tier and self.compiled is not None:
+            raise RuntimeError("the functional tier replays one loaded "
+                               "workload per run")
         if gen_ctx is None:
             gen_ctx = GenContext(
                 num_sms=gpu.num_sms, warps_per_sm=gpu.warps_per_sm,
                 lanes=gpu.lanes, seed=self.config.seed,
                 line_bytes=gpu.line_bytes, sector_bytes=gpu.sector_bytes)
         traces = materialize(workload, gen_ctx)
-        for sm, warp_traces in zip(self.sms, traces):
-            for ops in warp_traces:
-                sm.add_warp(ops)
-        if self.config.fidelity == "functional" \
-                or self.obs.inspect is not None:
+        if not functional_tier:
+            for sm, warp_traces in zip(self.sms, traces):
+                for ops in warp_traces:
+                    sm.add_warp(ops)
+        if functional_tier or self.obs.inspect is not None:
             # The inspector's trace-level analytics also want the
             # columnar artifact, so event-tier inspected runs compile
             # it too (materialization is memoized — no double cost).
@@ -275,34 +279,40 @@ class GpuSystem:
         request stream (stage 1, memoized per trace and L1 geometry by
         :func:`~repro.workloads.base.materialize_l2_stream`) drives the
         slices (stage 2, :func:`repro.sim.functional.replay_columnar`).
-        Warps added by hand with ``sm.add_warp`` are absent from the
-        artifact: when the SMs hold any, all their warps are compiled
-        afresh, SM-major, in the order they were added.
+        A system with no workload loaded, or whose workload has been
+        replayed, replays nothing.  Warps added by hand with
+        ``sm.add_warp`` are not in the artifact, so a run whose SMs
+        hold any raises: load hand-built traces through a
+        :class:`~repro.workloads.base.Workload`.
         """
+        if not all(sm.done for sm in self.sms):
+            raise RuntimeError(
+                "the functional tier replays only what load_workload "
+                "compiled; load hand-built traces through a Workload, "
+                "not sm.add_warp")
         queue = self.sim
         queue.set_budget(
             max_events,
             watchdog.max_wall_seconds if watchdog is not None else None)
-        gpu = self.config.gpu
-        compiled = self.compiled
-        # The last load_workload added every warp of its artifact, so
-        # equal counts mean the SMs hold exactly the artifact's warps.
-        if compiled is None or sum(sm.num_warps for sm in self.sms) \
-                != int((compiled.warp_sm < len(self.sms)).sum()):
-            from repro.gpu.columnar import compile_trace
-
-            compiled = compile_trace([sm.warps for sm in self.sms],
-                                     gpu.line_bytes, gpu.sector_bytes)
-        replay_columnar(materialize_l2_stream(compiled, self.l1_geometry),
-                        self.sms, self.slices, queue, flame=self.obs.flame)
-        for sm in self.sms:
-            sm.warps.clear()
+        compiled, self.compiled = self.compiled, None
+        if compiled is not None:
+            replay_columnar(materialize_l2_stream(compiled, self.l1_geometry),
+                            self.sms, self.slices, queue,
+                            flame=self.obs.flame)
         if self.config.flush_at_end:
             for sl in self.slices:
                 sl.flush()
             self.scheme.drain()
             queue.drain()
         return 0
+
+    def release(self) -> None:
+        """Unwire the L2 slices from the protection context once the
+        result is taken (the system cannot run again).  The context
+        reaches the slices, and they reach it through the scheme:
+        breaking that one cycle lets reference counting free the
+        finished system, not the cyclic collector later."""
+        self.ctx.wire_l2(None)
 
     # -- reporting --------------------------------------------------------------------
 
@@ -358,8 +368,5 @@ def run_workload(workload: Workload, config: SystemConfig,
     cycles = system.run(max_events=max_events, watchdog=watchdog)
     host_seconds = time.perf_counter() - started
     result = system.result(workload.name, cycles, host_seconds)
-    # The context reaches the slices, and they reach it through the
-    # scheme: unwiring breaks that one cycle, so reference counting
-    # frees the finished system here, not the cyclic collector later.
-    system.ctx.wire_l2(None)
+    system.release()
     return result

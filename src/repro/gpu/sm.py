@@ -23,8 +23,8 @@ from collections import deque
 from functools import partial
 from typing import Callable, Deque, Iterator, List, Optional, Tuple
 
+from repro.cache.l1 import L1Cache
 from repro.cache.mshr import MshrFile
-from repro.cache.sectored import SectoredCache
 from repro.gpu.coalescer import coalesce, coalesce_summary
 from repro.gpu.crossbar import Crossbar
 from repro.gpu.trace import ComputeOp, MemoryOp, WarpOp
@@ -59,11 +59,17 @@ class _Warp:
 
 
 class StreamingMultiprocessor:
-    """One SM: warps, L1, store buffer, crossbar port."""
+    """One SM: warps, L1, store buffer, crossbar port.
+
+    The functional tier builds its SMs with ``crossbar=None`` and never
+    starts them; its replay adds to their statistics tree (see
+    :mod:`repro.sim.functional`).
+    """
 
     RETRY_CYCLES = 4
 
-    def __init__(self, sm_id: int, sim: Simulator, crossbar: Crossbar,
+    def __init__(self, sm_id: int, sim: Simulator,
+                 crossbar: Optional[Crossbar],
                  slices: List, route: Callable[[int], int],
                  l1_size: int = 32 * 1024, l1_ways: int = 4,
                  line_bytes: int = 128, sector_bytes: int = 32,
@@ -93,8 +99,7 @@ class StreamingMultiprocessor:
         group = stats.child(f"sm{sm_id}") if stats is not None \
             else StatGroup(f"sm{sm_id}")
         self.stats = group
-        self.l1 = SectoredCache("l1", l1_size, l1_ways, line_bytes=line_bytes,
-                                sector_bytes=sector_bytes, stats=group)
+        self.l1 = L1Cache(l1_size, l1_ways, line_bytes, stats=group)
         self.l1_mshrs = MshrFile("l1mshr", l1_mshr_entries, max_merges=32,
                                  stats=group)
         self.store_credits = OccupancyLimiter("storebuf", store_buffer,
@@ -266,8 +271,7 @@ class StreamingMultiprocessor:
     # -- loads ------------------------------------------------------------------------
 
     def _issue_load_txn(self, warp: _Warp, line_addr: int, mask: int) -> bool:
-        hit_mask, line = self.l1.lookup_mask(line_addr, mask,
-                                             require_verified=False)
+        hit_mask = self.l1.lookup(line_addr, mask)
         miss_mask = mask & ~hit_mask
         load_txns = self._load_txns
         load_txns.value += 1
@@ -281,12 +285,12 @@ class StreamingMultiprocessor:
             load_txns.value -= 1
             # A lookup that hit moved LRU order, so only a miss-only
             # lookup can be replayed by its counts.
-            counts = None if hit_mask else self.l1.miss_counts(line, mask)
-            if counts is None:
+            if hit_mask:
                 self._stall(warp)
             else:
                 self._stall(warp, self,
-                            counts + self.l1_mshrs.stall_counts(line_addr))
+                            self.l1.miss_counts(line_addr, mask)
+                            + self.l1_mshrs.stall_counts(line_addr))
             return False
         self.epoch += 1
         warp.outstanding += 1
@@ -314,12 +318,8 @@ class StreamingMultiprocessor:
         if token is not None:
             self._attributor.complete(token)
         self.epoch += 1
-        line, evicted = self.l1.allocate(line_addr)
-        # L1 is write-through: evictions are silent, nothing to do.
-        del evicted
-        new_mask = mask & ~line.valid_mask
-        if new_mask:
-            self.l1.fill_sectors(line, new_mask, dirty=False, verified=True)
+        # The L1 is write-through: an eviction writes nothing back.
+        self.l1.fill(line_addr, mask)
         warps = self.l1_mshrs.fill(line_addr, mask)
         if warps is None:
             return
@@ -355,10 +355,7 @@ class StreamingMultiprocessor:
             self._stall(warp, credits, credits.rejection_counts)
             return False
         self._store_txns.value += 1
-        line = self.l1.probe(line_addr)
-        if line is not None:
-            line.valid_mask &= ~mask  # L1 copy is now stale
-            line.verified_mask &= ~mask
+        if self.l1.clear(line_addr, mask):  # the L1 copy is now stale
             self.epoch += 1
         slice_id = self.route(line_addr)
         self.crossbar.send_request(

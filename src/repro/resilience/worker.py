@@ -112,6 +112,7 @@ def run_cell_result(spec: Dict[str, Any], log: NullLog = NULL_LOG,
                             watchdog=watchdog)
         host_seconds = time.perf_counter() - started
         result = system.result(workload.name, cycles, host_seconds)
+        system.release()
     except Exception as exc:
         error = f"{type(exc).__name__}: {exc}"
         if "watchdog" in str(exc):

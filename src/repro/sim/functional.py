@@ -7,7 +7,8 @@ no event heap, no cycle clock and no per-event dispatch overhead.
 
 The replay runs in two stages.  **Stage 1**
 (:func:`compile_l2_stream`) replays a compiled trace through the SMs'
-L1s alone and yields the stream of requests the L1s send the L2 (kind,
+L1s alone — :class:`~repro.cache.l1.L1Cache`, the event SM's L1
+class — and yields the stream of requests the L1s send the L2 (kind,
 slice, line and sector mask of each), the points where the queue
 drains, and each SM's L1, L1-MSHR and store-buffer tallies.  An L1
 fill is installed at its drain point in the order its request was
@@ -17,7 +18,12 @@ protection scheme; it is memoized per trace and geometry
 (:func:`repro.workloads.base.materialize_l2_stream`), so a sweep over
 schemes runs the L1s once.  **Stage 2** (:func:`replay_columnar`)
 drives each scheme's L2 slices over the stream and drains the queue at
-the same points.  The pieces:
+the same points, adding each SM's tallies to the statistics tree of
+its :class:`~repro.gpu.sm.StreamingMultiprocessor`: the tier builds
+the event tier's SM class, never starts it and gives it no crossbar,
+so one class registers the ``sm{i}`` keys on both tiers.  The tier
+replays only the artifact :meth:`repro.core.system.GpuSystem.load_workload`
+compiled.  The pieces:
 
 ``ImmediateQueue``
     Duck-types the :class:`~repro.sim.engine.Simulator` scheduling
@@ -35,11 +41,6 @@ the same points.  The pieces:
     accounting (bytes by :class:`~repro.dram.channel.RequestKind`,
     read/write atom counters, posted-write acks) and fires read
     callbacks through the queue instead of the FR-FCFS timing model.
-
-``FunctionalSm``
-    One SM's warps and the event SM's statistics tree, so flattened
-    results are key-compatible with the event tier; stage 2 adds the
-    stream's tallies to it.
 
 **Parity contract** (enforced by ``tests/test_fidelity_parity.py``):
 on a *serialized memory stream* — one SM, one warp, one lane,
@@ -59,14 +60,13 @@ from __future__ import annotations
 
 import re
 import time
-from collections import OrderedDict, deque
+from collections import deque
 from dataclasses import dataclass
 from functools import partial
-from typing import (TYPE_CHECKING, Callable, Dict, List, Optional,
-                    Sequence, Tuple)
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
+from repro.cache.l1 import L1Cache
 from repro.dram.channel import RequestKind
-from repro.gpu.trace import WarpOp
 from repro.sim.engine import SimulationError
 from repro.sim.stats import StatGroup
 
@@ -76,6 +76,7 @@ if TYPE_CHECKING:
     import numpy as np
 
     from repro.gpu.columnar import CompiledTrace
+    from repro.gpu.sm import StreamingMultiprocessor
 
 
 class ImmediateQueue:
@@ -166,6 +167,9 @@ class FunctionalChannel:
     histogram) are timing-only and deliberately absent.
     """
 
+    #: No request waits in a queue (see :meth:`enqueue`).
+    queue_depth = 0
+
     def __init__(self, name: str, sim: ImmediateQueue,
                  stats: Optional[StatGroup] = None, atom_bytes: int = 32):
         self.name = name
@@ -199,20 +203,9 @@ class FunctionalChannel:
         return sum(self._bytes_by_kind.values())
 
 
-#: The event SM's statistics tree as (child group, counters), ``""``
-#: naming the ``sm{i}`` group itself.  :class:`FunctionalSm` registers
-#: it in this order so flattened keys equal the event tier's.
-_SM_STATS: Tuple[Tuple[str, Tuple[str, ...]], ...] = (
-    ("", ("instructions", "loads", "stores", "atomics",
-          "load_transactions", "store_transactions", "stall_retries")),
-    ("l1", ("hits", "sector_misses", "line_misses", "line_miss_sectors",
-            "evictions", "writebacks", "metadata_fills", "metadata_hits")),
-    ("l1mshr", ("allocations", "merges", "full_stalls", "merge_stalls")),
-    ("storebuf", ("acquires", "full_rejections")),
-)
-
-#: The counters of that tree stage 1 tallies, in the column order of
-#: :attr:`L2Stream.tallies`; the others stay 0 on this tier.
+#: The counters of an SM's statistics tree that stage 1 tallies, in
+#: the column order of :attr:`L2Stream.tallies`; the others stay 0 on
+#: this tier.
 TALLIED: Tuple[str, ...] = (
     "instructions", "loads", "stores", "atomics", "load_transactions",
     "store_transactions", "storebuf.acquires", "l1.hits",
@@ -224,59 +217,17 @@ _UNFINISHED = ("an L2 request did not complete within its drain — the "
                "serialized-replay contract is broken")
 
 
-class FunctionalSm:
-    """One SM of the functional tier: its warps and its statistics.
-
-    Registers the event SM's statistics tree (``sm{i}`` plus its
-    ``l1``, ``l1mshr`` and ``storebuf`` groups, see :data:`_SM_STATS`)
-    so flattened results are key-compatible with the event tier.
-    :meth:`flush` adds one replay's tallies to it.
-    """
-
-    __slots__ = ("sm_id", "stats", "warps", "_counters")
-
-    def __init__(self, sm_id: int, stats: Optional[StatGroup] = None):
-        self.sm_id = sm_id
-        group = stats.child(f"sm{sm_id}") if stats is not None \
-            else StatGroup(f"sm{sm_id}")
-        self.stats = group
-        self._counters = {
-            f"{child}.{name}" if child else name:
-                (group.child(child) if child else group).counter(name)
-            for child, names in _SM_STATS for name in names}
-        self.warps: List[Sequence[WarpOp]] = []
-
-    # -- setup (same surface as StreamingMultiprocessor) ---------------------
-
-    def add_warp(self, ops: Sequence[WarpOp]) -> None:
-        self.warps.append(ops)
-
-    @property
-    def num_warps(self) -> int:
-        return len(self.warps)
-
-    @property
-    def done(self) -> bool:
-        return not self.warps
-
-    def flush(self, tallies: Sequence[int]) -> None:
-        """Add one replay's tallies (one per :data:`TALLIED` name) to
-        the stat tree."""
-        counters = self._counters
-        for key, value in zip(TALLIED, tallies):
-            counters[key].add(value)
-
-
 @dataclass(frozen=True)
 class L1Geometry:
     """What stage 1's output depends on besides the trace: the SM
-    count, each SM's L1 (sets, ways, MSHR entries, store-buffer depth)
-    and the slice interleave its requests route by.  It keys the
-    stream memo."""
+    count, each SM's L1 (bytes, ways, line bytes, MSHR entries,
+    store-buffer depth) and the slice interleave its requests route
+    by.  It keys the stream memo."""
 
     num_sms: int
-    l1_sets: int
+    l1_bytes: int
     l1_ways: int
+    line_bytes: int
     l1_mshr_entries: int
     store_buffer: int
     slice_chunk_bytes: int
@@ -285,13 +236,8 @@ class L1Geometry:
     @classmethod
     def of(cls, gpu) -> "L1Geometry":
         """The geometry of a :class:`~repro.core.config.GpuConfig`."""
-        l1_bytes = gpu.l1_size_kb * 1024
-        if l1_bytes % (gpu.l1_ways * gpu.line_bytes):
-            raise ValueError("L1 size must be a multiple of ways * line_bytes")
-        if gpu.l1_mshr_entries < 1 or gpu.store_buffer < 1:
-            raise ValueError("l1_mshr_entries and store_buffer must be >= 1")
-        return cls(gpu.num_sms, l1_bytes // (gpu.l1_ways * gpu.line_bytes),
-                   gpu.l1_ways, gpu.l1_mshr_entries, gpu.store_buffer,
+        return cls(gpu.num_sms, gpu.l1_size_kb * 1024, gpu.l1_ways,
+                   gpu.line_bytes, gpu.l1_mshr_entries, gpu.store_buffer,
                    gpu.slice_chunk_bytes, gpu.num_slices)
 
 
@@ -309,44 +255,6 @@ class L2Stream:
     drain_at: np.ndarray  # int64  (D,)  requests issued before each drain
     drain_sm: np.ndarray  # int32  (D,)  SM whose op drains there
     tallies: np.ndarray   # int64  (S, len(TALLIED)) per-SM counters
-
-
-class _L1:
-    """One SM's L1 in stage 1: an exact LRU model of the event SM's
-    sectored L1, with one ``OrderedDict`` (line -> valid sector mask)
-    per set.  Insertion order is fill order, ``move_to_end`` the hit
-    promotion, ``popitem(last=False)`` the victim (the real cache
-    fills invalid ways first, but every fill becomes MRU wherever it
-    lands, so the two recency orders are the same total order).  A
-    line whose mask atomics zeroed stays resident (tag match, every
-    sector misses) and, like the real cache, is not counted as an
-    eviction when displaced."""
-
-    __slots__ = ("sets", "hits", "sector_misses", "line_misses",
-                 "line_miss_sectors", "evictions", "mshr_allocs",
-                 "mshr_full_stalls", "store_rejections")
-
-    def __init__(self, num_sets: int):
-        self.sets = [OrderedDict() for _ in range(num_sets)]
-        self.hits = self.sector_misses = self.line_misses = 0
-        self.line_miss_sectors = self.evictions = self.mshr_allocs = 0
-        self.mshr_full_stalls = self.store_rejections = 0
-
-    def install(self, fills: List[Tuple[int, int]], ways: int) -> None:
-        """Install a drain's fills in issue order (allocating, and
-        evicting LRU, without promoting a line already resident)."""
-        sets = self.sets
-        nsets = len(sets)
-        for line, mask in fills:
-            sd = sets[line % nsets]
-            valid = sd.get(line)
-            if valid is not None:
-                sd[line] = valid | mask
-                continue
-            if len(sd) >= ways and sd.popitem(last=False)[1]:
-                self.evictions += 1
-            sd[line] = mask
-        fills.clear()
 
 
 def compile_l2_stream(compiled: CompiledTrace,
@@ -407,17 +315,18 @@ def compile_l2_stream(compiled: CompiledTrace,
     routes = ((compiled.txn_line * compiled.line_bytes)
               // geometry.slice_chunk_bytes) % geometry.num_slices
     sel = order[kind[order] != OP_COMPUTE]
-    l1s = [_L1(geometry.l1_sets) for _ in range(n)]
-    stream = _l1_pass(kind[sel].tolist(), op_sm[sel].tolist(),
-                      compiled.op_txn_ptr[sel].tolist(),
-                      compiled.op_txn_ptr[sel + 1].tolist(),
-                      compiled.txn_line.tolist(), compiled.txn_mask.tolist(),
-                      routes.tolist(), l1s, geometry)
-    l1_tallies = np.array(
-        [(l1.hits, l1.sector_misses, l1.line_misses, l1.line_miss_sectors,
-          l1.evictions, l1.mshr_allocs, l1.mshr_full_stalls,
-          l1.store_rejections) for l1 in l1s], dtype=np.int64).reshape(n, 8)
-    tallies = np.column_stack(static + (l1_tallies,))
+    l1s = [L1Cache(geometry.l1_bytes, geometry.l1_ways, geometry.line_bytes)
+           for _ in range(n)]
+    stream, queue_counts = _l1_pass(
+        kind[sel].tolist(), op_sm[sel].tolist(),
+        compiled.op_txn_ptr[sel].tolist(),
+        compiled.op_txn_ptr[sel + 1].tolist(), compiled.txn_line.tolist(),
+        compiled.txn_mask.tolist(), routes.tolist(), l1s, geometry)
+    front = [[l1.stats.get(name).value for name in (
+        "hits", "sector_misses", "line_misses", "line_miss_sectors",
+        "evictions")] + queue for l1, queue in zip(l1s, queue_counts)]
+    tallies = np.column_stack(
+        static + (np.array(front, dtype=np.int64).reshape(n, 8),))
     port, lines, masks, drain_at, drain_sm = stream
     return L2Stream(frozen_array(port, np.uint16),
                     frozen_array(lines, np.int64),
@@ -429,14 +338,16 @@ def compile_l2_stream(compiled: CompiledTrace,
 
 def _l1_pass(kinds: List[int], sms_of: List[int], starts: List[int],
              ends: List[int], tl: List[int], tm: List[int], rt: List[int],
-             l1s: List[_L1], geometry: L1Geometry) -> Tuple[List[int], ...]:
+             l1s: List[L1Cache], geometry: L1Geometry
+             ) -> Tuple[Tuple[List[int], ...], List[List[int]]]:
     """The hot loop of :func:`compile_l2_stream` over the scheduled
     memory ops (op kind, SM and transaction range per op; line, sector
     mask and slice per transaction).  Returns the stream's columns as
-    lists: port, line, mask, drain points and their SMs."""
+    lists (port, line, mask, drain points and their SMs) and, per SM,
+    its L1-MSHR allocations and full stalls and its store-buffer full
+    rejections."""
     from repro.gpu.columnar import OP_ATOMIC, OP_LOAD
 
-    ways = geometry.l1_ways
     mshr_entries = geometry.l1_mshr_entries
     store_buffer = geometry.store_buffer
     store_base = geometry.num_slices
@@ -446,36 +357,24 @@ def _l1_pass(kinds: List[int], sms_of: List[int], starts: List[int],
     masks: List[int] = []
     drain_at: List[int] = []
     drain_sm: List[int] = []
+    queue_counts = [[0, 0, 0] for _ in l1s]
     # Loads in flight since the last drain, in issue order.
     fills: List[Tuple[int, int]] = []
 
     for i, k in enumerate(kinds):
         sm_index = sms_of[i]
         l1 = l1s[sm_index]
-        sets = l1.sets
-        nsets = len(sets)
+        counts = queue_counts[sm_index]
         if k == OP_LOAD:
             for t in range(starts[i], ends[i]):
                 line = tl[t]
                 mask = tm[t]
-                sd = sets[line % nsets]
                 while True:
-                    valid = sd.get(line)
-                    if valid is None:
-                        l1.line_misses += 1
-                        l1.line_miss_sectors += mask.bit_count()
-                        miss = mask
-                    else:
-                        hit = mask & valid
-                        miss = mask & ~valid
-                        if hit:
-                            l1.hits += hit.bit_count()
-                            sd.move_to_end(line)
-                        if not miss:
-                            break
-                        l1.sector_misses += miss.bit_count()
+                    miss = mask & ~l1.lookup(line, mask)
+                    if not miss:
+                        break
                     if len(fills) < mshr_entries:
-                        l1.mshr_allocs += 1
+                        counts[0] += 1
                         fills.append((line, miss))
                         port.append(rt[t])
                         lines.append(line)
@@ -483,12 +382,12 @@ def _l1_pass(kinds: List[int], sms_of: List[int], starts: List[int],
                         break
                     # A full MSHR file stalls like the event SM: drain
                     # (every fill lands), then redo the lookup.
-                    l1.mshr_full_stalls += 1
-                    l1.install(fills, ways)
+                    counts[1] += 1
+                    _install(l1, fills)
                     drain_at.append(len(lines))
                     drain_sm.append(sm_index)
             if fills:
-                l1.install(fills, ways)
+                _install(l1, fills)
                 drain_at.append(len(lines))
                 drain_sm.append(sm_index)
         else:  # OP_STORE / OP_ATOMIC
@@ -498,7 +397,7 @@ def _l1_pass(kinds: List[int], sms_of: List[int], starts: List[int],
             for t in range(starts[i], ends[i]):
                 if credits >= store_buffer:
                     # A full store buffer drains: every ack lands.
-                    l1.store_rejections += 1
+                    counts[2] += 1
                     drain_at.append(len(lines))
                     drain_sm.append(sm_index)
                     credits = 0
@@ -506,17 +405,21 @@ def _l1_pass(kinds: List[int], sms_of: List[int], starts: List[int],
                 line = tl[t]
                 mask = tm[t]
                 if atomic:
-                    sd = sets[line % nsets]
-                    valid = sd.get(line)
-                    if valid is not None:
-                        sd[line] = valid & ~mask  # L1 copy is now stale
+                    l1.clear(line, mask)  # the L1 copy is now stale
                 port.append(base + rt[t])
                 lines.append(line)
                 masks.append(mask)
             if credits:
                 drain_at.append(len(lines))
                 drain_sm.append(sm_index)
-    return port, lines, masks, drain_at, drain_sm
+    return (port, lines, masks, drain_at, drain_sm), queue_counts
+
+
+def _install(l1: L1Cache, fills: List[Tuple[int, int]]) -> None:
+    """Land a drain's L1 fills in issue order and empty ``fills``."""
+    for line, mask in fills:
+        l1.fill(line, mask)
+    fills.clear()
 
 
 class _Completions(list):
@@ -532,7 +435,7 @@ class _Completions(list):
         self.name = name
 
 
-def replay_columnar(stream: L2Stream, sms: List[FunctionalSm],
+def replay_columnar(stream: L2Stream, sms: List[StreamingMultiprocessor],
                     slices: List, queue: ImmediateQueue,
                     flame=None) -> None:
     """Stage 2: drive the L2 slices over a stage-1 stream.
@@ -544,7 +447,8 @@ def replay_columnar(stream: L2Stream, sms: List[FunctionalSm],
     (impossible on the serialized contract; the guard keeps a future
     concurrent L2 model from silently breaking counter parity).  The
     protection-layer state machines (the part the paper is about) are
-    never reimplemented.  Each SM's tallies go to its stat tree.
+    never reimplemented.  Each SM's tallies (:data:`TALLIED`) are
+    added to its statistics tree.
 
     With a flame profiler (``flame``) each drain segment runs under its
     SM's ``sm{N}.step`` root frame, so the micro-tasks it schedules
@@ -570,7 +474,16 @@ def replay_columnar(stream: L2Stream, sms: List[FunctionalSm],
         for j, sm_index in enumerate(stream.drain_sm.tolist()):
             roots[sm_index](j, j + 1)
     for sm, tallies in zip(sms, stream.tallies.tolist()):
-        sm.flush(tallies)
+        for key, value in zip(TALLIED, tallies):
+            _stat(sm.stats, key).add(value)
+
+
+def _stat(group: StatGroup, key: str):
+    """The statistic at the dotted ``key`` under ``group``."""
+    *path, name = key.split(".")
+    for child in path:
+        group = group.child(child)
+    return group.get(name)
 
 
 def _replay_segments(ports: List[int], lines: List[int], masks: List[int],

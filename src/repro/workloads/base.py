@@ -6,7 +6,7 @@ import abc
 import random
 from collections import OrderedDict
 from dataclasses import asdict, dataclass, field
-from typing import Dict, List, Tuple, Type
+from typing import Callable, Dict, List, Tuple, Type
 
 from repro.gpu.trace import ComputeOp, MemoryOp, WarpOp
 
@@ -128,23 +128,68 @@ def make_workload(name: str, **params) -> Workload:
     return cls(**params)
 
 
-# -- trace memoization -------------------------------------------------------
+# -- per-process memos -------------------------------------------------------
 #
 # Trace generation is deterministic: (workload name, its params, every
 # GenContext field) fully determines the op lists, and nothing mutates
 # a built trace afterwards (ops are frozen dataclasses; SMs wrap each
 # warp's list in a fresh iterator).  So `compare` over N schemes — or a
 # parity test running event and functional back-to-back — can
-# materialize each trace once and share it.
+# materialize each trace once and share it.  The compiled artifact and
+# the L2 request stream derived from a trace memoize under the same
+# argument; each is immutable (frozen numpy arrays).
+
+
+class _Memo:
+    """A per-process LRU of built values, with hit/miss counters."""
+
+    __slots__ = ("capacity", "entries", "hits", "misses")
+
+    def __init__(self, capacity: int):
+        self.capacity = capacity
+        self.entries: "OrderedDict[tuple, object]" = OrderedDict()
+        self.hits = 0
+        self.misses = 0
+
+    def get(self, key: tuple, build: Callable[[], object]):
+        """The value memoized under ``key``, calling ``build()`` on a
+        miss.  A key that does not hash (unhashable workload params)
+        builds uncached: the ``TypeError`` surfaces when the key is
+        hashed, at the probe."""
+        try:
+            value = self.entries.get(key)
+        except TypeError:
+            self.misses += 1
+            return build()
+        if value is not None:
+            self.entries.move_to_end(key)
+            self.hits += 1
+            return value
+        self.misses += 1
+        value = self.entries[key] = build()
+        if len(self.entries) > self.capacity:
+            self.entries.popitem(last=False)
+        return value
+
+    def clear(self) -> None:
+        self.entries.clear()
+        self.hits = 0
+        self.misses = 0
+
 
 #: Maximum memoized traces per process.  Traces are the largest
 #: allocation in a run; a small LRU covers the common loops (same
 #: workload across schemes / fidelities) without hoarding memory.
 TRACE_CACHE_CAPACITY = 16
+#: Maximum memoized compiled artifacts per process (they are much
+#: smaller than the op-list traces they are lowered from).
+COMPILED_CACHE_CAPACITY = 16
+#: Maximum memoized L2 request streams per process.
+STREAM_CACHE_CAPACITY = 16
 
-_trace_cache: "OrderedDict[tuple, List[List[List[WarpOp]]]]" = OrderedDict()
-_trace_hits = 0
-_trace_misses = 0
+_traces = _Memo(TRACE_CACHE_CAPACITY)
+_compiled = _Memo(COMPILED_CACHE_CAPACITY)
+_streams = _Memo(STREAM_CACHE_CAPACITY)
 
 
 def _trace_key(workload: Workload, ctx: GenContext) -> tuple:
@@ -160,71 +205,36 @@ def materialize(workload: Workload,
     Callers must treat the returned traces as immutable — they are
     shared across runs in this process.
     """
-    global _trace_hits, _trace_misses
-    try:
-        # Hashing happens at the probe, not at key construction, so
-        # the unhashable-params fallback must cover the lookup too.
-        key = _trace_key(workload, ctx)
-        cached = _trace_cache.get(key)
-    except TypeError:  # unhashable params: build uncached
-        _trace_misses += 1
-        return workload.build(ctx)
-    if cached is not None:
-        _trace_cache.move_to_end(key)
-        _trace_hits += 1
-        return cached
-    _trace_misses += 1
-    traces = workload.build(ctx)
-    _trace_cache[key] = traces
-    while len(_trace_cache) > TRACE_CACHE_CAPACITY:
-        _trace_cache.popitem(last=False)
-    return traces
+    return _traces.get(_trace_key(workload, ctx),
+                       lambda: workload.build(ctx))
 
 
 def trace_cache_stats() -> Dict[str, int]:
     """Hit/miss/occupancy counters for ``cache stats`` debug output."""
-    return {"entries": len(_trace_cache), "hits": _trace_hits,
-            "misses": _trace_misses, "capacity": TRACE_CACHE_CAPACITY,
-            "compiled_entries": len(_compiled_cache),
-            "compiled_hits": _compiled_hits,
-            "compiled_misses": _compiled_misses,
-            "stream_entries": len(_stream_cache),
-            "stream_hits": _stream_hits,
-            "stream_misses": _stream_misses}
+    return {"entries": len(_traces.entries), "hits": _traces.hits,
+            "misses": _traces.misses, "capacity": _traces.capacity,
+            "compiled_entries": len(_compiled.entries),
+            "compiled_hits": _compiled.hits,
+            "compiled_misses": _compiled.misses,
+            "stream_entries": len(_streams.entries),
+            "stream_hits": _streams.hits,
+            "stream_misses": _streams.misses}
 
 
 def trace_cache_clear() -> None:
     """Empty the trace, compiled and L2-stream memos and reset their
     hit/miss counters."""
-    global _trace_hits, _trace_misses, _compiled_hits, _compiled_misses
-    global _stream_hits, _stream_misses
-    _trace_cache.clear()
-    _trace_hits = 0
-    _trace_misses = 0
-    _compiled_cache.clear()
-    _compiled_hits = 0
-    _compiled_misses = 0
-    _stream_cache.clear()
-    _stream_hits = 0
-    _stream_misses = 0
+    for memo in (_traces, _compiled, _streams):
+        memo.clear()
 
 
 # -- compiled (columnar) artifacts -------------------------------------------
 #
 # The functional tier replays the columnar IR (see
 # :mod:`repro.gpu.columnar`): coalescing runs once per memory op at
-# compile time and the result is immutable (frozen numpy arrays), so
-# the compiled form memoizes under the same determinism argument as
-# the raw traces — plus the coalescing geometry, which is a machine
-# property (the GPU's line/sector bytes), not a GenContext one.
-
-#: Maximum memoized compiled artifacts per process (they are much
-#: smaller than the op-list traces they are lowered from).
-COMPILED_CACHE_CAPACITY = 16
-
-_compiled_cache: "OrderedDict[tuple, object]" = OrderedDict()
-_compiled_hits = 0
-_compiled_misses = 0
+# compile time, and the compiled form is keyed additionally on the
+# coalescing geometry, which is a machine property (the GPU's
+# line/sector bytes), not a GenContext one.
 
 
 def materialize_compiled(workload: Workload, ctx: GenContext,
@@ -237,29 +247,12 @@ def materialize_compiled(workload: Workload, ctx: GenContext,
     process).  Unhashable workload params fall back to an uncached
     build+compile, mirroring :func:`materialize`.
     """
-    global _compiled_hits, _compiled_misses
     from repro.gpu.columnar import compile_trace
 
-    try:
-        # As in :func:`materialize`, the TypeError for unhashable
-        # params surfaces when the key is *hashed* (the probe).
-        key = (_trace_key(workload, ctx), line_bytes, sector_bytes)
-        cached = _compiled_cache.get(key)
-    except TypeError:  # unhashable params: compile uncached
-        _compiled_misses += 1
-        return compile_trace(materialize(workload, ctx),
-                             line_bytes, sector_bytes)
-    if cached is not None:
-        _compiled_cache.move_to_end(key)
-        _compiled_hits += 1
-        return cached
-    _compiled_misses += 1
-    compiled = compile_trace(materialize(workload, ctx),
-                             line_bytes, sector_bytes)
-    _compiled_cache[key] = compiled
-    while len(_compiled_cache) > COMPILED_CACHE_CAPACITY:
-        _compiled_cache.popitem(last=False)
-    return compiled
+    return _compiled.get(
+        (_trace_key(workload, ctx), line_bytes, sector_bytes),
+        lambda: compile_trace(materialize(workload, ctx), line_bytes,
+                              sector_bytes))
 
 
 def compiled_digest(workload: Workload, ctx: GenContext,
@@ -278,13 +271,6 @@ def compiled_digest(workload: Workload, ctx: GenContext,
 # :mod:`repro.sim.functional`), so a sweep over protection schemes
 # replays one memoized stream per trace.
 
-#: Maximum memoized L2 request streams per process.
-STREAM_CACHE_CAPACITY = 16
-
-_stream_cache: "OrderedDict[tuple, object]" = OrderedDict()
-_stream_hits = 0
-_stream_misses = 0
-
 
 def materialize_l2_stream(compiled, geometry):
     """Memoized stage 1 of the functional tier: the
@@ -293,21 +279,10 @@ def materialize_l2_stream(compiled, geometry):
     ``geometry`` (a :class:`repro.sim.functional.L1Geometry`), keyed on
     the trace's digest and the geometry.  The stream's arrays are
     frozen; callers share it."""
-    global _stream_hits, _stream_misses
     from repro.sim.functional import compile_l2_stream
 
-    key = (compiled.digest, geometry)
-    cached = _stream_cache.get(key)
-    if cached is not None:
-        _stream_cache.move_to_end(key)
-        _stream_hits += 1
-        return cached
-    _stream_misses += 1
-    stream = compile_l2_stream(compiled, geometry)
-    _stream_cache[key] = stream
-    while len(_stream_cache) > STREAM_CACHE_CAPACITY:
-        _stream_cache.popitem(last=False)
-    return stream
+    return _streams.get((compiled.digest, geometry),
+                        lambda: compile_l2_stream(compiled, geometry))
 
 
 def array_layout(sizes_bytes: List[int], align: int = 4096,

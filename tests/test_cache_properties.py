@@ -153,13 +153,11 @@ class EagerReference:
         line.verified_mask = (line.verified_mask | bit if verified
                               else line.verified_mask & ~bit)
 
-    def lookup_mask(self, line_addr, mask, require_verified):
+    def lookup_mask(self, line_addr, mask):
         line = self.line(line_addr)
         if line is None:
             return 0
-        hit = mask & line.valid_mask
-        if require_verified:
-            hit &= line.verified_mask
+        hit = mask & line.valid_mask & line.verified_mask
         if hit:
             self.policies[line_addr % self.num_sets].on_access(
                 self.where[line_addr])
@@ -191,7 +189,7 @@ cache_ops = st.lists(st.one_of(
     st.tuples(st.just("allocate"), LINES, st.booleans(), st.booleans()),
     st.tuples(st.just("fill"), LINES, st.integers(0, 3), st.booleans(),
               st.booleans()),
-    st.tuples(st.just("lookup"), LINES, st.integers(1, 15), st.booleans()),
+    st.tuples(st.just("lookup"), LINES, st.integers(1, 15)),
     st.tuples(st.just("invalidate"), LINES),
 ), min_size=30, max_size=150)
 
@@ -232,11 +230,9 @@ def test_sets_built_on_first_fill_match_eager_reference(
                                   verified=verified)
                 ref.fill_sector(line_addr, sector, dirty, verified)
         elif op == "lookup":
-            mask, require_verified = args
-            hit_mask, _ = cache.lookup_mask(
-                line_addr, mask, require_verified=require_verified)
-            assert hit_mask == ref.lookup_mask(line_addr, mask,
-                                               require_verified)
+            (mask,) = args
+            hit_mask, _ = cache.lookup_mask(line_addr, mask)
+            assert hit_mask == ref.lookup_mask(line_addr, mask)
         else:
             assert cache.invalidate(line_addr) == ref.invalidate(line_addr)
         check_counts()

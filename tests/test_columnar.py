@@ -40,10 +40,8 @@ from repro.sim.resources import OccupancyLimiter
 from repro.sim.stats import StatGroup
 from repro.workloads.base import (
     GenContext,
-    Workload,
     compiled_digest,
     make_workload,
-    materialize,
     materialize_compiled,
     trace_cache_clear,
     trace_cache_stats,
@@ -290,7 +288,7 @@ class _ReferenceSm:
         self.drain()
 
     def load(self, line, mask):
-        hit, _ = self.l1.lookup_mask(line, mask, require_verified=False)
+        hit, _ = self.l1.lookup_mask(line, mask)
         miss = mask & ~hit
         self.count["load_transactions"].add(1)
         if not miss:
@@ -340,18 +338,6 @@ class _ReferenceSm:
         self.l1.probe(line)  # write-through, no-allocate
         self.slices[self.route(line)].receive_store(
             line, mask, self.credits.release)
-
-
-class _FixedTraces(Workload):
-    """Replays the ``traces`` param (a list, so never memoized)."""
-
-    name = "fixed-traces"
-
-    def warp_trace(self, sm_id, warp_id, ctx):
-        return self.params["traces"][sm_id][warp_id]
-
-    def build(self, ctx):
-        return self.params["traces"]
 
 
 def reference_run(system):
@@ -474,25 +460,30 @@ class TestReplayEquivalence:
         assert {stack[0] for stack in flame.samples} == {"sm0.step",
                                                          "sm1.step"}
 
-    def test_manual_add_warp_matches_loaded_warps(self):
+    def test_hand_added_warp_raises(self):
+        """The tier replays only the artifact ``load_workload`` compiled,
+        so a warp added by hand is refused, not ignored."""
         config = small_config(num_sms=2, warps_per_sm=3) \
             .with_scheme("cachecraft").with_fidelity("functional")
-        extra = [MemoryOp((0, 4)), MemoryOp((128,), is_store=True),
-                 MemoryOp((0, 160))]
-        traces = [list(sm_traces) for sm_traces
-                  in materialize(make_workload("bfs"), self.CTX)]
-        traces[0].append(extra)
+        system = GpuSystem(config)
+        system.load_workload(make_workload("bfs"), self.CTX)
+        system.sms[0].add_warp([MemoryOp((0, 4))])
+        with pytest.raises(RuntimeError, match="sm.add_warp"):
+            system.run()
 
-        by_hand = GpuSystem(config)
-        by_hand.load_workload(make_workload("bfs"), self.CTX)
-        by_hand.sms[0].add_warp(extra)  # not in the loaded artifact
-        by_hand.run()
-
-        loaded = GpuSystem(config)
-        loaded.load_workload(_FixedTraces(traces=traces), self.CTX)
-        loaded.run()
-        assert by_hand.traffic() == loaded.traffic()
-        assert by_hand.stats.flatten() == loaded.stats.flatten()
+    def test_one_workload_per_run(self):
+        """A second workload loaded before the run raises; the run
+        consumes the artifact, so running again replays nothing."""
+        config = small_config(num_sms=2, warps_per_sm=3) \
+            .with_scheme("none").with_fidelity("functional")
+        system = GpuSystem(config)
+        system.load_workload(make_workload("bfs"), self.CTX)
+        with pytest.raises(RuntimeError, match="one loaded workload"):
+            system.load_workload(make_workload("vecadd"), self.CTX)
+        system.run()
+        stats = system.stats.flatten()
+        system.run()
+        assert system.stats.flatten() == stats
 
 
 class TestStageTwoGuard:

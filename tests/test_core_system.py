@@ -98,12 +98,10 @@ def test_construction_allocates_under_1mib_with_16mib_l2(fidelity):
     assert peak < 1 << 20
 
 
-@pytest.mark.parametrize("fidelity", FIDELITIES)
-@pytest.mark.parametrize("scheme", ALL_SCHEMES)
-def test_finished_system_is_freed_without_the_collector(fidelity, scheme,
-                                                        monkeypatch):
-    """``run_workload`` breaks the system's reference cycle, so with the
-    cyclic collector off nothing of the system outlives the call."""
+def parts_outliving(run, monkeypatch):
+    """Call ``run()`` with the cyclic collector off; returns the names
+    of the parts of the last system it took a result from that are
+    still alive afterwards."""
     built = []
     real_result = GpuSystem.result
 
@@ -111,26 +109,58 @@ def test_finished_system_is_freed_without_the_collector(fidelity, scheme,
         built.append(system)
         return real_result(system, *args, **kwargs)
 
-    monkeypatch.setattr(GpuSystem, "result", result)
-    config = make_test_config(num_sms=2, warps_per_sm=2) \
-        .with_scheme(scheme).with_fidelity(fidelity)
     was_enabled = gc.isenabled()
     gc.disable()
     try:
-        run_workload(make_workload("histogram"), config,
-                     gen_ctx=GenContext(num_sms=2, warps_per_sm=2,
-                                        scale=0.02))
-        system = built.pop()
+        with monkeypatch.context() as patch:
+            patch.setattr(GpuSystem, "result", result)
+            run()
+        system = built[-1]
+        built.clear()
         parts = {"context": system.ctx, "scheme": system.scheme,
                  "slice": system.slices[0], "channel": system.channels[0],
                  "engine": system.sim}
         refs = {name: weakref.ref(part) for name, part in parts.items()}
         del system, parts
-        assert [name for name, ref in refs.items() if ref() is not None] \
-            == []
+        return [name for name, ref in refs.items() if ref() is not None]
     finally:
         if was_enabled:
             gc.enable()
+
+
+@pytest.mark.parametrize("fidelity", FIDELITIES)
+@pytest.mark.parametrize("scheme", ALL_SCHEMES)
+def test_finished_system_is_freed_without_the_collector(fidelity, scheme,
+                                                        monkeypatch):
+    """``run_workload`` breaks the system's reference cycle, so with the
+    cyclic collector off nothing of the system outlives the call."""
+    config = make_test_config(num_sms=2, warps_per_sm=2) \
+        .with_scheme(scheme).with_fidelity(fidelity)
+    assert parts_outliving(
+        lambda: run_workload(make_workload("histogram"), config,
+                             gen_ctx=GenContext(num_sms=2, warps_per_sm=2,
+                                                scale=0.02)),
+        monkeypatch) == []
+
+
+def test_scenario_and_campaign_cell_free_their_system(monkeypatch):
+    """``Scenario.run`` and the campaign worker release their system as
+    ``run_workload`` does."""
+    from repro.core.scenario import KernelLaunch, Scenario
+    from repro.resilience.campaign import build_cells
+    from repro.resilience.worker import run_cell_result
+
+    config = make_test_config(num_sms=2, warps_per_sm=2) \
+        .with_scheme("cachecraft")
+    scenario = Scenario([KernelLaunch(make_workload("vecadd")),
+                         KernelLaunch(make_workload("histogram"))],
+                        config=config)
+    assert parts_outliving(
+        lambda: scenario.run(GenContext(num_sms=2, warps_per_sm=2,
+                                        scale=0.02)),
+        monkeypatch) == []
+    cell = build_cells(["histogram"], ["cachecraft"], scale=0.02)[0]
+    assert parts_outliving(lambda: run_cell_result(cell), monkeypatch) == []
 
 
 def test_event_tier_run_does_not_import_numpy():

@@ -12,11 +12,10 @@ the real retry every time, and require identical flattened stats
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.cache.sectored import SectoredCache
+from repro.cache.l1 import L1Cache
 from repro.core.config import test_config as make_test_config
 from repro.core.system import GpuSystem
 from repro.gpu.trace import ComputeOp, MemoryOp
-from repro.obs.inspect import MemoryInspector
 from repro.sim.engine import Simulator
 
 #: Base addresses of the lines the traces touch: few enough that loads
@@ -59,7 +58,7 @@ def stalling_runs(draw):
     scheme = draw(st.sampled_from(["none", "cachecraft"]))
     warps = [draw(st.lists(warp_ops(), min_size=1, max_size=4))
              for _ in range(num_sms)]
-    return shape, scheme, warps, draw(st.booleans())
+    return shape, scheme, warps
 
 
 def real_retry(sim, delay, poll):
@@ -67,47 +66,41 @@ def real_retry(sim, delay, poll):
     sim.schedule(delay, poll.fn, *poll.args)
 
 
-def run(shape, scheme, warps, inspect, park=True):
+def run(shape, scheme, warps, park=True):
     """Simulate; with ``park=False`` every parked retry really runs.
     Returns the outputs and the number of L1 lookups made."""
     lookups = []
-    lookup_mask = SectoredCache.lookup_mask
+    lookup = L1Cache.lookup
     parking = Simulator.park
 
-    def counted(cache, *args, **kwargs):
-        lookups.append(cache.name)
-        return lookup_mask(cache, *args, **kwargs)
+    def counted(l1, *args):
+        lookups.append(1)
+        return lookup(l1, *args)
 
     try:
-        SectoredCache.lookup_mask = counted
+        L1Cache.lookup = counted
         if not park:
             Simulator.park = real_retry
         config = make_test_config(**shape).with_scheme(scheme)
         system = GpuSystem(config)
-        inspector = MemoryInspector() if inspect else None
         for sm, sm_warps in zip(system.sms, warps):
-            if inspector is not None:
-                inspector.watch_cache(f"l1_{sm.sm_id}", sm.l1)
             for ops in sm_warps:
                 sm.add_warp(list(ops))
         cycles = system.run(max_events=2_000_000)
     finally:
-        SectoredCache.lookup_mask = lookup_mask
+        L1Cache.lookup = lookup
         Simulator.park = parking
     result = system.result("stalls", cycles)
-    views = ({k: v.to_dict() for k, v in inspector.caches.items()}
-             if inspector is not None else None)
-    return ((result.stats, result.traffic, result.cycles, views),
-            lookups.count("l1"))
+    return (result.stats, result.traffic, result.cycles), len(lookups)
 
 
 @given(stalling_runs())
 @settings(max_examples=40, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 def test_parked_retries_match_real_retries(case):
-    shape, scheme, warps, inspect = case
-    parked, parked_lookups = run(shape, scheme, warps, inspect)
-    real, real_lookups = run(shape, scheme, warps, inspect, park=False)
+    shape, scheme, warps = case
+    parked, parked_lookups = run(shape, scheme, warps)
+    real, real_lookups = run(shape, scheme, warps, park=False)
     assert parked == real
     assert parked_lookups <= real_lookups
 
@@ -119,20 +112,9 @@ def test_parking_skips_repeated_lookups():
     warps = [[[MemoryOp(tuple((1 << 20) + (w * 16 + i) * 4224
                               for i in range(8)))] * 2 for w in range(4)]]
     shape = dict(num_sms=1, l1_mshr_entries=1)
-    parked, parked_lookups = run(shape, "none", warps, False)
-    real, real_lookups = run(shape, "none", warps, False, park=False)
+    parked, parked_lookups = run(shape, "none", warps)
+    real, real_lookups = run(shape, "none", warps, park=False)
     assert parked == real
     assert parked[0]["sm0.stall_retries"] > 100
     assert parked_lookups < real_lookups / 2
 
-
-def test_inspected_l1_retries_really_run():
-    """An inspector records every L1 access, so with one attached no
-    load retry is parked."""
-    warps = [[[MemoryOp(tuple((1 << 20) + (w * 16 + i) * 4224
-                              for i in range(8)))] for w in range(4)]]
-    shape = dict(num_sms=1, l1_mshr_entries=1)
-    parked, parked_lookups = run(shape, "none", warps, True)
-    real, real_lookups = run(shape, "none", warps, True, park=False)
-    assert parked == real
-    assert parked_lookups == real_lookups
