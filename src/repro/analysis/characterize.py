@@ -1,9 +1,10 @@
 """Trace-level workload characterization (Table T2).
 
-Characterization runs over generated traces directly — no simulation —
-so it measures intrinsic workload properties: footprint, the density of
-sectors touched per protection granule (the quantity that decides how
-much a full-granule-fetch scheme overfetches), write fraction, and
+Characterization reads a workload's compiled trace
+(:class:`~repro.gpu.columnar.CompiledTrace`) directly — no simulation
+— so it measures intrinsic workload properties: footprint, the density
+of sectors touched per protection granule (the quantity that decides
+how much a full-granule-fetch scheme overfetches), write fraction, and
 compute intensity.
 """
 
@@ -12,9 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Set
 
-from repro.gpu.coalescer import coalesce
-from repro.gpu.trace import ComputeOp, MemoryOp
-from repro.workloads.base import GenContext, Workload
+from repro.gpu.columnar import OP_COMPUTE, OP_STORE, touched_sectors
+from repro.workloads.base import GenContext, Workload, materialize_compiled
 
 
 @dataclass
@@ -49,35 +49,23 @@ class WorkloadProfile:
 
 def profile_workload(workload: Workload, ctx: GenContext,
                      granule_bytes: int = 128) -> WorkloadProfile:
-    """Analyze every warp trace of a workload."""
-    total_ops = 0
-    memory_ops = 0
-    stores = 0
-    compute_ops = 0
-    compute_cycles = 0
-    lines_touched_sum = 0
+    """Analyze every warp of a workload's compiled trace (coalesced
+    with ``ctx``'s line and sector sizes)."""
+    compiled = materialize_compiled(workload, ctx, ctx.line_bytes,
+                                    ctx.sector_bytes)
+    kinds = compiled.op_kind.tolist()
+    total_ops = len(kinds)
+    compute_ops = kinds.count(OP_COMPUTE)
+    memory_ops = total_ops - compute_ops
+    stores = sum(1 for kind in kinds if kind >= OP_STORE)  # and atomics
+    compute_cycles = sum(compiled.op_arg)  # memory ops carry 0
+    sector_bytes = compiled.sector_bytes
     sectors: Set[int] = set()
     granule_sectors: Dict[int, Set[int]] = {}
-
-    for sm in range(ctx.num_sms):
-        for warp in range(ctx.warps_per_sm):
-            for op in workload.warp_trace(sm, warp, ctx):
-                total_ops += 1
-                if isinstance(op, ComputeOp):
-                    compute_ops += 1
-                    compute_cycles += op.cycles
-                    continue
-                assert isinstance(op, MemoryOp)
-                memory_ops += 1
-                if op.is_store:
-                    stores += 1
-                txns = coalesce(op.addresses, ctx.line_bytes, ctx.sector_bytes)
-                lines_touched_sum += len(txns)
-                for addr in op.addresses:
-                    sector = addr // ctx.sector_bytes
-                    sectors.add(sector)
-                    granule = addr // granule_bytes
-                    granule_sectors.setdefault(granule, set()).add(sector)
+    for addr in touched_sectors(compiled):
+        sector = addr // sector_bytes
+        sectors.add(sector)
+        granule_sectors.setdefault(addr // granule_bytes, set()).add(sector)
 
     sectors_per_granule = (
         sum(len(s) for s in granule_sectors.values()) / len(granule_sectors)
@@ -89,8 +77,8 @@ def profile_workload(workload: Workload, ctx: GenContext,
         warp_instructions=total_ops,
         memory_ops=memory_ops,
         store_fraction=stores / memory_ops if memory_ops else 0.0,
-        footprint_mb=len(sectors) * ctx.sector_bytes / (1 << 20),
-        lines_per_op=lines_touched_sum / memory_ops if memory_ops else 0.0,
+        footprint_mb=len(sectors) * sector_bytes / (1 << 20),
+        lines_per_op=compiled.num_txns / memory_ops if memory_ops else 0.0,
         sectors_per_granule=sectors_per_granule,
         compute_fraction=compute_ops / total_ops if total_ops else 0.0,
         compute_per_memop=compute_cycles / memory_ops if memory_ops else 0.0,

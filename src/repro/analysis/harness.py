@@ -322,8 +322,8 @@ class ExperimentHarness:
         regardless of completion order.  Cells are looked up and
         stored exactly as :meth:`run` does, in the same in-memory and
         persistent caches and ledger.  If a cell fails or is
-        quarantined, the healthy cells are stored and then
-        ``RuntimeError`` names the lost ones.
+        quarantined, or its cache key cannot be computed, the healthy
+        cells are stored and then ``RuntimeError`` names the lost ones.
         """
         workloads, schemes = list(workloads), list(schemes)
         if self.progress is not None:
@@ -345,6 +345,7 @@ class ExperimentHarness:
         grid: Dict[str, Dict[str, RunResult]] = {wl: {} for wl in workloads}
         misses: Dict[str, Tuple[Tuple, Optional[str]]] = {}
         specs = []
+        lost: Dict[str, str] = {}  # cell -> error, for every lost cell
         for spec in build_cells(
                 workloads, schemes,
                 config=self._apply_fidelity(config or self.config),
@@ -352,13 +353,23 @@ class ExperimentHarness:
                 workload_params=self.workload_params,
                 max_events=self.max_events,
                 max_wall_seconds=self.max_wall_seconds):
-            key, pkey, result = self._lookup(spec["workload"],
-                                             spec["config"])
+            try:
+                key, pkey, result = self._lookup(spec["workload"],
+                                                 spec["config"])
+            except Exception as exc:
+                # A functional cell's key compiles its trace: a generator
+                # that raises loses its cell, as a failed worker does.
+                error = lost[spec["cell"]] = f"{type(exc).__name__}: {exc}"
+                self.log.error("cell.failed", cell=spec["cell"], error=error)
+                if self.progress is not None:
+                    self.progress.cell(spec["cell"], "failed", error=error)
+                continue
             if result is None:
                 misses[spec["cell"]] = (key, pkey)
                 specs.append(spec)
             else:
                 grid[spec["workload"]][spec["scheme"]] = result
+        attempted = len(specs) + len(lost)
         if specs:
             summary = CampaignSummary()
             with tempfile.TemporaryDirectory(prefix="repro-matrix-") as tmp:
@@ -372,13 +383,13 @@ class ExperimentHarness:
                     self._keep(spec["workload"], spec["config"],
                                *misses[spec["cell"]], result)
                     grid[spec["workload"]][spec["scheme"]] = result
-            lost = summary.failed + summary.quarantined
-            if lost:
-                raise RuntimeError(
-                    f"{len(lost)} of {len(specs)} parallel cells did not "
-                    "complete: " + "; ".join(
-                        f"{cell} ({summary.records[cell].get('error')})"
-                        for cell in lost))
+            for cell in summary.failed + summary.quarantined:
+                lost[cell] = summary.records[cell].get("error")
+        if lost:
+            raise RuntimeError(
+                f"{len(lost)} of {attempted} parallel cells did not "
+                "complete: " + "; ".join(
+                    f"{cell} ({error})" for cell, error in lost.items()))
         return {wl: {sc: grid[wl][sc] for sc in schemes}
                 for wl in workloads}
 

@@ -1,7 +1,8 @@
 """Trace-level memory-hierarchy locality analytics.
 
-Everything here is a vectorized pass over the frozen
-:class:`~repro.gpu.columnar.CompiledTrace` arrays — no simulation.
+Everything here is a vectorized pass over zero-copy numpy views of
+the frozen :class:`~repro.gpu.columnar.CompiledTrace` columns
+(:func:`~repro.gpu.columnar.numpy_views`) — no simulation.
 The transaction stream is walked in the functional replay's global op
 order (:func:`~repro.gpu.columnar.round_robin_order`), which is the
 order both fidelity tiers issue memory transactions in, so the
@@ -39,7 +40,7 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.gpu.columnar import (OP_COMPUTE, CompiledTrace,
+from repro.gpu.columnar import (OP_COMPUTE, CompiledTrace, numpy_views,
                                 round_robin_order)
 
 #: Percentiles reported for every reuse-distance distribution.
@@ -164,10 +165,11 @@ def ordered_transactions(compiled: CompiledTrace,
     Expands :func:`round_robin_order`'s op order to the ops'
     coalesced transactions (which replay issues in array order).
     """
+    kinds, op_txn_ptr = numpy_views(compiled, "op_kind", "op_txn_ptr")
     order = round_robin_order(compiled, machine_sms)
-    mem = order[compiled.op_kind[order] != OP_COMPUTE]
-    starts = compiled.op_txn_ptr[mem]
-    counts = compiled.op_txn_ptr[mem + 1] - starts
+    mem = order[kinds[order] != OP_COMPUTE]
+    starts = op_txn_ptr[mem]
+    counts = op_txn_ptr[mem + 1] - starts
     if not len(mem) or not counts.sum():
         return np.empty(0, dtype=np.int64)
     idx = np.repeat(starts, counts)
@@ -180,8 +182,9 @@ def sector_addresses(compiled: CompiledTrace,
                      txn_idx: np.ndarray) -> np.ndarray:
     """Byte address of every referenced sector, transaction-ordered."""
     sectors_per_line = max(1, compiled.line_bytes // compiled.sector_bytes)
-    lines = compiled.txn_line[txn_idx]
-    masks = compiled.txn_mask[txn_idx].astype(np.uint32)
+    txn_line, txn_mask = numpy_views(compiled, "txn_line", "txn_mask")
+    lines = txn_line[txn_idx]
+    masks = txn_mask[txn_idx].astype(np.uint32)
     parts = []
     for s in range(sectors_per_line):
         hit = (masks >> np.uint32(s)) & np.uint32(1)
@@ -194,7 +197,7 @@ def sector_addresses(compiled: CompiledTrace,
     owner = np.concatenate([p[0] for p in parts])
     addrs = np.concatenate([p[1] for p in parts])
     # Stable order: by position in the txn stream, then sector index.
-    pos = np.empty(len(compiled.txn_line), dtype=np.int64)
+    pos = np.empty(len(txn_line), dtype=np.int64)
     pos[txn_idx] = np.arange(len(txn_idx), dtype=np.int64)
     order = np.lexsort((addrs, pos[owner]))
     return addrs[order]
@@ -209,8 +212,8 @@ def metadata_prediction(compiled: CompiledTrace, txn_idx: np.ndarray,
     A transaction spanning several granules that share one atom still
     makes a single atom reference, matching what the schemes fetch.
     """
-    lines = compiled.txn_line[txn_idx]
-    lo = lines * compiled.line_bytes
+    (txn_line,) = numpy_views(compiled, "txn_line")
+    lo = txn_line[txn_idx] * compiled.line_bytes
     hi = lo + compiled.line_bytes - 1
     g_lo = lo // layout.granule_bytes
     g_hi = hi // layout.granule_bytes
@@ -284,10 +287,11 @@ def trace_analytics(compiled: CompiledTrace, machine_sms: int,
     metadata-prediction section.
     """
     txn_idx = ordered_transactions(compiled, machine_sms)
-    lines = compiled.txn_line[txn_idx]
-    masks = compiled.txn_mask[txn_idx]
+    txn_line, txn_mask, kinds = numpy_views(compiled, "txn_line",
+                                            "txn_mask", "op_kind")
+    lines = txn_line[txn_idx]
+    masks = txn_mask[txn_idx]
     sectors_per_line = max(1, compiled.line_bytes // compiled.sector_bytes)
-    kinds = compiled.op_kind
     mem_ops = int((kinds != OP_COMPUTE).sum())
 
     line_dists = reuse_distances(lines)

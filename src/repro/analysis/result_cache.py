@@ -119,12 +119,13 @@ def trace_digest_for(workload: Workload, gen_ctx: GenContext,
     """The ``trace_digest`` a cell's :func:`cache_key` binds.
 
     A functional cell binds the digest of the compiled trace it
-    replays (which its run compiles anyway), so a generator edit that
-    changes traffic can never satisfy an older entry, even without a
-    :data:`MODEL_VERSION` bump.  An event cell binds none: the compile
-    and :class:`~repro.gpu.columnar.CompiledTrace` use numpy, which an
-    event-tier process never imports and which adds about 11 MB to its
-    resident memory.
+    replays, so a generator edit that changes traffic can never satisfy
+    an older entry, even without a :data:`MODEL_VERSION` bump.  An event
+    cell binds none: computing a digest runs the workload's generator
+    in the calling process, so the parent of a parallel event grid
+    would generate every cell's trace before its workers generate them
+    again, and a generator that kills its process would take the parent
+    down rather than one worker.
     """
     if config.fidelity != "functional":
         return None

@@ -730,9 +730,6 @@ def _cmd_cache(args: argparse.Namespace) -> int:
         from repro.workloads.base import trace_cache_stats
 
         memo = trace_cache_stats()
-        print(f"trace memo (this process): {memo['entries']} entries "
-              f"(cap {memo['capacity']}), {memo['hits']} hits, "
-              f"{memo['misses']} misses")
         print(f"compiled memo (this process): "
               f"{memo['compiled_entries']} entries, "
               f"{memo['compiled_hits']} hits, "

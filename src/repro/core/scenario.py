@@ -65,9 +65,15 @@ class Scenario:
         ``flush_between=True`` drains the L2 (through the protection
         write path) after each kernel — the cold-start comparison point
         for inter-kernel reuse experiments.  The final kernel always
-        flushes if the config says so.
+        flushes if the config says so.  Kernel boundaries are points in
+        time, so a scenario needs the event tier.
         """
         config = self.config
+        if config.fidelity != "event":
+            raise ValueError(
+                f"a scenario runs on the event tier, not "
+                f"fidelity={config.fidelity!r}: its kernels launch when "
+                "the previous one has drained, which takes a clock")
         system = GpuSystem(config)
         gpu = config.gpu
         base_ctx = gen_ctx or GenContext(
@@ -117,7 +123,6 @@ class Scenario:
             results.append(result)
             prev_cycles = now
             prev_traffic = traffic_now
-            self._reset_sms(system)
         system.release()
 
         return ScenarioResult(
@@ -126,16 +131,6 @@ class Scenario:
             traffic=prev_traffic,
             host_seconds=time.perf_counter() - started,
         )
-
-    @staticmethod
-    def _reset_sms(system: GpuSystem) -> None:
-        """Clear warp lists so the next kernel starts fresh (caches,
-        directory and metadata state intentionally persist)."""
-        for sm in system.sms:
-            sm._warps.clear()
-            sm._ready.clear()
-            sm._active_warps = 0
-            sm.finish_time = None
 
 
 def producer_consumer(workload_write: Workload, workload_read: Workload,

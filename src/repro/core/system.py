@@ -16,6 +16,7 @@ from repro.core.config import SystemConfig
 from repro.core.results import RunResult
 from repro.dram.backing import FunctionalMemory
 from repro.dram.channel import MemoryChannel
+from repro.gpu.columnar import touched_sectors
 from repro.gpu.crossbar import Crossbar
 from repro.gpu.l2slice import L2Slice
 from repro.gpu.sm import StreamingMultiprocessor
@@ -27,7 +28,7 @@ from repro.sim.engine import Simulator, Watchdog
 from repro.sim.functional import (FunctionalChannel, ImmediateQueue,
                                   L1Geometry, replay_columnar)
 from repro.sim.stats import StatsRegistry
-from repro.workloads.base import (GenContext, Workload, materialize,
+from repro.workloads.base import (GenContext, Workload,
                                   materialize_compiled,
                                   materialize_l2_stream)
 
@@ -147,10 +148,9 @@ class GpuSystem:
             return (line_addr * gpu.line_bytes // chunk) % gpu.num_slices
 
         self.route = route
-        #: Columnar artifact of the loaded workload (set by
-        #: :meth:`load_workload`): what the functional tier replays (and
-        #: consumes, as event SMs consume their warps) and what the
-        #: inspector's trace-level analytics read.
+        #: The functional tier's loaded artifact (set by
+        #: :meth:`load_workload`): what :meth:`run` replays, and
+        #: consumes, as event SMs consume their warps.
         self.compiled = None
         if functional_tier:
             # No interconnect timing to model — the replay drives the
@@ -167,8 +167,7 @@ class GpuSystem:
             StreamingMultiprocessor(
                 i, self.sim, self.crossbar, self.slices, route,
                 l1_size=gpu.l1_size_kb * 1024, l1_ways=gpu.l1_ways,
-                line_bytes=gpu.line_bytes, sector_bytes=gpu.sector_bytes,
-                l1_latency=gpu.l1_latency,
+                line_bytes=gpu.line_bytes, l1_latency=gpu.l1_latency,
                 l1_mshr_entries=gpu.l1_mshr_entries,
                 store_buffer=gpu.store_buffer, stats=self.stats,
                 scheduler=gpu.warp_scheduler,
@@ -182,9 +181,10 @@ class GpuSystem:
 
     def load_workload(self, workload: Workload,
                       gen_ctx: Optional[GenContext] = None) -> GenContext:
-        """Generate the workload's traces: on the event tier, add them to
-        the SMs as warps; on the functional tier, compile the artifact
-        :meth:`run` replays (one workload per run)."""
+        """Compile the workload's traces (memoized) and load the
+        artifact: the event tier adds its warps to the SMs, the
+        functional tier keeps it for :meth:`run` to replay (one
+        workload per run)."""
         gpu = self.config.gpu
         functional_tier = self.config.fidelity == "functional"
         if functional_tier and self.compiled is not None:
@@ -195,27 +195,24 @@ class GpuSystem:
                 num_sms=gpu.num_sms, warps_per_sm=gpu.warps_per_sm,
                 lanes=gpu.lanes, seed=self.config.seed,
                 line_bytes=gpu.line_bytes, sector_bytes=gpu.sector_bytes)
-        traces = materialize(workload, gen_ctx)
-        if not functional_tier:
-            for sm, warp_traces in zip(self.sms, traces):
-                for ops in warp_traces:
-                    sm.add_warp(ops)
-        if functional_tier or self.obs.inspect is not None:
-            # The inspector's trace-level analytics also want the
-            # columnar artifact, so event-tier inspected runs compile
-            # it too (materialization is memoized — no double cost).
-            self.compiled = materialize_compiled(
-                workload, gen_ctx, line_bytes=gpu.line_bytes,
-                sector_bytes=gpu.sector_bytes)
+        compiled = materialize_compiled(workload, gen_ctx,
+                                        line_bytes=gpu.line_bytes,
+                                        sector_bytes=gpu.sector_bytes)
+        if functional_tier:
+            self.compiled = compiled
+        else:
+            for warp, sm_id in enumerate(compiled.warp_sm):
+                if sm_id < len(self.sms):
+                    self.sms[sm_id].add_warp(compiled, warp)
         if self.obs.inspect is not None:
             self.obs.inspect.set_trace(
-                self.compiled, len(self.sms),
+                compiled, len(self.sms),
                 self.ctx.layout if self.scheme.has_inline_metadata else None)
         if self.injector is not None:
-            self._materialize_footprint(traces)
+            self._materialize_footprint(compiled)
         return gen_ctx
 
-    def _materialize_footprint(self, traces) -> None:
+    def _materialize_footprint(self, compiled) -> None:
         """Touch every sector the workload will access in the
         functional store, so the fault injector can strike data
         *before* its first fetch — otherwise lazily-materialized
@@ -224,15 +221,8 @@ class GpuSystem:
         """
         assert self.functional is not None
         fm = self.functional
-        sector = self.config.gpu.sector_bytes
-        seen = set()
-        for warp_traces in traces:
-            for ops in warp_traces:
-                for op in ops:
-                    for addr in getattr(op, "addresses", ()):
-                        seen.add(addr // sector * sector)
         granules = set()
-        for addr in sorted(seen):
+        for addr in sorted(set(touched_sectors(compiled))):
             fm.read_sector(addr)
             granules.add(fm.layout.granule_of(addr))
         for granule in sorted(granules):
@@ -281,7 +271,7 @@ class GpuSystem:
         slices (stage 2, :func:`repro.sim.functional.replay_columnar`).
         A system with no workload loaded, or whose workload has been
         replayed, replays nothing.  Warps added by hand with
-        ``sm.add_warp`` are not in the artifact, so a run whose SMs
+        ``sm.add_warp`` are not the loaded artifact, so a run whose SMs
         hold any raises: load hand-built traces through a
         :class:`~repro.workloads.base.Workload`.
         """

@@ -10,7 +10,7 @@ transaction count that protection schemes then amplify or absorb.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 
 @lru_cache(maxsize=65536)
@@ -33,33 +33,11 @@ def coalesce(addresses: Iterable[int], line_bytes: int = 128,
     ``line_addr`` is the line index (byte address // line_bytes);
     ``sector_mask`` has bit *i* set when sector *i* of that line is
     touched.  Output is sorted by line for determinism.  The merge is
-    memoized — the same instruction replayed across schemes or
-    fidelity tiers coalesces once per process — but each call returns
-    a fresh list, so callers may mutate their copy freely.
+    memoized — an instruction compiled again (another trace, or the
+    same one after its compiled memo entry went) coalesces once per
+    process — but each call returns a fresh list, so callers may
+    mutate their copy freely.
     """
     if type(addresses) is not tuple:
         addresses = tuple(addresses)
     return list(_coalesce_cached(addresses, line_bytes, sector_bytes))
-
-
-def coalesce_summary(transactions: List[Tuple[int, int]]) -> Dict[str, int]:
-    """Summarize a coalesced transaction list for trace annotations.
-
-    Works on :func:`coalesce` output (no address re-scan): the line and
-    sector counts quantify an access's divergence — 1 line / 4 sectors
-    is fully coalesced, 32 lines / 32 sectors fully divergent.
-    """
-    sectors = 0
-    for _line, mask in transactions:
-        sectors += mask.bit_count()
-    return {"lines": len(transactions), "sectors": sectors}
-
-
-def transaction_count(addresses: Iterable[int], line_bytes: int = 128) -> int:
-    """Distinct lines touched — the classic coalescing metric."""
-    return len({addr // line_bytes for addr in addresses})
-
-
-def sector_count(addresses: Iterable[int], sector_bytes: int = 32) -> int:
-    """Distinct sectors touched."""
-    return len({addr // sector_bytes for addr in addresses})

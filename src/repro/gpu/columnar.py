@@ -1,15 +1,14 @@
 """The columnar warp-trace IR.
 
 :func:`compile_trace` lowers ``Workload.build`` output (``[sm][warp]
--> [WarpOp]``) into a :class:`CompiledTrace`: parallel numpy arrays of
+-> [WarpOp]``) into a :class:`CompiledTrace`: parallel columns of
 (sm, warp, op-kind, line-address, sector-mask, is_store/is_atomic)
 with the memory coalescer run **once per memory op at build time**.
-The compiled form is what the vectorized functional replay
-(:func:`repro.sim.functional.replay_columnar`) consumes, what
-:mod:`repro.gpu.tracefile` serializes (``dump_columnar`` /
-``load_columnar``), and what the result cache content-addresses (the
-:attr:`CompiledTrace.digest` participates in functional-tier cache
-keys).
+It is the only code in the model that reads op lists: both fidelity
+tiers run the compiled form (the event SMs' warps are op ranges of it;
+the functional tier replays it), :mod:`repro.gpu.tracefile`
+serializes it, and its :attr:`CompiledTrace.digest` participates in
+functional-tier result-cache keys.
 
 Layout — three parallel levels, all offsets half-open:
 
@@ -27,26 +26,28 @@ Layout — three parallel levels, all offsets half-open:
   line index plus sector mask per transaction, in :func:`coalesce`
   order (sorted by line).
 
-Every array is frozen (``writeable=False``): compiled traces are
-memoized and shared across runs, so nothing may mutate one.  The
-``digest`` (blake2b over version, geometry and array bytes) is a
-stable content address — equal traces compile to equal digests across
-processes and machines, which is what lets distributed workers ship
-artifacts instead of re-materializing generators.
+Each column is a read-only ``memoryview`` of a stdlib ``array``'s
+bytes (a write raises ``TypeError``): compiled traces are memoized and
+shared across runs, so nothing may mutate one.  Code that needs vector
+maths takes zero-copy numpy views (:func:`numpy_views`) and is the
+only code that imports numpy.  The ``digest`` (blake2b over version,
+geometry and the columns' little-endian bytes) is a stable content
+address — equal traces compile to equal digests across processes and
+machines.
 """
 
 from __future__ import annotations
 
 import hashlib
+import sys
+from array import array
 from dataclasses import dataclass
-from typing import List, Sequence
-
-import numpy as np
+from typing import Iterator, List, Sequence
 
 from repro.gpu.coalescer import coalesce
 from repro.gpu.trace import ComputeOp, MemoryOp, WarpOp
 
-#: Artifact version: bump on any change to the array set, dtypes or
+#: Artifact version: bump on any change to the column set, dtypes or
 #: their meaning (participates in the digest and the on-disk header).
 COLUMNAR_VERSION = 1
 
@@ -56,7 +57,7 @@ OP_LOAD = 1
 OP_STORE = 2
 OP_ATOMIC = 3
 
-#: (name, dtype) of every array in serialization/digest order.  Dtypes
+#: (name, dtype) of every column in serialization/digest order.  Dtypes
 #: are explicit little-endian so digests and files are
 #: platform-independent.
 ARRAY_SPECS = (
@@ -69,28 +70,55 @@ ARRAY_SPECS = (
     ("txn_mask", "<u4"),
 )
 
+#: The stdlib ``array`` typecode of each dtype in :data:`ARRAY_SPECS`.
+TYPECODES = {"<i4": "i", "<i8": "q", "<u1": "B", "<u4": "I"}
 
-def frozen_array(values, dtype) -> np.ndarray:
-    """``values`` as a read-only numpy array of ``dtype``."""
-    arr = np.asarray(values, dtype=dtype)
-    arr.flags.writeable = False
-    return arr
+
+def _swapped(values: array) -> array:
+    """``values``, byte-swapped in place on a big-endian host: native
+    order <-> the little-endian order of digests and files."""
+    if sys.byteorder != "little":
+        values.byteswap()
+    return values
+
+
+def frozen_column(values: array) -> memoryview:
+    """``values`` as a read-only column (over a copy of its bytes)."""
+    return memoryview(values.tobytes()).cast(values.typecode)
+
+
+def column_bytes(column: memoryview) -> bytes:
+    """A column's little-endian bytes."""
+    return _swapped(array(column.format, column.tobytes())).tobytes()
+
+
+def column_from_bytes(data: bytes, dtype: str) -> memoryview:
+    """The column of ``dtype`` whose little-endian bytes are ``data``."""
+    return frozen_column(_swapped(array(TYPECODES[dtype], data)))
+
+
+def numpy_views(compiled: "CompiledTrace", *names: str) -> list:
+    """Zero-copy, read-only numpy views of ``compiled``'s columns
+    ``names`` (numpy arrays pass through unchanged)."""
+    import numpy as np
+
+    return [np.asarray(getattr(compiled, name)) for name in names]
 
 
 @dataclass(frozen=True)
 class CompiledTrace:
-    """The columnar artifact: geometry + frozen parallel arrays."""
+    """The columnar artifact: geometry + frozen parallel columns."""
 
     num_sms: int
     line_bytes: int
     sector_bytes: int
-    warp_sm: np.ndarray      # int32  (W,)   owning SM per warp
-    warp_ptr: np.ndarray     # int64  (W+1,) op offsets per warp
-    op_kind: np.ndarray      # uint8  (O,)   OP_* per op
-    op_arg: np.ndarray       # int64  (O,)   compute cycles (0 for memory)
-    op_txn_ptr: np.ndarray   # int64  (O+1,) txn offsets per op
-    txn_line: np.ndarray     # int64  (T,)   line index per transaction
-    txn_mask: np.ndarray     # uint32 (T,)   sector mask per transaction
+    warp_sm: memoryview      # int32  (W,)   owning SM per warp
+    warp_ptr: memoryview     # int64  (W+1,) op offsets per warp
+    op_kind: memoryview      # uint8  (O,)   OP_* per op
+    op_arg: memoryview       # int64  (O,)   compute cycles (0 for memory)
+    op_txn_ptr: memoryview   # int64  (O+1,) txn offsets per op
+    txn_line: memoryview     # int64  (T,)   line index per transaction
+    txn_mask: memoryview     # uint32 (T,)   sector mask per transaction
     digest: str              # blake2b content address
 
     @property
@@ -113,24 +141,24 @@ class CompiledTrace:
             raise ValueError("op_txn_ptr length != num_ops + 1")
         if len(self.op_arg) != self.num_ops:
             raise ValueError("op_arg length != num_ops")
-        if self.num_ops and int(self.warp_ptr[-1]) != self.num_ops:
+        if self.num_ops and self.warp_ptr[-1] != self.num_ops:
             raise ValueError("warp_ptr does not cover the op arrays")
-        if self.num_warps and not (0 <= int(self.warp_sm.min())
-                                   <= int(self.warp_sm.max())
-                                   < self.num_sms):
+        if self.num_warps and not (0 <= min(self.warp_sm)
+                                   <= max(self.warp_sm) < self.num_sms):
             raise ValueError("warp_sm out of range")
-        if self.num_ops and int(self.op_txn_ptr[-1]) != self.num_txns:
+        if self.num_ops and self.op_txn_ptr[-1] != self.num_txns:
             raise ValueError("op_txn_ptr does not cover the txn arrays")
 
 
 def trace_digest(num_sms: int, line_bytes: int, sector_bytes: int,
-                 arrays: Sequence[np.ndarray]) -> str:
-    """Blake2b content address over version, geometry and array bytes."""
+                 columns: Sequence[memoryview]) -> str:
+    """Blake2b content address over version, geometry and the columns'
+    little-endian bytes."""
     h = hashlib.blake2b(digest_size=16)
     h.update(f"repro-columnar/{COLUMNAR_VERSION}/"
              f"{num_sms}/{line_bytes}/{sector_bytes}".encode("ascii"))
-    for arr, (_name, dtype) in zip(arrays, ARRAY_SPECS):
-        h.update(np.ascontiguousarray(arr, dtype=dtype).tobytes())
+    for column in columns:
+        h.update(column_bytes(column))
     return h.hexdigest()
 
 
@@ -140,8 +168,8 @@ def compile_trace(traces: Sequence[Sequence[Sequence[WarpOp]]],
     """Lower ``[sm][warp] -> ops`` traces into a :class:`CompiledTrace`.
 
     Runs :func:`coalesce` once per memory op here, at build time, so
-    replay never re-derives (line, sector-mask) transactions.  The
-    result's arrays are frozen; callers share it freely.
+    neither tier re-derives (line, sector-mask) transactions.  The
+    result's columns are frozen; callers share it freely.
     """
     warp_sm: List[int] = []
     warp_ptr: List[int] = [0]
@@ -174,23 +202,30 @@ def compile_trace(traces: Sequence[Sequence[Sequence[WarpOp]]],
                 op_txn_ptr.append(len(txn_line))
             warp_ptr.append(len(op_kind))
 
-    arrays = [
-        frozen_array(warp_sm, "<i4"),
-        frozen_array(warp_ptr, "<i8"),
-        frozen_array(op_kind, "<u1"),
-        frozen_array(op_arg, "<i8"),
-        frozen_array(op_txn_ptr, "<i8"),
-        frozen_array(txn_line, "<i8"),
-        frozen_array(txn_mask, "<u4"),
-    ]
+    columns = [frozen_column(array(TYPECODES[dtype], values))
+               for values, (_name, dtype) in zip(
+                   (warp_sm, warp_ptr, op_kind, op_arg, op_txn_ptr,
+                    txn_line, txn_mask), ARRAY_SPECS)]
     num_sms = len(traces)
-    digest = trace_digest(num_sms, line_bytes, sector_bytes, arrays)
+    digest = trace_digest(num_sms, line_bytes, sector_bytes, columns)
     return CompiledTrace(num_sms, line_bytes, sector_bytes,
-                         *arrays, digest=digest)
+                         *columns, digest=digest)
 
 
-def round_robin_order(compiled: CompiledTrace,
-                      machine_sms: int) -> np.ndarray:
+def touched_sectors(compiled: CompiledTrace) -> Iterator[int]:
+    """The byte address of every sector each transaction touches, in
+    transaction order."""
+    line_bytes = compiled.line_bytes
+    sector_bytes = compiled.sector_bytes
+    for line, mask in zip(compiled.txn_line, compiled.txn_mask):
+        base = line * line_bytes
+        while mask:
+            low = mask & -mask
+            yield base + (low.bit_length() - 1) * sector_bytes
+            mask ^= low
+
+
+def round_robin_order(compiled: CompiledTrace, machine_sms: int):
     """Global op execution order of the functional tier's replay loop.
 
     The functional tier runs warps round-robin, one op per
@@ -199,15 +234,19 @@ def round_robin_order(compiled: CompiledTrace,
     **is** a total sequential order over ops.  This computes it
     vectorized: sort ops by (round = index within warp, warp index),
     dropping warps mapped beyond the machine's SM count
-    (``load_workload`` zip-truncates those).
+    (``load_workload`` skips those).
 
-    Returns indices into the op arrays, execution-ordered.
+    Returns a numpy array of indices into the op columns,
+    execution-ordered.
     """
-    counts = np.diff(compiled.warp_ptr)
+    import numpy as np
+
+    warp_ptr, warp_sm = numpy_views(compiled, "warp_ptr", "warp_sm")
+    counts = np.diff(warp_ptr)
     op_warp = np.repeat(np.arange(compiled.num_warps, dtype=np.int64),
                         counts)
     op_round = (np.arange(compiled.num_ops, dtype=np.int64)
-                - np.repeat(compiled.warp_ptr[:-1], counts))
+                - np.repeat(warp_ptr[:-1], counts))
     order = np.lexsort((op_warp, op_round))
-    keep = compiled.warp_sm[op_warp[order]] < machine_sms
+    keep = warp_sm[op_warp[order]] < machine_sms
     return order[keep]

@@ -2,7 +2,9 @@
 
 Execution model (deliberately simple, occupancy-centric):
 
-* each SM runs ``W`` warps, each a finite trace of warp-ops;
+* each SM runs ``W`` warps, each an op range of a compiled trace
+  (:class:`~repro.gpu.columnar.CompiledTrace`), whose memory ops come
+  already coalesced into (line, sector-mask) transactions;
 * one warp-op issues per cycle, round-robin over *ready* warps;
 * a compute op sleeps its warp; a load blocks its warp until every
   coalesced transaction has data in the L1; stores are fire-and-forget
@@ -21,13 +23,13 @@ from __future__ import annotations
 import enum
 from collections import deque
 from functools import partial
-from typing import Callable, Deque, Iterator, List, Optional, Tuple
+from typing import Callable, Deque, List, Optional
 
 from repro.cache.l1 import L1Cache
 from repro.cache.mshr import MshrFile
-from repro.gpu.coalescer import coalesce, coalesce_summary
+from repro.gpu.columnar import (OP_ATOMIC, OP_COMPUTE, OP_LOAD, OP_STORE,
+                                CompiledTrace)
 from repro.gpu.crossbar import Crossbar
-from repro.gpu.trace import ComputeOp, MemoryOp, WarpOp
 from repro.sim.engine import Poll, Simulator
 from repro.sim.resources import OccupancyLimiter
 from repro.sim.stats import StatGroup
@@ -41,18 +43,21 @@ class _WarpState(enum.Enum):
 
 
 class _Warp:
-    __slots__ = ("warp_id", "ops", "state", "txns", "next_txn",
-                 "outstanding", "is_store_op", "is_atomic_op", "mem_start")
+    """One warp: ops ``next_op .. end_op`` of ``trace``; while a
+    memory op is in flight, its transactions ``next_txn .. txn_end``
+    are still to issue."""
 
-    def __init__(self, warp_id: int, ops: Iterator[WarpOp]):
+    __slots__ = ("warp_id", "trace", "next_op", "end_op", "state", "kind",
+                 "next_txn", "txn_end", "outstanding", "mem_start")
+
+    def __init__(self, warp_id: int, trace: CompiledTrace, warp: int):
         self.warp_id = warp_id
-        self.ops = ops
+        self.trace = trace
+        self.next_op = trace.warp_ptr[warp]
+        self.end_op = trace.warp_ptr[warp + 1]
         self.state = _WarpState.READY
-        self.txns: List[Tuple[int, int]] = []
-        self.next_txn = 0
-        self.outstanding = 0
-        self.is_store_op = False
-        self.is_atomic_op = False
+        self.kind = OP_COMPUTE
+        self.next_txn = self.txn_end = self.outstanding = 0
         #: Trace-only: issue time of the in-flight memory op (None when
         #: tracing is off or no memory op is in flight).
         self.mem_start: Optional[int] = None
@@ -72,9 +77,8 @@ class StreamingMultiprocessor:
                  crossbar: Optional[Crossbar],
                  slices: List, route: Callable[[int], int],
                  l1_size: int = 32 * 1024, l1_ways: int = 4,
-                 line_bytes: int = 128, sector_bytes: int = 32,
-                 l1_latency: int = 28, l1_mshr_entries: int = 64,
-                 store_buffer: int = 64,
+                 line_bytes: int = 128, l1_latency: int = 28,
+                 l1_mshr_entries: int = 64, store_buffer: int = 64,
                  stats: Optional[StatGroup] = None,
                  scheduler: str = "rr",
                  blocking_stores: bool = False):
@@ -85,8 +89,6 @@ class StreamingMultiprocessor:
         self.crossbar = crossbar
         self.slices = slices
         self.route = route
-        self.line_bytes = line_bytes
-        self.sector_bytes = sector_bytes
         self.l1_latency = l1_latency
         #: Warps wait for store/atomic acks before retiring the op
         #: (serializes the memory stream; see GpuConfig.blocking_stores).
@@ -115,7 +117,8 @@ class StreamingMultiprocessor:
         #: source a parked load retry watches (see :meth:`_stall`).
         self.epoch = 0
 
-        self._warps: List[_Warp] = []
+        #: Warps added since the last :meth:`start`.
+        self._unlaunched: List[_Warp] = []
         self._ready: Deque[_Warp] = deque()
         self._issue_scheduled = False
         self._last_issue_time = -1
@@ -130,22 +133,25 @@ class StreamingMultiprocessor:
 
     # -- setup ---------------------------------------------------------------
 
-    def add_warp(self, ops) -> None:
-        warp = _Warp(len(self._warps), iter(ops))
-        self._warps.append(warp)
+    def add_warp(self, trace: CompiledTrace, warp: int) -> None:
+        """Add warp ``warp`` of ``trace`` (coalesced for this SM's line
+        and sector sizes); it runs from the next :meth:`start`."""
+        self._unlaunched.append(_Warp(len(self._unlaunched), trace, warp))
         self._active_warps += 1
 
     def start(self) -> None:
-        """Launch all warps with a small deterministic stagger.
+        """Launch the warps added since the last start, with a small
+        deterministic stagger.
 
         Perfectly lock-stepped warps form DRAM-bank convoys that make
         results chaotically sensitive to a few cycles of protection
         latency; real warps launch a few cycles apart, which
         decorrelates them.
         """
-        for warp in self._warps:
+        for warp in self._unlaunched:
             delay = (warp.warp_id * 11 + self.sm_id * 7) % 64
             self.sim.schedule(delay, self._warp_ready, warp)
+        self._unlaunched = []
 
     @property
     def done(self) -> bool:
@@ -186,29 +192,30 @@ class StreamingMultiprocessor:
         return warp
 
     def _dispatch(self, warp: _Warp) -> None:
-        op = next(warp.ops, None)
-        if op is None:
+        op = warp.next_op
+        if op == warp.end_op:
             warp.state = _WarpState.DONE
             self._active_warps -= 1
             if self._active_warps == 0:
                 self.finish_time = self.sim.now
             return
+        warp.next_op = op + 1
         self._instructions.value += 1
-        if isinstance(op, ComputeOp):
+        trace = warp.trace
+        kind = trace.op_kind[op]
+        if kind == OP_COMPUTE:
             warp.state = _WarpState.SLEEPING
-            self.sim.schedule(op.cycles, self._warp_ready, warp)
+            self.sim.schedule(trace.op_arg[op], self._warp_ready, warp)
             return
-        assert isinstance(op, MemoryOp)
-        warp.txns = coalesce(op.addresses, self.line_bytes, self.sector_bytes)
-        warp.next_txn = 0
+        warp.kind = kind
+        warp.next_txn = trace.op_txn_ptr[op]
+        warp.txn_end = trace.op_txn_ptr[op + 1]
         warp.outstanding = 0
-        warp.is_store_op = op.is_store
-        warp.is_atomic_op = op.is_atomic
         if self._tracer is not None:
             warp.mem_start = self.sim.now
-        if op.is_atomic:
+        if kind == OP_ATOMIC:
             self._atomics.value += 1
-        elif op.is_store:
+        elif kind == OP_STORE:
             self._stores.value += 1
         else:
             self._loads.value += 1
@@ -217,10 +224,16 @@ class StreamingMultiprocessor:
 
     def _warp_ready(self, warp: _Warp) -> None:
         if warp.mem_start is not None:
-            kind = ("atomic" if warp.is_atomic_op
-                    else "store" if warp.is_store_op else "load")
-            args = coalesce_summary(warp.txns)
-            args["warp"] = warp.warp_id
+            # The op's line and sector counts quantify its divergence:
+            # 1 line / 4 sectors is fully coalesced, 32 / 32 divergent.
+            first = warp.trace.op_txn_ptr[warp.next_op - 1]
+            masks = warp.trace.txn_mask
+            kind = ("atomic" if warp.kind == OP_ATOMIC
+                    else "store" if warp.kind == OP_STORE else "load")
+            args = {"lines": warp.txn_end - first,
+                    "sectors": sum(masks[t].bit_count()
+                                   for t in range(first, warp.txn_end)),
+                    "warp": warp.warp_id}
             self._tracer.complete(
                 "sm", f"mem_{kind}", warp.mem_start,
                 self.sim.now - warp.mem_start, tid=self.sm_id, args=args)
@@ -234,18 +247,20 @@ class StreamingMultiprocessor:
     def _advance_mem_op(self, warp: _Warp) -> None:
         """Issue remaining transactions; retry later on structural
         stalls (the issue path that stalled queues the retry)."""
-        while warp.next_txn < len(warp.txns):
-            line_addr, mask = warp.txns[warp.next_txn]
-            if warp.is_atomic_op:
-                issued = self._issue_atomic_txn(warp, line_addr, mask)
-            elif warp.is_store_op:
-                issued = self._issue_store_txn(warp, line_addr, mask)
+        lines = warp.trace.txn_line
+        masks = warp.trace.txn_mask
+        while warp.next_txn < warp.txn_end:
+            txn = warp.next_txn
+            if warp.kind == OP_ATOMIC:
+                issued = self._issue_atomic_txn(warp, lines[txn], masks[txn])
+            elif warp.kind == OP_STORE:
+                issued = self._issue_store_txn(warp, lines[txn], masks[txn])
             else:
-                issued = self._issue_load_txn(warp, line_addr, mask)
+                issued = self._issue_load_txn(warp, lines[txn], masks[txn])
             if not issued:
                 return
-            warp.next_txn += 1
-        if (warp.is_store_op and not self.blocking_stores) \
+            warp.next_txn = txn + 1
+        if (warp.kind != OP_LOAD and not self.blocking_stores) \
                 or warp.outstanding == 0:
             # Stores retire immediately (unless blocking); loads only if
             # everything hit.
@@ -328,7 +343,7 @@ class StreamingMultiprocessor:
 
     def _load_credit(self, warp: _Warp) -> None:
         warp.outstanding -= 1
-        if (warp.outstanding == 0 and warp.next_txn >= len(warp.txns)
+        if (warp.outstanding == 0 and warp.next_txn >= warp.txn_end
                 and warp.state is _WarpState.BLOCKED):
             self._warp_ready(warp)
 

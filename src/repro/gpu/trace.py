@@ -8,14 +8,16 @@ A warp trace is a finite iterable of :class:`WarpOp`:
   active lane.
 
 Traces are plain data so workload generators stay decoupled from the
-machine model, and small enough to be generated lazily per warp.
+machine model.  They live only until
+:func:`~repro.gpu.columnar.compile_trace` lowers them into the columnar
+artifact both fidelity tiers run.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Set, Tuple, Union
+from typing import Sequence, Tuple, Union
 
 
 @dataclass(frozen=True)
@@ -62,7 +64,7 @@ class MemoryOp:
             raise ValueError("memory op needs at least one address")
         if len(self.addresses) > 32:
             raise ValueError("a warp has at most 32 lanes")
-        if any(a < 0 for a in self.addresses):
+        if min(self.addresses) < 0:
             raise ValueError("addresses must be non-negative")
         if self.is_atomic and not self.is_store:
             raise ValueError("atomic ops are read-modify-writes: set "
@@ -70,16 +72,6 @@ class MemoryOp:
 
 
 WarpOp = Union[ComputeOp, MemoryOp]
-
-
-def trace_footprint(ops: Iterable[WarpOp], sector_bytes: int = 32) -> Set[int]:
-    """Distinct sector addresses touched by a trace (characterization)."""
-    sectors: Set[int] = set()
-    for op in ops:
-        if isinstance(op, MemoryOp):
-            for addr in op.addresses:
-                sectors.add(addr // sector_bytes)
-    return sectors
 
 
 def validate_trace(ops: Sequence[WarpOp]) -> None:

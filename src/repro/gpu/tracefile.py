@@ -14,8 +14,8 @@ Optional header line: ``{"repro-trace": 1, "workload": "...", ...}``.
 
 Compiled (columnar) artifacts have their own binary container —
 :func:`dump_columnar` / :func:`load_columnar`: a JSON header line
-(format + columnar version, geometry, digest, array layout) followed
-by the raw little-endian array bytes in
+(format + columnar version, geometry, digest, column layout) followed
+by the raw little-endian column bytes in
 :data:`repro.gpu.columnar.ARRAY_SPECS` order.  The digest is
 re-derived on load, so a corrupted or hand-edited file cannot
 impersonate the artifact the header claims (the same digest
@@ -27,6 +27,9 @@ from __future__ import annotations
 import json
 from typing import IO, Iterable, List, Optional, Union
 
+from repro.gpu.columnar import (ARRAY_SPECS, COLUMNAR_VERSION,
+                                CompiledTrace, column_bytes,
+                                column_from_bytes, trace_digest)
 from repro.gpu.trace import ComputeOp, MemoryOp, WarpOp
 
 FORMAT_VERSION = 1
@@ -126,15 +129,10 @@ def dump_columnar(compiled, fh: IO[bytes],
     Layout: one UTF-8 JSON header line (``COLUMNAR_MAGIC`` mapping to
     the container format version, the columnar artifact version,
     geometry, digest and the per-array ``[name, dtype, length]``
-    specs), then each array's raw little-endian bytes back-to-back in
+    specs), then each column's raw little-endian bytes back-to-back in
     header order.
     """
-    import numpy as np
-
-    from repro.gpu.columnar import ARRAY_SPECS, COLUMNAR_VERSION
-
-    arrays = [np.ascontiguousarray(getattr(compiled, name), dtype=dtype)
-              for name, dtype in ARRAY_SPECS]
+    columns = [getattr(compiled, name) for name, _dtype in ARRAY_SPECS]
     header = {
         COLUMNAR_MAGIC: 1,
         "columnar_version": COLUMNAR_VERSION,
@@ -142,8 +140,8 @@ def dump_columnar(compiled, fh: IO[bytes],
         "line_bytes": compiled.line_bytes,
         "sector_bytes": compiled.sector_bytes,
         "digest": compiled.digest,
-        "arrays": [[name, dtype, len(arr)] for (name, dtype), arr
-                   in zip(ARRAY_SPECS, arrays)],
+        "arrays": [[name, dtype, len(column)] for (name, dtype), column
+                   in zip(ARRAY_SPECS, columns)],
     }
     if workload:
         header["workload"] = workload
@@ -151,8 +149,8 @@ def dump_columnar(compiled, fh: IO[bytes],
                     + "\n").encode("utf-8")
     fh.write(header_bytes)
     written = len(header_bytes)
-    for arr in arrays:
-        data = arr.tobytes()
+    for column in columns:
+        data = column_bytes(column)
         fh.write(data)
         written += len(data)
     return written
@@ -167,11 +165,6 @@ def load_columnar(fh: IO[bytes]):
     bytes and compared against the header's claim) — a truncated or
     tampered file raises instead of replaying silently wrong.
     """
-    import numpy as np
-
-    from repro.gpu.columnar import (ARRAY_SPECS, COLUMNAR_VERSION,
-                                    CompiledTrace, trace_digest)
-
     header_line = bytearray()
     while True:
         ch = fh.read(1)
@@ -191,24 +184,22 @@ def load_columnar(fh: IO[bytes]):
     if (not isinstance(specs, list)
             or [(s[0], s[1]) for s in specs] != list(ARRAY_SPECS)):
         raise ValueError("columnar trace: array layout mismatch")
-    arrays = []
+    columns = []
     for name, dtype, length in specs:
-        want = int(length) * np.dtype(dtype).itemsize
+        want = int(length) * int(dtype[2:])  # "<i8": 8 bytes each
         data = fh.read(want)
         if len(data) != want:
             raise ValueError(f"columnar trace: truncated array {name!r}")
-        arr = np.frombuffer(data, dtype=dtype)
-        arr.flags.writeable = False
-        arrays.append(arr)
+        columns.append(column_from_bytes(data, dtype))
     num_sms = int(header["num_sms"])
     line_bytes = int(header["line_bytes"])
     sector_bytes = int(header["sector_bytes"])
-    digest = trace_digest(num_sms, line_bytes, sector_bytes, arrays)
+    digest = trace_digest(num_sms, line_bytes, sector_bytes, columns)
     if digest != header.get("digest"):
         raise ValueError("columnar trace: content digest mismatch "
                          "(corrupted or tampered file)")
     compiled = CompiledTrace(num_sms, line_bytes, sector_bytes,
-                             *arrays, digest=digest)
+                             *columns, digest=digest)
     compiled.validate()
     return compiled
 

@@ -67,15 +67,17 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 from repro.cache.l1 import L1Cache
 from repro.dram.channel import RequestKind
+from repro.gpu.columnar import (OP_ATOMIC, OP_COMPUTE, OP_LOAD,
+                                CompiledTrace, numpy_views,
+                                round_robin_order)
 from repro.sim.engine import SimulationError
 from repro.sim.stats import StatGroup
 
-# numpy and the columnar IR load with the first functional replay, so
-# an event-tier run never imports them.
+# numpy loads with the first functional replay, so an event-tier run
+# never imports it.
 if TYPE_CHECKING:
     import numpy as np
 
-    from repro.gpu.columnar import CompiledTrace
     from repro.gpu.sm import StreamingMultiprocessor
 
 
@@ -246,8 +248,9 @@ class L2Stream:
     """Stage 1's output: the requests the L1s send the L2, in issue
     order, and where the queue drains.  A request's ``port`` is its
     slice, plus the slice count ``S`` for a store or twice that for an
-    atomic.  Arrays are frozen; the stream is memoized and shared
-    across runs, like a :class:`~repro.gpu.columnar.CompiledTrace`."""
+    atomic.  Arrays are frozen (:func:`frozen_array`); the stream is
+    memoized and shared across runs, like a
+    :class:`~repro.gpu.columnar.CompiledTrace`."""
 
     port: np.ndarray      # uint16 (R,)  slice, + S for a store, + 2S atomic
     line: np.ndarray      # int64  (R,)  line index
@@ -255,6 +258,15 @@ class L2Stream:
     drain_at: np.ndarray  # int64  (D,)  requests issued before each drain
     drain_sm: np.ndarray  # int32  (D,)  SM whose op drains there
     tallies: np.ndarray   # int64  (S, len(TALLIED)) per-SM counters
+
+
+def frozen_array(values, dtype) -> np.ndarray:
+    """``values`` as a read-only numpy array of ``dtype``."""
+    import numpy as np
+
+    arr = np.asarray(values, dtype=dtype)
+    arr.flags.writeable = False
+    return arr
 
 
 def compile_l2_stream(compiled: CompiledTrace,
@@ -266,7 +278,8 @@ def compile_l2_stream(compiled: CompiledTrace,
     queue drains after every memory op that issued a request; the
     rotation is therefore a fixed total order.  Instruction, op-kind
     and transaction counts are exact functions of the artifact, summed
-    per SM in numpy.  The L1 pass then walks the memory ops:
+    per SM over zero-copy numpy views of the artifact's columns.  The
+    L1 pass then walks the memory ops:
 
     * a load probes the L1 per transaction and sends each missing
       sector mask to the L2; a full L1 MSHR file (``l1_mshr_entries``
@@ -283,17 +296,16 @@ def compile_l2_stream(compiled: CompiledTrace,
     """
     import numpy as np
 
-    from repro.gpu.columnar import (OP_ATOMIC, OP_COMPUTE, OP_LOAD,
-                                    frozen_array, round_robin_order)
-
+    warp_ptr, warp_sm, kind, op_txn_ptr, txn_line, txn_mask = numpy_views(
+        compiled, "warp_ptr", "warp_sm", "op_kind", "op_txn_ptr",
+        "txn_line", "txn_mask")
     n = geometry.num_sms
-    counts = np.diff(compiled.warp_ptr)
+    counts = np.diff(warp_ptr)
     op_warp = np.repeat(np.arange(compiled.num_warps, dtype=np.int64),
                         counts)
-    op_sm = compiled.warp_sm.astype(np.int64)[op_warp]
+    op_sm = warp_sm.astype(np.int64)[op_warp]
     order = round_robin_order(compiled, n)
-    kind = compiled.op_kind
-    txn_counts = np.diff(compiled.op_txn_ptr)
+    txn_counts = np.diff(op_txn_ptr)
 
     # Static counters: exact per-SM sums over executed ops.
     k_sm = op_sm[order]
@@ -312,16 +324,15 @@ def compile_l2_stream(compiled: CompiledTrace,
                           minlength=n),
               store_txns, store_txns)
 
-    routes = ((compiled.txn_line * compiled.line_bytes)
+    routes = ((txn_line * compiled.line_bytes)
               // geometry.slice_chunk_bytes) % geometry.num_slices
     sel = order[kind[order] != OP_COMPUTE]
     l1s = [L1Cache(geometry.l1_bytes, geometry.l1_ways, geometry.line_bytes)
            for _ in range(n)]
     stream, queue_counts = _l1_pass(
-        kind[sel].tolist(), op_sm[sel].tolist(),
-        compiled.op_txn_ptr[sel].tolist(),
-        compiled.op_txn_ptr[sel + 1].tolist(), compiled.txn_line.tolist(),
-        compiled.txn_mask.tolist(), routes.tolist(), l1s, geometry)
+        kind[sel].tolist(), op_sm[sel].tolist(), op_txn_ptr[sel].tolist(),
+        op_txn_ptr[sel + 1].tolist(), txn_line.tolist(), txn_mask.tolist(),
+        routes.tolist(), l1s, geometry)
     front = [[l1.stats.get(name).value for name in (
         "hits", "sector_misses", "line_misses", "line_miss_sectors",
         "evictions")] + queue for l1, queue in zip(l1s, queue_counts)]
@@ -346,8 +357,6 @@ def _l1_pass(kinds: List[int], sms_of: List[int], starts: List[int],
     lists (port, line, mask, drain points and their SMs) and, per SM,
     its L1-MSHR allocations and full stalls and its store-buffer full
     rejections."""
-    from repro.gpu.columnar import OP_ATOMIC, OP_LOAD
-
     mshr_entries = geometry.l1_mshr_entries
     store_buffer = geometry.store_buffer
     store_base = geometry.num_slices

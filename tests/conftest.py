@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.config import SystemConfig, test_config
-from repro.workloads.base import GenContext
+from repro.workloads.base import GenContext, Workload
 
 
 @pytest.fixture(autouse=True)
@@ -33,3 +33,24 @@ def small_gen() -> GenContext:
 def tiny_gen() -> GenContext:
     """The smallest useful trace sizing (for per-scheme sweeps)."""
     return GenContext(num_sms=2, warps_per_sm=2, scale=0.04, seed=7)
+
+
+class FixedTraces(Workload):
+    """Hand-built traces (``[sm][warp] -> ops``) as a workload, so they
+    reach either tier through ``GpuSystem.load_workload``.  The
+    ``traces`` param is a list, so the compiled memo never keys on (or
+    keeps) it."""
+
+    name = "fixed-traces"
+
+    def warp_trace(self, sm_id, warp_id, ctx):
+        return self.params["traces"][sm_id][warp_id]
+
+    def build(self, ctx):
+        return self.params["traces"]
+
+
+def load_warps(system, warps, sm=0):
+    """Load ``warps`` (a list of op lists) onto SM ``sm`` of ``system``."""
+    system.load_workload(
+        FixedTraces(traces=[[] for _ in range(sm)] + [list(warps)]))

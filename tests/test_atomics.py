@@ -8,12 +8,13 @@ from repro.core.system import GpuSystem, run_workload
 from repro.gpu.trace import MemoryOp
 from repro.workloads import EXTRA_WORKLOADS, make_workload
 from repro.workloads.base import GenContext
+from tests.conftest import load_warps
 
 
 def run_ops(ops, scheme="none", **gpu):
     config = make_test_config(**gpu).with_scheme(scheme).with_gpu(num_sms=1)
     system = GpuSystem(config)
-    system.sms[0].add_warp(ops)
+    load_warps(system, [ops])
     cycles = system.run()
     return system, cycles
 

@@ -180,6 +180,20 @@ def test_event_tier_run_does_not_import_numpy():
     assert out.strip() == "False"
 
 
+@pytest.mark.parametrize("fidelity", ["event", "functional"])
+def test_second_run_replays_nothing(fidelity):
+    """A warp launches once: running a finished system again changes no
+    counter, on either tier."""
+    system = GpuSystem(make_test_config().with_fidelity(fidelity))
+    system.load_workload(make_workload("vecadd"),
+                         GenContext(num_sms=2, warps_per_sm=4, scale=0.02))
+    cycles = system.run()
+    first = system.result("vecadd", cycles).to_dict()
+    again = system.result("vecadd", system.run()).to_dict()
+    assert again == first
+    assert all(sm.done for sm in system.sms)
+
+
 class TestEndToEnd:
     @pytest.mark.parametrize("scheme", ALL_SCHEMES)
     def test_every_scheme_completes(self, scheme, small_config, tiny_gen):

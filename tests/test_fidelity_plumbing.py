@@ -11,49 +11,57 @@ from repro.cli import main
 from repro.core.config import test_config as small_config
 from repro.core.results import MODEL_VERSION, RunResult
 from repro.workloads.base import (
+    COMPILED_CACHE_CAPACITY,
     GenContext,
     make_workload,
     materialize,
+    materialize_compiled,
     trace_cache_clear,
     trace_cache_stats,
 )
 
 
 class TestTraceMemoization:
+    """One memo per trace: the compiled artifact.  The op lists it is
+    compiled from are generated afresh and live only until then."""
+
     def setup_method(self):
         trace_cache_clear()
 
     def test_hit_on_identical_request(self):
         wl = make_workload("vecadd")
         ctx = GenContext(num_sms=1, warps_per_sm=2, scale=0.05)
-        first = materialize(wl, ctx)
+        assert materialize(wl, ctx) is not materialize(wl, ctx)
+        first = materialize_compiled(wl, ctx)
         stats = trace_cache_stats()
-        assert (stats["hits"], stats["misses"]) == (0, 1)
-        second = materialize(make_workload("vecadd"), ctx)
+        assert (stats["compiled_hits"], stats["compiled_misses"]) == (0, 1)
+        second = materialize_compiled(make_workload("vecadd"), ctx)
         stats = trace_cache_stats()
-        assert (stats["hits"], stats["misses"]) == (1, 1)
+        assert (stats["compiled_hits"], stats["compiled_misses"]) == (1, 1)
         assert first is second
 
     def test_distinct_params_and_ctx_miss(self):
         ctx = GenContext(num_sms=1, warps_per_sm=2, scale=0.05)
-        materialize(make_workload("vecadd"), ctx)
-        materialize(make_workload("divergence", density=0.5), ctx)
-        materialize(make_workload("divergence", density=0.9), ctx)
-        materialize(make_workload("vecadd"),
-                    GenContext(num_sms=1, warps_per_sm=2, scale=0.06))
+        materialize_compiled(make_workload("vecadd"), ctx)
+        materialize_compiled(make_workload("divergence", density=0.5), ctx)
+        materialize_compiled(make_workload("divergence", density=0.9), ctx)
+        materialize_compiled(make_workload("vecadd"),
+                             GenContext(num_sms=1, warps_per_sm=2,
+                                        scale=0.06))
         stats = trace_cache_stats()
-        assert stats["misses"] == 4
-        assert stats["entries"] == 4
+        assert stats["compiled_misses"] == 4
+        assert stats["compiled_entries"] == 4
 
     def test_lru_eviction_bounds_entries(self):
         wl = make_workload("vecadd")
-        capacity = trace_cache_stats()["capacity"]
-        for i in range(capacity + 4):
-            materialize(wl, GenContext(num_sms=1, warps_per_sm=1,
-                                       scale=0.01, seed=i))
-        assert trace_cache_stats()["entries"] == capacity
+        for i in range(COMPILED_CACHE_CAPACITY + 4):
+            materialize_compiled(wl, GenContext(num_sms=1, warps_per_sm=1,
+                                                scale=0.01, seed=i))
+        assert trace_cache_stats()["compiled_entries"] \
+            == COMPILED_CACHE_CAPACITY
 
     def test_system_load_uses_memo(self):
+        """The event tier compiles too: its SMs run the artifact."""
         from repro.core.system import GpuSystem
 
         config = small_config()
@@ -62,7 +70,7 @@ class TestTraceMemoization:
         for _ in range(2):
             system = GpuSystem(config)
             system.load_workload(make_workload("vecadd"), ctx)
-        assert trace_cache_stats()["hits"] >= 1
+        assert trace_cache_stats()["compiled_hits"] >= 1
 
 
 class TestImmediateQueueBudget:

@@ -13,6 +13,7 @@ from repro.core.config import test_config as make_test_config
 from repro.core.system import GpuSystem, run_workload
 from repro.workloads import make_workload
 from repro.workloads.base import GenContext
+from tests.conftest import load_warps
 
 
 GEN = GenContext(num_sms=2, warps_per_sm=4, scale=0.08, seed=11)
@@ -57,7 +58,7 @@ class TestFaultInjection:
         system = self._system()
         addr = 1 << 20
         system.functional.inject_bit_flip(addr, bit=7)
-        system.sms[0].add_warp([MemoryOp((addr,))])
+        load_warps(system, [[MemoryOp((addr,))]])
         system.run()
         flat = system.stats.flatten()
         assert flat["protection.cachecraft.decode_corrected"] == 1
@@ -69,7 +70,7 @@ class TestFaultInjection:
         addr = 1 << 20
         system.functional.inject_bit_flip(addr, bit=3)
         system.functional.inject_bit_flip(addr + 32, bit=9)
-        system.sms[0].add_warp([MemoryOp((addr,))])
+        load_warps(system, [[MemoryOp((addr,))]])
         system.run()
         flat = system.stats.flatten()
         assert flat["protection.cachecraft.decode_due"] == 1
@@ -78,7 +79,7 @@ class TestFaultInjection:
         from repro.gpu.trace import MemoryOp
         system = self._system()
         system.functional.inject_bit_flip(1 << 22, bit=0)  # far away
-        system.sms[0].add_warp([MemoryOp((1 << 20,))])
+        load_warps(system, [[MemoryOp((1 << 20,))]])
         system.run()
         flat = system.stats.flatten()
         assert flat["protection.cachecraft.decode_corrected"] == 0
@@ -93,7 +94,7 @@ class TestFaultInjection:
         # Corrupt a whole byte (one RS symbol).
         for bit in range(8, 16):
             system.functional.inject_bit_flip(addr, bit=bit)
-        system.sms[0].add_warp([MemoryOp((addr,))])
+        load_warps(system, [[MemoryOp((addr,))]])
         system.run()
         flat = system.stats.flatten()
         assert flat["protection.cachecraft.decode_corrected"] == 1

@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.gpu.coalescer import coalesce, sector_count, transaction_count
+from repro.gpu.coalescer import coalesce
 from repro.gpu.crossbar import Crossbar
-from repro.gpu.trace import ComputeOp, MemoryOp, trace_footprint, validate_trace
+from repro.gpu.trace import ComputeOp, MemoryOp, validate_trace
 from repro.sim.engine import Simulator
 
 
@@ -27,10 +27,6 @@ class TestTraceOps:
             MemoryOp(tuple(range(33)))
         with pytest.raises(ValueError):
             MemoryOp((-1,))
-
-    def test_footprint(self):
-        ops = [MemoryOp((0, 31, 32)), ComputeOp(5), MemoryOp((64,))]
-        assert trace_footprint(ops) == {0, 1, 2}
 
     def test_validate_trace(self):
         validate_trace([ComputeOp(1), MemoryOp((0,))])
@@ -66,11 +62,6 @@ class TestCoalescer:
     def test_invalid_geometry(self):
         with pytest.raises(ValueError):
             coalesce([0], line_bytes=100, sector_bytes=32)
-
-    def test_counters(self):
-        addrs = [0, 4, 128, 256]
-        assert transaction_count(addrs) == 3
-        assert sector_count(addrs) == 3
 
 
 class TestCrossbar:

@@ -5,13 +5,14 @@ import pytest
 from repro.core.config import test_config as make_test_config
 from repro.core.system import GpuSystem
 from repro.gpu.trace import ComputeOp, MemoryOp
+from tests.conftest import load_warps
 
 
 def run_single_warp(ops, **gpu_overrides):
     """One SM, one warp, real hierarchy underneath."""
     config = make_test_config(**gpu_overrides).with_gpu(num_sms=1)
     system = GpuSystem(config)
-    system.sms[0].add_warp(ops)
+    load_warps(system, [ops])
     cycles = system.run()
     return system, cycles
 
@@ -71,10 +72,8 @@ class TestLatencyHiding:
         def run_n_warps(n):
             config = make_test_config().with_gpu(num_sms=1)
             system = GpuSystem(config)
-            for w in range(n):
-                ops = [MemoryOp((w * 65536 + i * 131072,))
-                       for i in range(8)]
-                system.sms[0].add_warp(ops)
+            load_warps(system, [[MemoryOp((w * 65536 + i * 131072,))
+                                 for i in range(8)] for w in range(n)])
             return system.run()
 
         one = run_n_warps(1)
@@ -88,7 +87,7 @@ class TestLatencyHiding:
         system = GpuSystem(config)
         ops = [MemoryOp(tuple(i * 4096 + j * 524288 for i in range(32)))
                for j in range(4)]
-        system.sms[0].add_warp(ops)
+        load_warps(system, [ops])
         system.run()
         flat = system.stats.flatten()
         assert flat["sm0.stall_retries"] > 0
@@ -100,7 +99,7 @@ class TestStoreBuffer:
         system = GpuSystem(config)
         ops = [MemoryOp(tuple(i * 4096 + j * 262144 for i in range(16)),
                         is_store=True) for j in range(4)]
-        system.sms[0].add_warp(ops)
+        load_warps(system, [ops])
         system.run()
         flat = system.stats.flatten()
         assert flat["sm0.storebuf.full_rejections"] > 0
@@ -112,10 +111,9 @@ class TestCompletionInvariants:
         for scheme in ("none", "inline-sector", "inline-full", "cachecraft"):
             config = make_test_config().with_scheme(scheme).with_gpu(num_sms=1)
             system = GpuSystem(config)
-            for w in range(4):
-                system.sms[0].add_warp(
-                    [MemoryOp((w * 8192 + i * 640,)) for i in range(6)]
-                    + [MemoryOp((w * 8192,), is_store=True)])
+            load_warps(system, [
+                [MemoryOp((w * 8192 + i * 640,)) for i in range(6)]
+                + [MemoryOp((w * 8192,), is_store=True)] for w in range(4)])
             system.run()
             assert system.sms[0].done, scheme
 

@@ -45,6 +45,15 @@ class DyingWorkload(Workload):
         os._exit(13)
 
 
+class RaisingWorkload(Workload):
+    """A workload whose trace generator raises."""
+
+    name = "raising"
+
+    def warp_trace(self, sm_id, warp_id, ctx):
+        raise ValueError("generator bug")
+
+
 class TestParallelMatrix:
     @pytest.mark.parametrize("fidelity", FIDELITIES)
     def test_bit_identical_to_serial(self, fidelity):
@@ -108,6 +117,27 @@ class TestParallelMatrix:
         fresh = ExperimentHarness(scale=0.02, cache_dir=tmp_path)
         for cell in healthy:
             fresh.run(*cell)
+        assert fresh.sims_run == 0
+
+    @pytest.mark.parametrize("fidelity", FIDELITIES)
+    def test_raising_generator_fails_only_its_own_cell(self, tmp_path,
+                                                        monkeypatch,
+                                                        fidelity):
+        """A functional cell's cache key compiles its trace in this
+        process; a generator that raises there loses its cell, as a
+        worker's raise does, and the healthy cells run and are
+        stored."""
+        monkeypatch.setitem(WORKLOAD_REGISTRY, "raising", RaisingWorkload)
+        harness = ExperimentHarness(scale=0.02, cache_dir=tmp_path,
+                                    fidelity=fidelity)
+        with pytest.raises(RuntimeError, match=(
+                r"^1 of 2 parallel cells did not complete: raising/none "
+                r"\(ValueError: generator bug\)$")):
+            harness.matrix(["vecadd", "raising"], ["none"], workers=2)
+        assert harness.sims_run == 1
+        fresh = ExperimentHarness(scale=0.02, cache_dir=tmp_path,
+                                  fidelity=fidelity)
+        fresh.run("vecadd", "none")
         assert fresh.sims_run == 0
 
     def test_chaos_killed_worker_converges(self, serial_grid, tmp_path,

@@ -16,6 +16,7 @@ from repro.core.system import GpuSystem
 from repro.gpu.trace import ComputeOp, MemoryOp
 from repro.workloads import make_workload
 from repro.workloads.base import GenContext
+from tests.conftest import load_warps
 
 # -- random trace machinery -------------------------------------------------
 
@@ -63,8 +64,7 @@ def test_random_traces_conserve_and_drain(run):
     scheme, traces = run
     config = make_test_config().with_scheme(scheme)
     system = GpuSystem(config)
-    for ops in traces:
-        system.sms[0].add_warp(list(ops))
+    load_warps(system, traces)
     cycles = system.run(max_events=2_000_000)
     result = system.result("random", cycles)
     assert validate_result(result, config) == []
@@ -82,8 +82,7 @@ def test_random_traces_functionally_clean(run):
     config = make_test_config().with_scheme(scheme).with_protection(
         functional=True)
     system = GpuSystem(config)
-    for ops in traces:
-        system.sms[0].add_warp(list(ops))
+    load_warps(system, traces)
     system.run(max_events=2_000_000)
     flat = system.stats.flatten()
     due = sum(v for k, v in flat.items() if k.endswith("decode_due"))

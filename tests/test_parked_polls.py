@@ -17,6 +17,7 @@ from repro.core.config import test_config as make_test_config
 from repro.core.system import GpuSystem
 from repro.gpu.trace import ComputeOp, MemoryOp
 from repro.sim.engine import Simulator
+from tests.conftest import FixedTraces
 
 #: Base addresses of the lines the traces touch: few enough that loads
 #: revisit lines (partial L1 hits, MSHR merges), spread over sets.
@@ -83,9 +84,7 @@ def run(shape, scheme, warps, park=True):
             Simulator.park = real_retry
         config = make_test_config(**shape).with_scheme(scheme)
         system = GpuSystem(config)
-        for sm, sm_warps in zip(system.sms, warps):
-            for ops in sm_warps:
-                sm.add_warp(list(ops))
+        system.load_workload(FixedTraces(traces=warps))
         cycles = system.run(max_events=2_000_000)
     finally:
         L1Cache.lookup = lookup

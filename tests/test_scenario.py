@@ -24,6 +24,13 @@ class TestBasics:
         with pytest.raises(ValueError):
             Scenario([])
 
+    def test_functional_tier_refused(self):
+        config = make_test_config().with_fidelity("functional")
+        scenario = Scenario([KernelLaunch(make_workload("vecadd"))],
+                            config=config)
+        with pytest.raises(ValueError, match="functional"):
+            scenario.run(gen_ctx=GEN)
+
     def test_two_kernels_run_and_account(self):
         outcome = small_scenario().run(gen_ctx=GEN)
         assert len(outcome.kernels) == 2

@@ -17,6 +17,7 @@ from repro.gpu.tracefile import (
 )
 from repro.workloads import make_workload
 from repro.workloads.base import GenContext
+from tests.conftest import FixedTraces
 
 SAMPLE = [
     [ComputeOp(5), MemoryOp((0, 4, 8))],
@@ -108,9 +109,7 @@ class TestDistribution:
         replayed = distribute_traces(load_traces(buf), ctx.num_sms,
                                      ctx.warps_per_sm)
         replay = GpuSystem(config)
-        for sm, per_sm in zip(replay.sms, replayed):
-            for ops in per_sm:
-                sm.add_warp(ops)
+        replay.load_workload(FixedTraces(traces=replayed))
         replay_cycles = replay.run()
         assert replay_cycles == direct_cycles
 

@@ -10,6 +10,7 @@ from repro.core.system import run_workload
 from repro.gpu.trace import ComputeOp, MemoryOp
 from repro.workloads import make_workload
 from repro.workloads.base import GenContext
+from tests.conftest import load_warps
 
 GEN = GenContext(num_sms=2, warps_per_sm=4, scale=0.08, seed=9)
 
@@ -126,10 +127,8 @@ class TestGtoScheduler:
             original(warp)
 
         sm._dispatch = spy
-        for w in range(2):
-            ops = [MemoryOp((w * 1 << 20 + i * 4096,), is_store=True)
-                   for i in range(30)]
-            sm.add_warp(ops)
+        load_warps(system, [[MemoryOp(((w << 20) + i * 4096,), is_store=True)
+                             for i in range(30)] for w in range(2)])
         system.run()
         return order
 
