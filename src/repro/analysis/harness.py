@@ -232,14 +232,12 @@ class ExperimentHarness:
         if self.progress is not None:
             self.progress.cell(cell_id, "start")
         obs = self.obs_factory(workload, scheme) if self.obs_factory else None
-        watchdog = None
-        if self.max_wall_seconds is not None:
-            watchdog = Watchdog(max_wall_seconds=self.max_wall_seconds)
         try:
-            result = run_workload(self._build_workload(workload), cfg,
-                                  gen_ctx=self._gen_ctx(cfg), obs=obs,
-                                  max_events=self.max_events,
-                                  watchdog=watchdog)
+            result = run_workload(
+                self._build_workload(workload), cfg,
+                gen_ctx=self._gen_ctx(cfg), obs=obs,
+                max_events=self.max_events,
+                watchdog=Watchdog(max_wall_seconds=self.max_wall_seconds))
         except Exception as exc:
             log.error("cell.failed", error=f"{type(exc).__name__}: {exc}")
             if self.progress is not None:

@@ -1,8 +1,8 @@
 """Trace-level memory-hierarchy locality analytics.
 
-Everything here is a vectorized pass over zero-copy numpy views of
-the frozen :class:`~repro.gpu.columnar.CompiledTrace` columns
-(:func:`~repro.gpu.columnar.numpy_views`) — no simulation.
+Everything here is a pass over the frozen
+:class:`~repro.gpu.columnar.CompiledTrace` columns on the standard
+library — no simulation.
 The transaction stream is walked in the functional replay's global op
 order (:func:`~repro.gpu.columnar.round_robin_order`), which is the
 order both fidelity tiers issue memory transactions in, so the
@@ -28,35 +28,29 @@ Three families of results:
   the trace.
 
 Stack distances are computed with a Fenwick tree over reference
-positions — O(n log n) with a small python loop; every other pass is
-pure numpy.  Traces at benchmark scales are thousands to a few
-hundred thousand transactions, so the whole module runs in well under
-a second per scheme.
+positions — O(n log n); every other pass is linear, apart from
+sorting the warm distances.  Quantiles and sample points follow
+numpy's default definitions bit for bit (:func:`_quantile`,
+:func:`_linspace`), the definitions the pinned reports and the
+regression baseline's locality bands were recorded with.  Traces
+at benchmark scales are thousands to a few hundred thousand
+transactions, so the whole module runs in well under a second per
+scheme.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from bisect import bisect_left
+from typing import Dict, List, Sequence
 
-import numpy as np
-
-from repro.gpu.columnar import (OP_COMPUTE, CompiledTrace, numpy_views,
-                                round_robin_order)
+from repro.gpu.columnar import (OP_COMPUTE, CompiledTrace, round_robin_order,
+                                touched_sectors)
 
 #: Percentiles reported for every reuse-distance distribution.
 PERCENTILES = (50, 90, 99)
 
 
-def _popcount32(masks: np.ndarray) -> np.ndarray:
-    """Vectorized SWAR popcount over uint32 sector masks."""
-    x = masks.astype(np.uint32)
-    x = x - ((x >> 1) & np.uint32(0x55555555))
-    x = (x & np.uint32(0x33333333)) + ((x >> 2) & np.uint32(0x33333333))
-    x = (x + (x >> 4)) & np.uint32(0x0F0F0F0F)
-    return ((x * np.uint32(0x01010101)) >> 24).astype(np.int64)
-
-
-def reuse_distances(keys: np.ndarray) -> np.ndarray:
+def reuse_distances(keys: Sequence[int]) -> List[int]:
     """Exact LRU stack distance per reference; ``-1`` for cold misses.
 
     ``keys`` is any integer reference stream (line indices, sector
@@ -66,13 +60,9 @@ def reuse_distances(keys: np.ndarray) -> np.ndarray:
     fully-associative LRU capacity (in keys) at which reference ``i``
     hits is ``distance + 1``.
     """
-    keys = np.asarray(keys, dtype=np.int64)
     n = len(keys)
-    out = np.full(n, -1, dtype=np.int64)
-    if n == 0:
-        return out
-    _, inv = np.unique(keys, return_inverse=True)
-    last = np.full(int(inv.max()) + 1, -1, dtype=np.int64)
+    out = [-1] * n
+    last: Dict[int, int] = {}  # key -> position of its latest reference
     # Fenwick tree over positions; tree[p] marks "position p-1 is the
     # most recent reference to its key".
     tree = [0] * (n + 1)
@@ -90,40 +80,65 @@ def reuse_distances(keys: np.ndarray) -> np.ndarray:
             tree[pos] += delta
             pos += pos & -pos
 
-    for i in range(n):
-        k = inv[i]
-        p = last[k]
-        if p >= 0:
+    for i, key in enumerate(keys):
+        p = last.get(key)
+        if p is not None:
             out[i] = query(i) - query(p + 1)
             update(p, -1)
-        last[k] = i
+        last[key] = i
         update(i, 1)
     return out
 
 
-def distance_summary(dists: np.ndarray) -> Dict[str, object]:
-    """Log2 histogram + percentiles of a stack-distance array."""
-    dists = np.asarray(dists, dtype=np.int64)
-    total = int(len(dists))
-    warm = dists[dists >= 0]
+def _quantile(sorted_values: Sequence[int], q: float) -> float:
+    """The ``q`` quantile of a non-empty sorted sequence, equal bit for
+    bit to numpy's default (``"linear"``) method: interpolate at index
+    ``(n - 1) * q``, from the lower neighbour below the midpoint and
+    from the upper one at or above it."""
+    n = len(sorted_values)
+    index = (n - 1) * q
+    i = int(index)
+    g = index - i
+    lo = sorted_values[i]
+    hi = sorted_values[min(i + 1, n - 1)]
+    if g < 0.5:
+        return lo + (hi - lo) * g
+    return hi - (hi - lo) * (1 - g)
+
+
+def _linspace(start: float, stop: float, num: int) -> List[float]:
+    """``num`` evenly spaced points from ``start`` to ``stop``, equal
+    bit for bit to ``numpy.linspace``."""
+    if num == 1:
+        return [float(start)]
+    step = (stop - start) / (num - 1)
+    points = [i * step + start for i in range(num)]
+    points[-1] = float(stop)
+    return points
+
+
+def distance_summary(dists: Sequence[int]) -> Dict[str, object]:
+    """Log2 histogram + percentiles of a stack-distance sequence."""
+    total = len(dists)
+    warm = sorted(d for d in dists if d >= 0)
     summary: Dict[str, object] = {
         "refs": total,
-        "cold": int(total - len(warm)),
+        "cold": total - len(warm),
         "reuse_frac": round(len(warm) / total, 4) if total else 0.0,
     }
     # Buckets: [0], [1], [2,3], [4,7], ... — edge i covers [2**(i-1), 2**i).
-    if len(warm):
-        top = int(warm.max())
-        nbuckets = max(1, top.bit_length() + 1)
+    if warm:
+        nbuckets = max(1, warm[-1].bit_length() + 1)
         edges = [0] + [1 << b for b in range(nbuckets)]
-        counts = np.histogram(warm, bins=edges + [edges[-1] + 1])[0]
+        # The last bucket starts above the largest distance: it is empty.
+        bounds = [bisect_left(warm, e) for e in edges] + [len(warm)]
         summary["histogram"] = {
             "edges": edges,
-            "counts": [int(c) for c in counts],
+            "counts": [hi - lo for lo, hi in zip(bounds, bounds[1:])],
         }
         for p in PERCENTILES:
-            summary[f"p{p}"] = float(np.percentile(warm, p))
-        summary["mean"] = round(float(warm.mean()), 2)
+            summary[f"p{p}"] = _quantile(warm, p / 100)
+        summary["mean"] = round(sum(warm) / len(warm), 2)
     else:
         summary["histogram"] = {"edges": [0], "counts": [0]}
         for p in PERCENTILES:
@@ -132,78 +147,44 @@ def distance_summary(dists: np.ndarray) -> Dict[str, object]:
     return summary
 
 
-def distance_cdf(dists: np.ndarray, points: int = 33) -> List[List[float]]:
+def distance_cdf(dists: Sequence[int],
+                 points: int = 33) -> List[List[float]]:
     """(distance, cumulative fraction of warm refs) pairs for plotting."""
-    warm = np.sort(np.asarray(dists)[np.asarray(dists) >= 0])
-    if not len(warm):
+    warm = sorted(d for d in dists if d >= 0)
+    if not warm:
         return []
-    qs = np.linspace(0.0, 1.0, points)
-    xs = np.quantile(warm, qs)
-    return [[float(x), round(float(q), 4)] for x, q in zip(xs, qs)]
+    return [[_quantile(warm, q), round(q, 4)]
+            for q in _linspace(0.0, 1.0, points)]
 
 
-def working_set_curve(keys: np.ndarray,
+def working_set_curve(keys: Sequence[int],
                       points: int = 64) -> Dict[str, List[int]]:
     """Unique keys touched within the first N references, sampled."""
-    keys = np.asarray(keys, dtype=np.int64)
     n = len(keys)
     if n == 0:
         return {"refs": [], "unique": []}
-    _, first_idx = np.unique(keys, return_index=True)
-    first = np.zeros(n, dtype=np.int64)
-    first[first_idx] = 1
-    cum = np.cumsum(first)
-    xs = np.unique(np.linspace(1, n, min(points, n)).astype(np.int64))
-    return {"refs": [int(x) for x in xs],
-            "unique": [int(cum[x - 1]) for x in xs]}
+    seen = set()
+    unique_so_far = []
+    for key in keys:
+        seen.add(key)
+        unique_so_far.append(len(seen))
+    xs = sorted({int(x) for x in _linspace(1, n, min(points, n))})
+    return {"refs": xs, "unique": [unique_so_far[x - 1] for x in xs]}
 
 
 def ordered_transactions(compiled: CompiledTrace,
-                         machine_sms: int) -> np.ndarray:
+                         machine_sms: int) -> List[int]:
     """Transaction indices in global execution order.
 
     Expands :func:`round_robin_order`'s op order to the ops'
     coalesced transactions (which replay issues in array order).
     """
-    kinds, op_txn_ptr = numpy_views(compiled, "op_kind", "op_txn_ptr")
-    order = round_robin_order(compiled, machine_sms)
-    mem = order[kinds[order] != OP_COMPUTE]
-    starts = op_txn_ptr[mem]
-    counts = op_txn_ptr[mem + 1] - starts
-    if not len(mem) or not counts.sum():
-        return np.empty(0, dtype=np.int64)
-    idx = np.repeat(starts, counts)
-    offs = np.arange(len(idx), dtype=np.int64) - np.repeat(
-        np.cumsum(counts) - counts, counts)
-    return idx + offs
+    txn_ptr = compiled.op_txn_ptr
+    return [t for o in round_robin_order(compiled, machine_sms)
+            for t in range(txn_ptr[o], txn_ptr[o + 1])]
 
 
-def sector_addresses(compiled: CompiledTrace,
-                     txn_idx: np.ndarray) -> np.ndarray:
-    """Byte address of every referenced sector, transaction-ordered."""
-    sectors_per_line = max(1, compiled.line_bytes // compiled.sector_bytes)
-    txn_line, txn_mask = numpy_views(compiled, "txn_line", "txn_mask")
-    lines = txn_line[txn_idx]
-    masks = txn_mask[txn_idx].astype(np.uint32)
-    parts = []
-    for s in range(sectors_per_line):
-        hit = (masks >> np.uint32(s)) & np.uint32(1)
-        sel = np.nonzero(hit)[0]
-        if len(sel):
-            parts.append((txn_idx[sel], lines[sel] * compiled.line_bytes
-                          + s * compiled.sector_bytes))
-    if not parts:
-        return np.empty(0, dtype=np.int64)
-    owner = np.concatenate([p[0] for p in parts])
-    addrs = np.concatenate([p[1] for p in parts])
-    # Stable order: by position in the txn stream, then sector index.
-    pos = np.empty(len(txn_line), dtype=np.int64)
-    pos[txn_idx] = np.arange(len(txn_idx), dtype=np.int64)
-    order = np.lexsort((addrs, pos[owner]))
-    return addrs[order]
-
-
-def metadata_prediction(compiled: CompiledTrace, txn_idx: np.ndarray,
+def metadata_prediction(compiled: CompiledTrace, txn_idx: Sequence[int],
                         layout) -> Dict[str, object]:
     """Predict metadata locality under a scheme's inline-ECC layout.
 
@@ -212,62 +193,47 @@ def metadata_prediction(compiled: CompiledTrace, txn_idx: np.ndarray,
     A transaction spanning several granules that share one atom still
     makes a single atom reference, matching what the schemes fetch.
     """
-    (txn_line,) = numpy_views(compiled, "txn_line")
-    lo = txn_line[txn_idx] * compiled.line_bytes
-    hi = lo + compiled.line_bytes - 1
-    g_lo = lo // layout.granule_bytes
-    g_hi = hi // layout.granule_bytes
+    txn_line = compiled.txn_line
+    line_bytes = compiled.line_bytes
+    granule_bytes = layout.granule_bytes
     mpg = layout.meta_per_granule
     atom = layout.atom_bytes
+    base = layout.metadata_base
 
     def atom_of(g):
-        addr = layout.metadata_base + g * mpg
+        addr = base + g * mpg
         return addr - (addr % atom)
 
-    a_lo = atom_of(g_lo)
-    a_hi = atom_of(g_hi)
-    same = a_lo == a_hi
-    if bool(np.all(same)):
-        atoms = a_lo
-        granules = g_lo  # representative granule per atom reference
-    else:  # rare: a line's granules straddle atom boundaries
-        straddle = np.nonzero(~same)[0]
-        chunks_a: List[np.ndarray] = []
-        chunks_g: List[np.ndarray] = []
-        for i in straddle:
-            span = np.arange(a_lo[i], a_hi[i] + atom, atom, dtype=np.int64)
-            chunks_a.append(span)
-            chunks_g.append((span - layout.metadata_base) // mpg)
-        # Keep execution-stream order: splice a multi-atom reference's
-        # expansion at its transaction's position.
-        atoms = np.concatenate([a_lo[same]] + chunks_a)
-        granules = np.concatenate([g_lo[same]] + chunks_g)
-        order = np.argsort(
-            np.concatenate([np.nonzero(same)[0]]
-                           + [np.full(len(c), i, dtype=np.int64)
-                              for c, i in zip(chunks_a, straddle)]),
-            kind="stable")
-        atoms, granules = atoms[order], granules[order]
+    atoms: List[int] = []
+    granules: List[int] = []  # representative granule per atom reference
+    for t in txn_idx:
+        lo = txn_line[t] * line_bytes
+        g_lo = lo // granule_bytes
+        a_lo = atom_of(g_lo)
+        a_hi = atom_of((lo + line_bytes - 1) // granule_bytes)
+        if a_lo == a_hi:
+            atoms.append(a_lo)
+            granules.append(g_lo)
+        else:  # rare: a line's granules straddle atom boundaries
+            for a in range(a_lo, a_hi + atom, atom):
+                atoms.append(a)
+                granules.append((a - base) // mpg)
 
-    refs = int(len(atoms))
-    uniq_atoms = int(len(np.unique(atoms)))
-    uniq_granules = int(len(np.unique(granules)))
+    refs = len(atoms)
+    uniq_atoms = len(set(atoms))
     dists = reuse_distances(atoms)
-    packed_reuse = float((dists >= 0).mean()) if refs else 0.0
+    packed_reuse = sum(d >= 0 for d in dists) / refs if refs else 0.0
     # Naive layout: one private atom per granule, so an atom only
     # re-references when the *same* granule does.
     naive_dists = reuse_distances(granules)
-    naive_reuse = float((naive_dists >= 0).mean()) if refs else 0.0
+    naive_reuse = sum(d >= 0 for d in naive_dists) / refs if refs else 0.0
     # Chunk co-location: distinct granules sharing each touched atom.
-    if refs:
-        pairs = np.unique(np.stack([atoms, granules]), axis=1)
-        colocation = round(pairs.shape[1] / uniq_atoms, 3)
-    else:
-        colocation = 0.0
+    colocation = (round(len(set(zip(atoms, granules))) / uniq_atoms, 3)
+                  if refs else 0.0)
     return {
         "meta_refs": refs,
         "meta_atoms": uniq_atoms,
-        "granules": uniq_granules,
+        "granules": len(set(granules)),
         "granules_per_meta_atom": layout.granules_per_meta_atom,
         "reuse": distance_summary(dists),
         "reuse_cdf": distance_cdf(dists),
@@ -287,45 +253,44 @@ def trace_analytics(compiled: CompiledTrace, machine_sms: int,
     metadata-prediction section.
     """
     txn_idx = ordered_transactions(compiled, machine_sms)
-    txn_line, txn_mask, kinds = numpy_views(compiled, "txn_line",
-                                            "txn_mask", "op_kind")
-    lines = txn_line[txn_idx]
-    masks = txn_mask[txn_idx]
+    txn_line = compiled.txn_line
+    txn_mask = compiled.txn_mask
+    lines = [txn_line[t] for t in txn_idx]
+    active_sectors = sum(txn_mask[t].bit_count() for t in txn_idx)
     sectors_per_line = max(1, compiled.line_bytes // compiled.sector_bytes)
-    mem_ops = int((kinds != OP_COMPUTE).sum())
+    mem_ops = sum(k != OP_COMPUTE for k in compiled.op_kind)
+    txns = len(txn_idx)
 
     line_dists = reuse_distances(lines)
-    sec_addrs = sector_addresses(compiled, txn_idx)
+    sec_addrs = list(touched_sectors(compiled, txn_idx))
     sec_dists = reuse_distances(sec_addrs)
-    active_sectors = int(_popcount32(masks).sum()) if len(masks) else 0
+    footprint_lines = len(set(lines))
+    footprint_sectors = len(set(sec_addrs))
 
     report: Dict[str, object] = {
-        "ops": int(compiled.num_ops),
+        "ops": compiled.num_ops,
         "mem_ops": mem_ops,
-        "txns": int(len(txn_idx)),
+        "txns": txns,
         "line": {
-            "footprint_lines": int(len(np.unique(lines))),
-            "footprint_bytes": int(len(np.unique(lines))
-                                   * compiled.line_bytes),
+            "footprint_lines": footprint_lines,
+            "footprint_bytes": footprint_lines * compiled.line_bytes,
             "reuse": distance_summary(line_dists),
             "reuse_cdf": distance_cdf(line_dists),
             "working_set": working_set_curve(lines),
         },
         "sector": {
-            "footprint_sectors": int(len(np.unique(sec_addrs))),
-            "footprint_bytes": int(len(np.unique(sec_addrs))
-                                   * compiled.sector_bytes),
+            "footprint_sectors": footprint_sectors,
+            "footprint_bytes": footprint_sectors * compiled.sector_bytes,
             "reuse": distance_summary(sec_dists),
             "reuse_cdf": distance_cdf(sec_dists),
         },
         "coalescing": {
-            "txns_per_mem_op": round(len(txn_idx) / mem_ops, 3)
-            if mem_ops else 0.0,
-            "sectors_per_txn": round(active_sectors / len(txn_idx), 3)
-            if len(txn_idx) else 0.0,
+            "txns_per_mem_op": round(txns / mem_ops, 3) if mem_ops else 0.0,
+            "sectors_per_txn": round(active_sectors / txns, 3)
+            if txns else 0.0,
             "sector_utilization": round(
-                active_sectors / (len(txn_idx) * sectors_per_line), 4)
-            if len(txn_idx) else 0.0,
+                active_sectors / (txns * sectors_per_line), 4)
+            if txns else 0.0,
         },
     }
     if layout is not None:

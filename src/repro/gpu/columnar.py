@@ -28,12 +28,11 @@ Layout — three parallel levels, all offsets half-open:
 
 Each column is a read-only ``memoryview`` of a stdlib ``array``'s
 bytes (a write raises ``TypeError``): compiled traces are memoized and
-shared across runs, so nothing may mutate one.  Code that needs vector
-maths takes zero-copy numpy views (:func:`numpy_views`) and is the
-only code that imports numpy.  The ``digest`` (blake2b over version,
-geometry and the columns' little-endian bytes) is a stable content
-address — equal traces compile to equal digests across processes and
-machines.
+shared across runs, so nothing may mutate one.  Everything that reads
+them (both tiers, the trace file, the trace analytics) runs on the
+standard library.  The ``digest`` (blake2b over version, geometry and
+the columns' little-endian bytes) is a stable content address — equal
+traces compile to equal digests across processes and machines.
 """
 
 from __future__ import annotations
@@ -42,7 +41,8 @@ import hashlib
 import sys
 from array import array
 from dataclasses import dataclass
-from typing import Iterator, List, Sequence
+from itertools import zip_longest
+from typing import Iterable, Iterator, List, Optional, Sequence
 
 from repro.gpu.coalescer import coalesce
 from repro.gpu.trace import ComputeOp, MemoryOp, WarpOp
@@ -95,14 +95,6 @@ def column_bytes(column: memoryview) -> bytes:
 def column_from_bytes(data: bytes, dtype: str) -> memoryview:
     """The column of ``dtype`` whose little-endian bytes are ``data``."""
     return frozen_column(_swapped(array(TYPECODES[dtype], data)))
-
-
-def numpy_views(compiled: "CompiledTrace", *names: str) -> list:
-    """Zero-copy, read-only numpy views of ``compiled``'s columns
-    ``names`` (numpy arrays pass through unchanged)."""
-    import numpy as np
-
-    return [np.asarray(getattr(compiled, name)) for name in names]
 
 
 @dataclass(frozen=True)
@@ -212,41 +204,39 @@ def compile_trace(traces: Sequence[Sequence[Sequence[WarpOp]]],
                          *columns, digest=digest)
 
 
-def touched_sectors(compiled: CompiledTrace) -> Iterator[int]:
-    """The byte address of every sector each transaction touches, in
-    transaction order."""
+def touched_sectors(compiled: CompiledTrace,
+                    txns: Optional[Iterable[int]] = None) -> Iterator[int]:
+    """The byte address of every sector the transactions ``txns`` (by
+    default all of them, in transaction order) touch, in that order
+    and, within a transaction, from the lowest sector up."""
     line_bytes = compiled.line_bytes
     sector_bytes = compiled.sector_bytes
-    for line, mask in zip(compiled.txn_line, compiled.txn_mask):
-        base = line * line_bytes
+    txn_line = compiled.txn_line
+    txn_mask = compiled.txn_mask
+    for t in range(compiled.num_txns) if txns is None else txns:
+        base = txn_line[t] * line_bytes
+        mask = txn_mask[t]
         while mask:
             low = mask & -mask
             yield base + (low.bit_length() - 1) * sector_bytes
             mask ^= low
 
 
-def round_robin_order(compiled: CompiledTrace, machine_sms: int):
+def round_robin_order(compiled: CompiledTrace,
+                      machine_sms: int) -> List[int]:
     """Global op execution order of the functional tier's replay loop.
 
     The functional tier runs warps round-robin, one op per
     still-active warp per round, in flattened SM-major warp order;
     because the queue is drained after every memory op, that rotation
-    **is** a total sequential order over ops.  This computes it
-    vectorized: sort ops by (round = index within warp, warp index),
-    dropping warps mapped beyond the machine's SM count
-    (``load_workload`` skips those).
+    **is** a total sequential order over ops: round by round, each
+    warp's next op, skipping warps mapped beyond the machine's SM
+    count (``load_workload`` skips those).
 
-    Returns a numpy array of indices into the op columns,
-    execution-ordered.
+    Returns the indices into the op columns, execution-ordered.
     """
-    import numpy as np
-
-    warp_ptr, warp_sm = numpy_views(compiled, "warp_ptr", "warp_sm")
-    counts = np.diff(warp_ptr)
-    op_warp = np.repeat(np.arange(compiled.num_warps, dtype=np.int64),
-                        counts)
-    op_round = (np.arange(compiled.num_ops, dtype=np.int64)
-                - np.repeat(warp_ptr[:-1], counts))
-    order = np.lexsort((op_warp, op_round))
-    keep = warp_sm[op_warp[order]] < machine_sms
-    return order[keep]
+    warp_ptr = compiled.warp_ptr
+    ranges = [range(warp_ptr[w], warp_ptr[w + 1])
+              for w, sm in enumerate(compiled.warp_sm) if sm < machine_sms]
+    return [o for round_ops in zip_longest(*ranges)
+            for o in round_ops if o is not None]

@@ -292,10 +292,6 @@ class CampaignRunner:
                 quarantined[cell] = record
         return done, quarantined, attempts
 
-    def completed_cells(self) -> Dict[str, Dict[str, Any]]:
-        """Cells the journal marks ``done`` (for resume)."""
-        return self.journal_state()[0]
-
     def _journal(self, record: Dict[str, Any]) -> None:
         """Append one fsynced journal record (best-effort: a full disk
         must degrade to re-running cells on resume, not kill the

@@ -21,9 +21,11 @@ drives each scheme's L2 slices over the stream and drains the queue at
 the same points, adding each SM's tallies to the statistics tree of
 its :class:`~repro.gpu.sm.StreamingMultiprocessor`: the tier builds
 the event tier's SM class, never starts it and gives it no crossbar,
-so one class registers the ``sm{i}`` keys on both tiers.  The tier
-replays only the artifact :meth:`repro.core.system.GpuSystem.load_workload`
-compiled.  The pieces:
+so one class registers the ``sm{i}`` keys on both tiers.  Both stages
+are plain Python over the artifact's columns and the stream's tuples.
+The tier replays only the artifact
+:meth:`repro.core.system.GpuSystem.load_workload` compiled.  The
+pieces:
 
 ``ImmediateQueue``
     Duck-types the :class:`~repro.sim.engine.Simulator` scheduling
@@ -63,21 +65,17 @@ import time
 from collections import deque
 from dataclasses import dataclass
 from functools import partial
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
+from typing import (TYPE_CHECKING, Callable, Dict, List, Optional,
+                    Sequence, Tuple)
 
 from repro.cache.l1 import L1Cache
 from repro.dram.channel import RequestKind
 from repro.gpu.columnar import (OP_ATOMIC, OP_COMPUTE, OP_LOAD,
-                                CompiledTrace, numpy_views,
-                                round_robin_order)
+                                CompiledTrace, round_robin_order)
 from repro.sim.engine import SimulationError
 from repro.sim.stats import StatGroup
 
-# numpy loads with the first functional replay, so an event-tier run
-# never imports it.
 if TYPE_CHECKING:
-    import numpy as np
-
     from repro.gpu.sm import StreamingMultiprocessor
 
 
@@ -248,25 +246,15 @@ class L2Stream:
     """Stage 1's output: the requests the L1s send the L2, in issue
     order, and where the queue drains.  A request's ``port`` is its
     slice, plus the slice count ``S`` for a store or twice that for an
-    atomic.  Arrays are frozen (:func:`frozen_array`); the stream is
-    memoized and shared across runs, like a
-    :class:`~repro.gpu.columnar.CompiledTrace`."""
+    atomic.  The columns are tuples: the stream is memoized and shared
+    across runs, like a :class:`~repro.gpu.columnar.CompiledTrace`."""
 
-    port: np.ndarray      # uint16 (R,)  slice, + S for a store, + 2S atomic
-    line: np.ndarray      # int64  (R,)  line index
-    mask: np.ndarray      # uint32 (R,)  sector mask
-    drain_at: np.ndarray  # int64  (D,)  requests issued before each drain
-    drain_sm: np.ndarray  # int32  (D,)  SM whose op drains there
-    tallies: np.ndarray   # int64  (S, len(TALLIED)) per-SM counters
-
-
-def frozen_array(values, dtype) -> np.ndarray:
-    """``values`` as a read-only numpy array of ``dtype``."""
-    import numpy as np
-
-    arr = np.asarray(values, dtype=dtype)
-    arr.flags.writeable = False
-    return arr
+    port: Tuple[int, ...]      # per request: slice, + S store, + 2S atomic
+    line: Tuple[int, ...]      # per request: line index
+    mask: Tuple[int, ...]      # per request: sector mask
+    drain_at: Tuple[int, ...]  # per drain: requests issued before it
+    drain_sm: Tuple[int, ...]  # per drain: SM whose op drains there
+    tallies: Tuple[Tuple[int, ...], ...]  # per SM: the TALLIED counters
 
 
 def compile_l2_stream(compiled: CompiledTrace,
@@ -276,10 +264,9 @@ def compile_l2_stream(compiled: CompiledTrace,
     Warps run round-robin, one op per still-active warp per round, in
     flattened SM-major warp order (:func:`round_robin_order`), and the
     queue drains after every memory op that issued a request; the
-    rotation is therefore a fixed total order.  Instruction, op-kind
-    and transaction counts are exact functions of the artifact, summed
-    per SM over zero-copy numpy views of the artifact's columns.  The
-    L1 pass then walks the memory ops:
+    rotation is therefore a fixed total order, and one walk over it
+    counts each SM's instructions, op kinds and transactions and
+    drives the L1s:
 
     * a load probes the L1 per transaction and sends each missing
       sector mask to the L2; a full L1 MSHR file (``l1_mshr_entries``
@@ -294,88 +281,48 @@ def compile_l2_stream(compiled: CompiledTrace,
       in issue order and every credit frees.  Nothing waits for a later
       cycle, so ``stall_retries`` stays 0.
     """
-    import numpy as np
-
-    warp_ptr, warp_sm, kind, op_txn_ptr, txn_line, txn_mask = numpy_views(
-        compiled, "warp_ptr", "warp_sm", "op_kind", "op_txn_ptr",
-        "txn_line", "txn_mask")
     n = geometry.num_sms
-    counts = np.diff(warp_ptr)
-    op_warp = np.repeat(np.arange(compiled.num_warps, dtype=np.int64),
-                        counts)
-    op_sm = warp_sm.astype(np.int64)[op_warp]
-    order = round_robin_order(compiled, n)
-    txn_counts = np.diff(op_txn_ptr)
-
-    # Static counters: exact per-SM sums over executed ops.
-    k_sm = op_sm[order]
-    k_kind = kind[order]
-    k_txns = txn_counts[order]
-    is_load = k_kind == OP_LOAD
-    is_atomic = k_kind == OP_ATOMIC
-    is_store_like = k_kind >= 2  # OP_STORE | OP_ATOMIC
-    store_txns = np.bincount(k_sm[is_store_like],
-                             weights=k_txns[is_store_like], minlength=n)
-    static = (np.bincount(k_sm, minlength=n),
-              np.bincount(k_sm[is_load], minlength=n),
-              np.bincount(k_sm[is_store_like & ~is_atomic], minlength=n),
-              np.bincount(k_sm[is_atomic], minlength=n),
-              np.bincount(k_sm[is_load], weights=k_txns[is_load],
-                          minlength=n),
-              store_txns, store_txns)
-
-    routes = ((txn_line * compiled.line_bytes)
-              // geometry.slice_chunk_bytes) % geometry.num_slices
-    sel = order[kind[order] != OP_COMPUTE]
-    l1s = [L1Cache(geometry.l1_bytes, geometry.l1_ways, geometry.line_bytes)
-           for _ in range(n)]
-    stream, queue_counts = _l1_pass(
-        kind[sel].tolist(), op_sm[sel].tolist(), op_txn_ptr[sel].tolist(),
-        op_txn_ptr[sel + 1].tolist(), txn_line.tolist(), txn_mask.tolist(),
-        routes.tolist(), l1s, geometry)
-    front = [[l1.stats.get(name).value for name in (
-        "hits", "sector_misses", "line_misses", "line_miss_sectors",
-        "evictions")] + queue for l1, queue in zip(l1s, queue_counts)]
-    tallies = np.column_stack(
-        static + (np.array(front, dtype=np.int64).reshape(n, 8),))
-    port, lines, masks, drain_at, drain_sm = stream
-    return L2Stream(frozen_array(port, np.uint16),
-                    frozen_array(lines, np.int64),
-                    frozen_array(masks, np.uint32),
-                    frozen_array(drain_at, np.int64),
-                    frozen_array(drain_sm, np.int32),
-                    frozen_array(tallies, np.int64))
-
-
-def _l1_pass(kinds: List[int], sms_of: List[int], starts: List[int],
-             ends: List[int], tl: List[int], tm: List[int], rt: List[int],
-             l1s: List[L1Cache], geometry: L1Geometry
-             ) -> Tuple[Tuple[List[int], ...], List[List[int]]]:
-    """The hot loop of :func:`compile_l2_stream` over the scheduled
-    memory ops (op kind, SM and transaction range per op; line, sector
-    mask and slice per transaction).  Returns the stream's columns as
-    lists (port, line, mask, drain points and their SMs) and, per SM,
-    its L1-MSHR allocations and full stalls and its store-buffer full
-    rejections."""
     mshr_entries = geometry.l1_mshr_entries
     store_buffer = geometry.store_buffer
-    store_base = geometry.num_slices
-    atomic_base = 2 * geometry.num_slices
+    num_slices = geometry.num_slices
+    chunk = geometry.slice_chunk_bytes
+    line_bytes = compiled.line_bytes
+    kinds = compiled.op_kind
+    txn_ptr = compiled.op_txn_ptr
+    tl = compiled.txn_line
+    tm = compiled.txn_mask
+    warp_ptr = compiled.warp_ptr
+    op_sm: List[int] = []
+    for w, sm_index in enumerate(compiled.warp_sm):
+        op_sm += [sm_index] * (warp_ptr[w + 1] - warp_ptr[w])
+    l1s = [L1Cache(geometry.l1_bytes, geometry.l1_ways, geometry.line_bytes)
+           for _ in range(n)]
+    # Per SM: instructions, then loads, stores and atomics (indexed by
+    # op kind), load and store transactions, L1-MSHR allocations and
+    # full stalls, and store-buffer full rejections.
+    counters = [[0] * 9 for _ in range(n)]
     port: List[int] = []
     lines: List[int] = []
     masks: List[int] = []
     drain_at: List[int] = []
     drain_sm: List[int] = []
-    queue_counts = [[0, 0, 0] for _ in l1s]
     # Loads in flight since the last drain, in issue order.
     fills: List[Tuple[int, int]] = []
 
-    for i, k in enumerate(kinds):
-        sm_index = sms_of[i]
+    for o in round_robin_order(compiled, n):
+        sm_index = op_sm[o]
+        counts = counters[sm_index]
+        counts[0] += 1
+        k = kinds[o]
+        if k == OP_COMPUTE:
+            continue
+        counts[k] += 1
+        start = txn_ptr[o]
+        end = txn_ptr[o + 1]
         l1 = l1s[sm_index]
-        counts = queue_counts[sm_index]
         if k == OP_LOAD:
-            for t in range(starts[i], ends[i]):
+            counts[4] += end - start
+            for t in range(start, end):
                 line = tl[t]
                 mask = tm[t]
                 while True:
@@ -383,15 +330,15 @@ def _l1_pass(kinds: List[int], sms_of: List[int], starts: List[int],
                     if not miss:
                         break
                     if len(fills) < mshr_entries:
-                        counts[0] += 1
+                        counts[6] += 1
                         fills.append((line, miss))
-                        port.append(rt[t])
+                        port.append((line * line_bytes // chunk) % num_slices)
                         lines.append(line)
                         masks.append(miss)
                         break
                     # A full MSHR file stalls like the event SM: drain
                     # (every fill lands), then redo the lookup.
-                    counts[1] += 1
+                    counts[7] += 1
                     _install(l1, fills)
                     drain_at.append(len(lines))
                     drain_sm.append(sm_index)
@@ -400,13 +347,14 @@ def _l1_pass(kinds: List[int], sms_of: List[int], starts: List[int],
                 drain_at.append(len(lines))
                 drain_sm.append(sm_index)
         else:  # OP_STORE / OP_ATOMIC
+            counts[5] += end - start
             atomic = k == OP_ATOMIC
-            base = atomic_base if atomic else store_base
+            base = 2 * num_slices if atomic else num_slices
             credits = 0
-            for t in range(starts[i], ends[i]):
+            for t in range(start, end):
                 if credits >= store_buffer:
                     # A full store buffer drains: every ack lands.
-                    counts[2] += 1
+                    counts[8] += 1
                     drain_at.append(len(lines))
                     drain_sm.append(sm_index)
                     credits = 0
@@ -415,13 +363,23 @@ def _l1_pass(kinds: List[int], sms_of: List[int], starts: List[int],
                 mask = tm[t]
                 if atomic:
                     l1.clear(line, mask)  # the L1 copy is now stale
-                port.append(base + rt[t])
+                port.append(base + (line * line_bytes // chunk) % num_slices)
                 lines.append(line)
                 masks.append(mask)
             if credits:
                 drain_at.append(len(lines))
                 drain_sm.append(sm_index)
-    return (port, lines, masks, drain_at, drain_sm), queue_counts
+
+    # storebuf.acquires equals store_transactions: a credit per store.
+    tallies = tuple(
+        (*counts[:6], counts[5],
+         *(l1.stats.get(name).value for name in (
+             "hits", "sector_misses", "line_misses", "line_miss_sectors",
+             "evictions")),
+         *counts[6:])
+        for l1, counts in zip(l1s, counters))
+    return L2Stream(tuple(port), tuple(lines), tuple(masks),
+                    tuple(drain_at), tuple(drain_sm), tallies)
 
 
 def _install(l1: L1Cache, fills: List[Tuple[int, int]]) -> None:
@@ -472,17 +430,16 @@ def replay_columnar(stream: L2Stream, sms: List[StreamingMultiprocessor],
                  + [sl.receive_store for sl in slices]
                  + [sl.receive_atomic for sl in slices])
     callbacks = [respond] * num_slices + [ack] * (2 * num_slices)
-    drain_at = stream.drain_at.tolist()
-    run = partial(_replay_segments, stream.port.tolist(),
-                  stream.line.tolist(), stream.mask.tolist(), drain_at,
-                  receivers, callbacks, fills, acks, queue.drain)
+    run = partial(_replay_segments, stream.port, stream.line, stream.mask,
+                  stream.drain_at, receivers, callbacks, fills, acks,
+                  queue.drain)
     if flame is None:
-        run(0, len(drain_at))
+        run(0, len(stream.drain_at))
     else:
         roots = [flame.wrap_root(f"sm{sm.sm_id}.step", run) for sm in sms]
-        for j, sm_index in enumerate(stream.drain_sm.tolist()):
+        for j, sm_index in enumerate(stream.drain_sm):
             roots[sm_index](j, j + 1)
-    for sm, tallies in zip(sms, stream.tallies.tolist()):
+    for sm, tallies in zip(sms, stream.tallies):
         for key, value in zip(TALLIED, tallies):
             _stat(sm.stats, key).add(value)
 
@@ -495,8 +452,9 @@ def _stat(group: StatGroup, key: str):
     return group.get(name)
 
 
-def _replay_segments(ports: List[int], lines: List[int], masks: List[int],
-                     drain_at: List[int], receivers: List[Callable],
+def _replay_segments(ports: Sequence[int], lines: Sequence[int],
+                     masks: Sequence[int], drain_at: Sequence[int],
+                     receivers: List[Callable],
                      callbacks: List[Callable], fills: List, acks: List,
                      drain: Callable[[], None], lo: int, hi: int) -> None:
     """The hot loop of :func:`replay_columnar`: drain segments

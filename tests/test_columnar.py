@@ -12,12 +12,15 @@ components (:func:`reference_run`).
 """
 
 import dataclasses
+import hashlib
 import io
+import json
 import re
 
 import numpy as np
 import pytest
 
+from repro.analysis.harness import bench_config, bench_gen_ctx
 from repro.cache.mshr import MshrFile
 from repro.cache.sectored import SectoredCache
 from repro.core.config import ALL_SCHEMES, test_config as small_config
@@ -37,6 +40,7 @@ from repro.gpu.columnar import (
 from repro.gpu.trace import ComputeOp, MemoryOp
 from repro.gpu.tracefile import dump_columnar, load_columnar
 from repro.sim.engine import SimulationError
+from repro.sim.functional import L1Geometry, compile_l2_stream
 from repro.sim.resources import OccupancyLimiter
 from repro.sim.stats import StatGroup
 from repro.workloads.base import (
@@ -360,7 +364,7 @@ def reference_run(system):
     sms = [_ReferenceSm(i, system) for i in range(len(system.sms))]
     op_warp = np.repeat(np.arange(compiled.num_warps),
                         np.diff(compiled.warp_ptr))
-    for o in round_robin_order(compiled, len(sms)).tolist():
+    for o in round_robin_order(compiled, len(sms)):
         txns = range(int(compiled.op_txn_ptr[o]),
                      int(compiled.op_txn_ptr[o + 1]))
         sms[int(compiled.warp_sm[op_warp[o]])].op(
@@ -588,3 +592,19 @@ class TestL2StreamMemo:
         assert self._memo() == (1, 0, 1)
         trace_cache_clear()
         assert self._memo() == (0, 0, 0)
+
+
+def test_stage_one_stream_is_pinned():
+    """bfs's stream on a small-L1 machine, where L1-MSHR stalls and
+    store-buffer rejections drain the queue, equals column for column
+    (tallies included) the one the numpy implementation produced
+    (MODEL_VERSION 7)."""
+    config = bench_config(l1_size_kb=4, l1_mshr_entries=4, store_buffer=4)
+    compiled = materialize_compiled(
+        make_workload("bfs"), bench_gen_ctx(config, scale=0.03, seed=7))
+    stream = compile_l2_stream(compiled, L1Geometry.of(config.gpu))
+    columns = [stream.port, stream.line, stream.mask, stream.drain_at,
+               stream.drain_sm, stream.tallies]
+    digest = hashlib.sha256(json.dumps(columns).encode()).hexdigest()
+    assert digest == ("b51fb893b717fe548fdb9cf7342f7dd0"
+                      "45d5778201443fb5ac3543cea56ddd1f")

@@ -163,21 +163,31 @@ def test_scenario_and_campaign_cell_free_their_system(monkeypatch):
     assert parts_outliving(lambda: run_cell_result(cell), monkeypatch) == []
 
 
-def test_event_tier_run_does_not_import_numpy():
-    """numpy holds about 10 MB of resident memory; only the functional
-    tier and the inspector's trace analytics need it."""
+@pytest.mark.parametrize("fidelity,inspected", [
+    ("event", False), ("functional", False), ("event", True)],
+    ids=["event", "functional", "event-inspected"])
+def test_run_does_not_import_numpy(fidelity, inspected):
+    """The program runs on the standard library alone: neither tier,
+    nor the inspector's trace analytics, imports numpy (about 10 MB of
+    resident memory)."""
     code = ("import sys\n"
             "from repro.core.config import test_config\n"
             "from repro.core.system import run_workload\n"
+            "from repro.obs.hub import Observability\n"
+            "from repro.obs.inspect import MemoryInspector\n"
             "from repro.workloads import make_workload\n"
-            "run_workload(make_workload('bfs'), "
-            "test_config().with_scheme('cachecraft'))\n"
-            "print('numpy' in sys.modules)\n")
+            f"obs = Observability(inspect=MemoryInspector()) "
+            f"if {inspected} else None\n"
+            "result = run_workload(make_workload('bfs'), test_config()"
+            f".with_scheme('cachecraft').with_fidelity('{fidelity}'), "
+            "obs=obs)\n"
+            "print('predicted_efficacy' in result.inspect_metrics, "
+            "'numpy' in sys.modules)\n")
     src = os.path.dirname(os.path.dirname(repro.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", code], check=True,
                          capture_output=True, text=True, env=env).stdout
-    assert out.strip() == "False"
+    assert out.split() == [str(inspected), "False"]
 
 
 @pytest.mark.parametrize("fidelity", ["event", "functional"])

@@ -14,8 +14,10 @@ import pytest
 
 from repro.analysis.harness import ExperimentHarness, compare_schemes
 from repro.core.config import FIDELITIES
+from repro.core.system import GpuSystem
 from repro.obs.structlog import read_jsonl
 from repro.resilience.chaos import CHAOS_ENV, ChaosPolicy
+from repro.sim.engine import SimulationError
 from repro.workloads import WORKLOAD_REGISTRY, Workload
 
 WORKLOADS = ["vecadd", "pchase"]
@@ -198,3 +200,35 @@ def test_compare_schemes_workers_and_harness():
     assert [r["scheme"] for r in rows] == SCHEMES
     assert rows[0]["norm_perf"] == pytest.approx(1.0)
     assert harness.sims_run == len(SCHEMES)
+
+
+class TestOneWatchdogOnBothPaths:
+    """A cell that livelocks trips the engine watchdog's no-progress
+    check whether it runs in this process or in a forked worker, long
+    before ``max_events`` runs out."""
+
+    @pytest.fixture
+    def livelocked(self, monkeypatch):
+        """Every loaded system also queues an event that reschedules
+        itself at the same cycle forever."""
+        load = GpuSystem.load_workload
+
+        def load_and_spin(system, *args, **kwargs):
+            def spin():
+                system.sim.schedule(0, spin)
+
+            gen_ctx = load(system, *args, **kwargs)
+            system.sim.schedule(0, spin)
+            return gen_ctx
+
+        monkeypatch.setattr(GpuSystem, "load_workload", load_and_spin)
+
+    def test_serial_cell(self, livelocked):
+        harness = ExperimentHarness(scale=0.02, max_events=2_000_000)
+        with pytest.raises(SimulationError, match="watchdog: no progress"):
+            harness.run("vecadd", "none")
+
+    def test_parallel_cells(self, livelocked):
+        harness = ExperimentHarness(scale=0.02, max_events=2_000_000)
+        with pytest.raises(RuntimeError, match="watchdog: no progress"):
+            harness.matrix(["vecadd"], ["none", "sideband"], workers=2)
