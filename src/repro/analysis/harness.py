@@ -20,13 +20,14 @@ from repro.analysis.result_cache import (ResultCache, cache_key,
                                          trace_digest_for)
 from repro.core.config import ALL_SCHEMES, FIDELITIES, SystemConfig
 from repro.core.results import RunResult
-from repro.core.system import run_workload
+from repro.core.system import materialize_l2_replay, run_workload
 from repro.obs.ledger import RunLedger, record_from_result, resolve_ledger
 from repro.obs.progress import ProgressWriter
 from repro.obs.structlog import NullLog, resolve_log, run_context
+from repro.protection.base import scheme_class
 from repro.sim.engine import Watchdog
 from repro.workloads import make_workload
-from repro.workloads.base import GenContext, Workload
+from repro.workloads.base import RECORD_CACHE_CAPACITY, GenContext, Workload
 
 
 def bench_config(**gpu_overrides) -> SystemConfig:
@@ -369,6 +370,7 @@ class ExperimentHarness:
                 grid[spec["workload"]][spec["scheme"]] = result
         attempted = len(specs) + len(lost)
         if specs:
+            self._share_l2_replays(specs, misses)
             summary = CampaignSummary()
             with tempfile.TemporaryDirectory(prefix="repro-matrix-") as tmp:
                 runner = CampaignRunner(
@@ -390,6 +392,35 @@ class ExperimentHarness:
                     f"{cell} ({error})" for cell, error in lost.items()))
         return {wl: {sc: grid[wl][sc] for sc in schemes}
                 for wl in workloads}
+
+    def _share_l2_replays(self, specs: Sequence[Dict],
+                          misses: Dict[str, Tuple[Tuple, Optional[str]]]
+                          ) -> None:
+        """Before a parallel grid forks its workers: memoize here
+        (:func:`~repro.core.system.materialize_l2_replay`) the L2
+        recording of each functional trace that two or more of
+        ``specs`` replay under L2-transparent schemes, so that their
+        workers inherit it and each replays its scheme alone.  Only
+        traces this process compiled to key their cells are recorded
+        (a generator runs here only where the key already ran it), at
+        most as many as the record memo holds.  A trace that fails here
+        is left to its workers, which report the failure per cell."""
+        counts: Dict[str, int] = {}
+        for spec in specs:
+            if (spec["config"].fidelity == "functional"
+                    and misses[spec["cell"]][1] is not None
+                    and scheme_class(spec["scheme"]).l2_transparent):
+                counts[spec["workload"]] = counts.get(spec["workload"], 0) + 1
+        shared = [wl for wl, count in counts.items() if count >= 2]
+        configs = {spec["workload"]: spec["config"] for spec in specs}
+        for workload in shared[:RECORD_CACHE_CAPACITY]:
+            config = configs[workload]
+            try:
+                materialize_l2_replay(self._build_workload(workload),
+                                      config, self._gen_ctx(config))
+            except Exception as exc:  # noqa: BLE001 - its workers report it
+                self.log.warn("matrix.share_failed", workload=workload,
+                              error=f"{type(exc).__name__}: {exc}")
 
     def normalized_performance(self, workloads: Sequence[str],
                                schemes: Sequence[str] = ALL_SCHEMES,

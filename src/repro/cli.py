@@ -738,6 +738,10 @@ def _cmd_cache(args: argparse.Namespace) -> int:
               f"{memo['stream_entries']} entries, "
               f"{memo['stream_hits']} hits, "
               f"{memo['stream_misses']} misses")
+        print(f"L2 record memo (this process): "
+              f"{memo['record_entries']} entries, "
+              f"{memo['record_hits']} hits, "
+              f"{memo['record_misses']} misses")
         return 0
     removed = cache.clear(stale_only=args.stale_only)
     what = "stale entries" if args.stale_only else "entries"
@@ -1243,9 +1247,31 @@ def _cmd_list() -> int:
     return 0
 
 
+def _check_output_dirs(args: argparse.Namespace) -> None:
+    """Exit with status 2, before any system is built, when an observer
+    output file's directory does not exist: the files are written only
+    once every run has finished."""
+    flags = [("--trace-out", "trace_out"), ("--metrics-out", "metrics_out"),
+             ("--flame-out", "flame_out"), ("--inspect-out", "inspect_out")]
+    if args.command == "obs" and args.obs_command == "flame":
+        flags.append(("--out", "out"))
+    if args.command == "obs" and args.obs_command == "inspect":
+        flags += [("--json-out", "json_out"), ("--html", "html")]
+    for flag, dest in flags:
+        path = getattr(args, dest, None)
+        if not path:
+            continue
+        parent = os.path.dirname(path)
+        if parent and not os.path.isdir(parent):
+            print(f"error: {flag} {path}: directory {parent!r} does not "
+                  "exist", file=sys.stderr)
+            raise SystemExit(2)
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     """Entry point for the ``cachecraft-sim`` console script."""
     args = _build_parser().parse_args(argv)
+    _check_output_dirs(args)
     if args.command == "run":
         return _cmd_run(args)
     if args.command == "compare":

@@ -26,10 +26,12 @@ from repro.resilience.injector import Injector
 from repro.resilience.recovery import RecoveryController
 from repro.sim.engine import Simulator, Watchdog
 from repro.sim.functional import (FunctionalChannel, ImmediateQueue,
-                                  L1Geometry, replay_columnar)
+                                  L1Geometry, L2Geometry, replay_columnar,
+                                  replay_record)
 from repro.sim.stats import StatsRegistry
 from repro.workloads.base import (GenContext, Workload,
-                                  materialize_compiled,
+                                  l2_stream_memoized, materialize_compiled,
+                                  materialize_l2_record,
                                   materialize_l2_stream)
 
 
@@ -131,13 +133,10 @@ class GpuSystem:
         )
         self.scheme.bind(self.ctx)
 
+        self.l2_geometry = L2Geometry.of(gpu)
         self.slices: List[L2Slice] = [
-            L2Slice(i, self.sim, self.scheme,
-                    size_bytes=gpu.l2_slice_bytes, ways=gpu.l2_ways,
-                    line_bytes=gpu.line_bytes, sector_bytes=gpu.sector_bytes,
-                    latency=gpu.l2_latency, mshr_entries=gpu.l2_mshr_entries,
-                    policy=gpu.l2_policy, stats=self.stats,
-                    metadata_ways=gpu.l2_metadata_ways)
+            self.l2_geometry.build(i, self.sim, self.scheme,
+                                   latency=gpu.l2_latency, stats=self.stats)
             for i in range(gpu.num_slices)
         ]
         self.ctx.wire_l2(self.slices)
@@ -152,6 +151,10 @@ class GpuSystem:
         #: :meth:`load_workload`): what :meth:`run` replays, and
         #: consumes, as event SMs consume their warps.
         self.compiled = None
+        #: Whether the functional tier has replayed its workload: a
+        #: replay against a recording of the L2 leaves the slices empty,
+        #: so no second workload may follow it.
+        self._replayed = False
         if functional_tier:
             # No interconnect timing to model — the replay drives the
             # slices directly, through the same receive_* interface.
@@ -184,12 +187,12 @@ class GpuSystem:
         """Compile the workload's traces (memoized) and load the
         artifact: the event tier adds its warps to the SMs, the
         functional tier keeps it for :meth:`run` to replay (one
-        workload per run)."""
+        workload per system)."""
         gpu = self.config.gpu
         functional_tier = self.config.fidelity == "functional"
-        if functional_tier and self.compiled is not None:
+        if functional_tier and (self.compiled is not None or self._replayed):
             raise RuntimeError("the functional tier replays one loaded "
-                               "workload per run")
+                               "workload per system")
         if gen_ctx is None:
             gen_ctx = GenContext(
                 num_sms=gpu.num_sms, warps_per_sm=gpu.warps_per_sm,
@@ -267,8 +270,18 @@ class GpuSystem:
 
         Replays the artifact :meth:`load_workload` compiled: its L2
         request stream (stage 1, memoized per trace and L1 geometry by
-        :func:`~repro.workloads.base.materialize_l2_stream`) drives the
-        slices (stage 2, :func:`repro.sim.functional.replay_columnar`).
+        :func:`~repro.workloads.base.materialize_l2_stream`).  Under an
+        L2-transparent scheme, on an unobserved run of a trace this
+        process has replayed before (its stream was memoized), the
+        scheme replays against the L2's recording of the stream
+        (stage 2, memoized by
+        :func:`~repro.workloads.base.materialize_l2_record`; stage 3,
+        :func:`repro.sim.functional.replay_record`) with the context's
+        L2 unwired, so a scheme that reaches the L2 fails.  A recording
+        costs about one fused replay, so a process's first replay of a
+        trace, which may be its only one, records nothing.  Otherwise,
+        or when the recording declines the stream, the stream drives
+        the slices (:func:`repro.sim.functional.replay_columnar`).
         A system with no workload loaded, or whose workload has been
         replayed, replays nothing.  Warps added by hand with
         ``sm.add_warp`` are not the loaded artifact, so a run whose SMs
@@ -285,11 +298,28 @@ class GpuSystem:
             max_events,
             watchdog.max_wall_seconds if watchdog is not None else None)
         compiled, self.compiled = self.compiled, None
+        flush = self.config.flush_at_end
         if compiled is not None:
-            replay_columnar(materialize_l2_stream(compiled, self.l1_geometry),
-                            self.sms, self.slices, queue,
+            self._replayed = True
+            replayed_before = l2_stream_memoized(compiled, self.l1_geometry)
+            stream = materialize_l2_stream(compiled, self.l1_geometry)
+            record = None
+            if replayed_before and type(self.scheme).l2_transparent \
+                    and not self.obs.enabled:
+                record = materialize_l2_record(
+                    compiled, stream, self.l1_geometry, self.l2_geometry,
+                    flush)
+            if record is not None:
+                self.ctx.wire_l2(None)
+                try:
+                    replay_record(stream, record, self.sms, self.slices,
+                                  self.scheme, queue, flush)
+                finally:
+                    self.ctx.wire_l2(self.slices)
+                return 0
+            replay_columnar(stream, self.sms, self.slices, queue,
                             flame=self.obs.flame)
-        if self.config.flush_at_end:
+        if flush:
             for sl in self.slices:
                 sl.flush()
             self.scheme.drain()
@@ -344,6 +374,24 @@ class GpuSystem:
             fidelity=self.config.fidelity,
             inspect_metrics=inspect_metrics,
         )
+
+
+def materialize_l2_replay(workload: Workload, config: SystemConfig,
+                          gen_ctx: GenContext) -> None:
+    """Memoize in this process what functional runs of ``workload`` on
+    ``config``'s machine under L2-transparent schemes replay against:
+    the compiled trace, its L2 request stream and the L2's recording of
+    it.  A grid runner calls it before forking workers for two or more
+    such cells; the workers inherit the memos, so each runs stage 3
+    alone (a recording made in a worker would die with it)."""
+    gpu = config.gpu
+    compiled = materialize_compiled(workload, gen_ctx,
+                                    line_bytes=gpu.line_bytes,
+                                    sector_bytes=gpu.sector_bytes)
+    l1_geometry = L1Geometry.of(gpu)
+    materialize_l2_record(
+        compiled, materialize_l2_stream(compiled, l1_geometry), l1_geometry,
+        L2Geometry.of(gpu), config.flush_at_end)
 
 
 def run_workload(workload: Workload, config: SystemConfig,

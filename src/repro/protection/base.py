@@ -18,7 +18,10 @@ A scheme implements two operations:
 The :class:`ProtectionContext` is the scheme's window into the system:
 memory channels, L2 probes/fills, the inline-ECC layout and its
 granule geometry, the optional functional store, and a stats group.
-Schemes never talk to SMs.
+Schemes never talk to SMs.  A scheme that never uses the L2 services
+and grants exactly what it is asked, in issue order, declares
+:attr:`ProtectionScheme.l2_transparent`; the functional tier then runs
+it against a recording of the L2 instead of the L2 itself.
 """
 
 from __future__ import annotations
@@ -281,6 +284,17 @@ class ProtectionScheme(abc.ABC):
     #: :mod:`repro.analysis.locality`) and makes the layout's metadata
     #: a DRAM capacity cost (:meth:`storage_overhead`).
     has_inline_metadata: bool = False
+
+    #: True when the scheme leaves the L2 alone: it never calls the
+    #: context's L2 services (``l2_resident_verified``, ``l2_install``,
+    #: ``l2_poison``, ``l2_invalidate``), grants exactly the sectors it
+    #: was asked for, and grants a drain's fetches in the order they
+    #: were issued.  The L2 then does the same work under every such
+    #: scheme, so the functional tier replays it once per trace and
+    #: runs only the scheme in each later cell of that trace (stage 3
+    #: of :mod:`repro.sim.functional`).  A fact about the class, like
+    #: :attr:`has_inline_metadata`, not a setting.
+    l2_transparent: bool = False
 
     #: Code over each granule (a :func:`~repro.protection.codes.build_code`
     #: name); ``None`` leaves memory unprotected.

@@ -20,6 +20,7 @@ class NoProtection(ProtectionScheme):
     """Unprotected memory: every sector fetch is one DRAM atom."""
 
     name = "none"
+    l2_transparent = True
 
     def fetch(self, slice_id: int, line_addr: int, sector_mask: int,
               on_ready: Callable[[int], None]) -> None:
@@ -42,6 +43,7 @@ class SidebandEcc(ProtectionScheme):
     """
 
     name = "sideband"
+    l2_transparent = True
 
     def __init__(self, code_name: str = "secded") -> None:
         super().__init__()
@@ -83,6 +85,7 @@ class InlineSectorCode(ProtectionScheme):
     #: Inline metadata lives in data DRAM — enables the trace-level
     #: metadata-locality prediction (see repro.analysis.locality).
     has_inline_metadata = True
+    l2_transparent = True
 
     def __init__(self, code_name: str = "secded") -> None:
         super().__init__()
@@ -286,6 +289,8 @@ class SectorMetadataInL2(InlineSectorCode):
     """
 
     name = "sector-l2"
+    #: Metadata lives in the L2.
+    l2_transparent = False
 
     def _on_bind(self) -> None:
         super()._on_bind()
@@ -354,6 +359,8 @@ class InlineFullGranule(MetadataCacheScheme):
     """
 
     name = "inline-full"
+    #: Grants whole granules and fills their sibling lines.
+    l2_transparent = False
 
     def __init__(self, code_name: str = "secded", granule_bytes: int = 128,
                  mdcache_kb: int = 32) -> None:

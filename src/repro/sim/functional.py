@@ -5,24 +5,45 @@ warp traces through the *same* L2 / MSHR-merge / ``mdcache`` /
 protection-scheme state machines as the discrete-event tier — but with
 no event heap, no cycle clock and no per-event dispatch overhead.
 
-The replay runs in two stages.  **Stage 1**
-(:func:`compile_l2_stream`) replays a compiled trace through the SMs'
-L1s alone — :class:`~repro.cache.l1.L1Cache`, the event SM's L1
-class — and yields the stream of requests the L1s send the L2 (kind,
-slice, line and sector mask of each), the points where the queue
-drains, and each SM's L1, L1-MSHR and store-buffer tallies.  An L1
-fill is installed at its drain point in the order its request was
-issued, never in the order the L2 answers, so the L1 — and with it the
-stream — depends only on the trace and the L1 geometry, never on the
-protection scheme; it is memoized per trace and geometry
+The replay runs in stages.  **Stage 1** (:func:`compile_l2_stream`)
+replays a compiled trace through the SMs' L1s alone —
+:class:`~repro.cache.l1.L1Cache`, the event SM's L1 class — and
+yields the stream of requests the L1s send the L2 (kind, slice, line
+and sector mask of each), the points where the queue drains, and each
+SM's L1, L1-MSHR and store-buffer tallies.  An L1 fill is installed at
+its drain point in the order its request was issued, never in the
+order the L2 answers, so the L1 — and with it the stream — depends
+only on the trace and the L1 geometry, never on the protection scheme;
+it is memoized per trace and geometry
 (:func:`repro.workloads.base.materialize_l2_stream`), so a sweep over
-schemes runs the L1s once.  **Stage 2** (:func:`replay_columnar`)
-drives each scheme's L2 slices over the stream and drains the queue at
-the same points, adding each SM's tallies to the statistics tree of
-its :class:`~repro.gpu.sm.StreamingMultiprocessor`: the tier builds
-the event tier's SM class, never starts it and gives it no crossbar,
-so one class registers the ``sm{i}`` keys on both tiers.  Both stages
-are plain Python over the artifact's columns and the stream's tuples.
+schemes runs the L1s once.
+
+What comes after depends on the scheme.  The L2 changes state only
+while a drain segment's requests arrive (the same under every scheme)
+and inside the grants of its fetches.  A scheme that declares
+:attr:`~repro.protection.base.ProtectionScheme.l2_transparent` never
+touches the L2 and grants exactly the sectors asked, in issue order,
+so under it the L2 makes the same calls at the same queue points as
+under any other such scheme.  For those schemes **stage 2**
+(:func:`record_l2`) replays the stream once through L2 slices driven
+by a stand-in scheme and records what the L2 asked (an
+:class:`L2Record`, memoized per trace and machine shape by
+:func:`repro.workloads.base.materialize_l2_record`), and **stage 3**
+(:func:`replay_record`) replays only the run's own scheme against that
+record.  A recording costs about one fused replay, so it is made only
+where it is reused: for a trace the process has replayed before (a
+later cell of a sweep), or by a grid runner for the workers it forks
+(:func:`repro.core.system.materialize_l2_replay`).  A process's first
+replay of a trace, every other scheme, an observed run (a flame
+profiler or an inspector watches the L2 and its micro-tasks), and a
+stream the recording declines (atomics, MSHR-full retries) take the
+fused replay (:func:`replay_columnar`), which drives the run's own L2
+slices over the stream.  Both paths drain the queue at the same points
+and add each SM's tallies to the statistics tree of its
+:class:`~repro.gpu.sm.StreamingMultiprocessor`: the tier builds the
+event tier's SM class, never starts it and gives it no crossbar, so
+one class registers the ``sm{i}`` keys on both tiers.  Every stage is
+plain Python over the artifact's columns and the stream's tuples.
 The tier replays only the artifact
 :meth:`repro.core.system.GpuSystem.load_workload` compiled.  The
 pieces:
@@ -62,6 +83,7 @@ from __future__ import annotations
 
 import re
 import time
+from array import array
 from collections import deque
 from dataclasses import dataclass
 from functools import partial
@@ -72,11 +94,13 @@ from repro.cache.l1 import L1Cache
 from repro.dram.channel import RequestKind
 from repro.gpu.columnar import (OP_ATOMIC, OP_COMPUTE, OP_LOAD,
                                 CompiledTrace, round_robin_order)
+from repro.gpu.l2slice import L2Slice
 from repro.sim.engine import SimulationError
 from repro.sim.stats import StatGroup
 
 if TYPE_CHECKING:
     from repro.gpu.sm import StreamingMultiprocessor
+    from repro.protection.base import ProtectionScheme
 
 
 class ImmediateQueue:
@@ -154,6 +178,16 @@ class ImmediateQueue:
                 raise SimulationError(
                     "functional run exceeded the wall-clock budget")
         self.events_executed = executed
+
+    def account(self, tasks: int) -> None:
+        """Count ``tasks`` micro-tasks that a recording stood in for
+        (stage 3's completions) against the budget: a run raises iff
+        its micro-tasks, these included, exceed ``max_events``."""
+        self.events_executed += tasks
+        if self.max_events is not None \
+                and self.events_executed > self.max_events:
+            raise SimulationError(
+                f"functional run exceeded max_events={self.max_events}")
 
 
 class FunctionalChannel:
@@ -255,6 +289,74 @@ class L2Stream:
     drain_at: Tuple[int, ...]  # per drain: requests issued before it
     drain_sm: Tuple[int, ...]  # per drain: SM whose op drains there
     tallies: Tuple[Tuple[int, ...], ...]  # per SM: the TALLIED counters
+
+
+@dataclass(frozen=True)
+class L2Geometry:
+    """The L2 slices' count and shape: what stage 2's record depends on
+    besides the stream.  With the trace, the :class:`L1Geometry` and
+    ``flush_at_end`` it keys the record memo.  :meth:`build` is the one
+    place a machine's slice is made, on either tier and in stage 2, so
+    every argument that shapes a slice is a field of the key."""
+
+    num_slices: int
+    slice_bytes: int
+    ways: int
+    line_bytes: int
+    sector_bytes: int
+    mshr_entries: int
+    policy: str
+    metadata_ways: int
+
+    @classmethod
+    def of(cls, gpu) -> "L2Geometry":
+        """The geometry of a :class:`~repro.core.config.GpuConfig`."""
+        return cls(gpu.num_slices, gpu.l2_slice_bytes, gpu.l2_ways,
+                   gpu.line_bytes, gpu.sector_bytes, gpu.l2_mshr_entries,
+                   gpu.l2_policy, gpu.l2_metadata_ways)
+
+    def build(self, slice_id: int, sim, protection,
+              latency: int = 32,
+              stats: Optional[StatGroup] = None) -> L2Slice:
+        """Slice ``slice_id`` of this geometry on ``sim``, fetching and
+        writing back through ``protection``.  ``latency`` only times
+        the slice's micro-tasks, which the functional tier runs
+        without delay, so it is not part of the geometry."""
+        return L2Slice(slice_id, sim, protection,
+                       size_bytes=self.slice_bytes, ways=self.ways,
+                       line_bytes=self.line_bytes,
+                       sector_bytes=self.sector_bytes, latency=latency,
+                       mshr_entries=self.mshr_entries, policy=self.policy,
+                       stats=stats, metadata_ways=self.metadata_ways)
+
+
+@dataclass(frozen=True)
+class L2Record:
+    """Stage 2's output: what the L2 asks of an L2-transparent scheme
+    over a stream, and the counters it ends with.
+
+    A request asks at most one thing on arrival — a load a fetch, a
+    store the writeback of the dirty line its allocation evicts — and
+    a fetch's grant installs one line, evicting at most one dirty line
+    (queued as the writeback of the load that issued the fetch).
+    The writebacks are listed in the order the L2 queues them (on
+    arrival, at a grant, then at the end-of-run flush).  The columns
+    are read-only ``memoryview``s: the record is memoized and shared
+    across runs, like a stream."""
+
+    fetched: memoryview    # per request: sectors a load fetched (0: none)
+    evicts: memoryview     # per request: 1 when it queued a writeback
+    wb_slice: memoryview   # per writeback: slice
+    wb_line: memoryview    # per writeback: line index
+    wb_dirty: memoryview   # per writeback: dirty sector mask
+    wb_valid: memoryview   # per writeback: valid sector mask
+    #: Per slice: its statistics' final values, in
+    #: :meth:`~repro.sim.stats.StatGroup.walk` order.
+    counters: Tuple[Tuple[int, ...], ...]
+    #: Completion micro-tasks (responds, acks and MSHR waiters): stage 3
+    #: counts them into the queue's ``events_executed`` without running
+    #: them.
+    completions: int
 
 
 def compile_l2_stream(compiled: CompiledTrace,
@@ -390,10 +492,10 @@ def _install(l1: L1Cache, fills: List[Tuple[int, int]]) -> None:
 
 
 class _Completions(list):
-    """Stage 2's completion sink: the L2's respond and ack callables
-    are this list's ``append`` (a C-level call per completion), and the
-    replay checks its length at each drain.  ``name`` labels the
-    flame profiler's frames."""
+    """The fused replay's completion sink: the L2's respond and ack
+    callables are this list's ``append`` (a C-level call per
+    completion), and the replay checks its length at each drain.
+    ``name`` labels the flame profiler's frames."""
 
     __slots__ = ("name",)
 
@@ -405,7 +507,7 @@ class _Completions(list):
 def replay_columnar(stream: L2Stream, sms: List[StreamingMultiprocessor],
                     slices: List, queue: ImmediateQueue,
                     flame=None) -> None:
-    """Stage 2: drive the L2 slices over a stage-1 stream.
+    """The fused replay: drive the L2 slices over a stage-1 stream.
 
     Each drain segment sends its requests to
     ``L2Slice.receive_load``/``receive_store``/``receive_atomic`` in
@@ -439,6 +541,12 @@ def replay_columnar(stream: L2Stream, sms: List[StreamingMultiprocessor],
         roots = [flame.wrap_root(f"sm{sm.sm_id}.step", run) for sm in sms]
         for j, sm_index in enumerate(stream.drain_sm):
             roots[sm_index](j, j + 1)
+    _add_tallies(sms, stream)
+
+
+def _add_tallies(sms: List[StreamingMultiprocessor],
+                 stream: L2Stream) -> None:
+    """Add stage 1's tallies to each SM's statistics tree."""
     for sm, tallies in zip(sms, stream.tallies):
         for key, value in zip(TALLIED, tallies):
             _stat(sm.stats, key).add(value)
@@ -471,6 +579,198 @@ def _replay_segments(ports: Sequence[int], lines: Sequence[int],
         fills.clear()
         acks.clear()
         start = end
+
+
+# -- stages 2 and 3: the L2 recorded once, the scheme replayed per run -------
+
+
+def _completion(_mask: int = 0) -> None:
+    """Stage 2's respond and ack callable.  The stand-in counts each
+    completion the L2 queues with it and never runs one."""
+
+
+class _StandIn:
+    """Stage 2's protection scheme and micro-task queue in one.
+
+    The slices hand it their fetches and writebacks and queue their
+    micro-tasks on it.  The fetches wait in :attr:`grants` until their
+    segment's requests have all arrived and are then granted in issue
+    order, with exactly the sectors asked; it notes each writeback as
+    it is queued and counts each completion.  Any other micro-task — an MSHR-full
+    retry, whose outcome would depend on when the scheme grants —
+    declines the stream.  :attr:`at` is the request whose arrival or
+    grant is running (-1 during the end flush)."""
+
+    def __init__(self, requests: int, mask_code: str):
+        self.fetched = array(mask_code, [0]) * requests
+        self.evicts = bytearray(requests)
+        self.wb_slice = array("l")
+        self.wb_line = array("q")
+        self.wb_dirty = array(mask_code)
+        self.wb_valid = array(mask_code)
+        self.grants: List[Tuple[int, Callable[[int], None], int]] = []
+        self.completions = 0
+        self.declined = False
+        self.at = -1
+
+    # -- the protection surface the slices call -------------------------------
+
+    def fetch(self, _slice_id: int, _line_addr: int, sector_mask: int,
+              on_ready: Callable[[int], None]) -> None:
+        self.fetched[self.at] = sector_mask
+        self.grants.append((self.at, on_ready, sector_mask))
+
+    def writeback(self, slice_id: int, line_addr: int, dirty_mask: int,
+                  valid_mask: int, _is_metadata: bool) -> None:
+        if self.at >= 0:
+            self.evicts[self.at] = 1
+        self.wb_slice.append(slice_id)
+        self.wb_line.append(line_addr)
+        self.wb_dirty.append(dirty_mask)
+        self.wb_valid.append(valid_mask)
+
+    # -- the queue surface the slices call -----------------------------------
+
+    def schedule(self, _delay: int, fn: Callable, *args) -> None:
+        if fn is _completion or (type(fn) is partial
+                                 and fn.func is _completion):
+            self.completions += 1
+        elif fn == self.writeback:
+            fn(*args)
+        else:
+            self.declined = True
+
+
+def record_l2(stream: L2Stream, geometry: L2Geometry,
+              flush: bool) -> Optional[L2Record]:
+    """Stage 2: replay ``stream`` once through L2 slices of
+    ``geometry`` and record what they ask of a scheme.
+
+    The slices are the real :class:`~repro.gpu.l2slice.L2Slice` driven
+    by :class:`_StandIn`; each drain segment's requests arrive in issue
+    order and then its fetches are granted in issue order, as under
+    every L2-transparent scheme.  With ``flush`` the slices then flush
+    as at the end of a run.  Returns None — the run takes the fused
+    replay — for a stream with atomics (an atomic's completion marks
+    its line dirty, from inside a micro-task) or one in which an L2
+    MSHR file fills up (a retry's outcome depends on when grants land).
+    Raises :class:`SimulationError` if a request does not complete
+    within its drain.
+    """
+    num_slices = geometry.num_slices
+    ports = stream.port
+    if ports and max(ports) >= 2 * num_slices:
+        return None
+    sectors = geometry.line_bytes // geometry.sector_bytes
+    tap = _StandIn(len(ports), "B" if sectors <= 8 else "Q")
+    slices = [geometry.build(i, tap, tap) for i in range(num_slices)]
+    receivers = ([sl.receive_load for sl in slices]
+                 + [sl.receive_store for sl in slices])
+    lines = stream.line
+    masks = stream.mask
+    grants = tap.grants
+    start = 0
+    for end in stream.drain_at:
+        for i in range(start, end):
+            tap.at = i
+            receivers[ports[i]](lines[i], masks[i], _completion)
+        for i, on_ready, mask in grants:
+            tap.at = i
+            on_ready(mask)
+        grants.clear()
+        if tap.declined:
+            return None
+        if tap.completions != end:
+            raise SimulationError(_UNFINISHED)
+        start = end
+    if flush:
+        tap.at = -1
+        for sl in slices:
+            sl.flush()
+    return L2Record(
+        *(memoryview(column).toreadonly() for column in (
+            tap.fetched, tap.evicts, tap.wb_slice, tap.wb_line,
+            tap.wb_dirty, tap.wb_valid)),
+        counters=tuple(tuple(stat.value for _key, stat in sl.stats.walk())
+                       for sl in slices),
+        completions=tap.completions)
+
+
+def replay_record(stream: L2Stream, record: L2Record,
+                  sms: List[StreamingMultiprocessor], slices: List,
+                  scheme: ProtectionScheme, queue: ImmediateQueue,
+                  flush: bool) -> None:
+    """Stage 3: run ``scheme`` against stage 2's ``record`` of
+    ``stream``, as the fused replay would run it against the slices.
+
+    Each drain segment issues the recorded fetches and queues the
+    recorded arrival writebacks in issue order, then drains the queue;
+    a fetch's grant queues the writeback its install evicted.  The
+    completions are counted, not run, so ``events_executed`` equals
+    the fused replay's.  With ``flush`` the end flush's writebacks are
+    queued, the scheme drains and the queue drains once more.  The
+    slices' counters are written from the record and each SM's tallies
+    added; the slices themselves are never touched.
+
+    Raises :class:`SimulationError` when a grant arrives out of issue
+    order, before its segment drains or with other sectors than asked
+    (the scheme is not L2-transparent), and when a segment's fetches
+    are not all granted by its drain.
+    """
+    fetched = record.fetched
+    evicts = record.evicts
+    writebacks = zip(record.wb_slice, record.wb_line, record.wb_dirty,
+                     record.wb_valid)
+    schedule = queue.schedule
+    drain = queue.drain
+    fetch = scheme.fetch
+    writeback = scheme.writeback
+    ports = stream.port
+    lines = stream.line
+    issued: List[int] = []
+    # The segment's fetches not yet granted, in issue order; empty while
+    # its requests arrive, so that a grant then is refused too.
+    pending: deque = deque()
+
+    def grant(i: int, mask: int) -> None:
+        if not pending or pending[0] != i:
+            problem = "out of issue order"
+        elif mask != fetched[i]:
+            problem = f"with sectors {mask:#x} for {fetched[i]:#x}"
+        else:
+            pending.popleft()
+            if evicts[i]:
+                schedule(0, writeback, *next(writebacks), False)
+            return
+        raise SimulationError(
+            f"scheme {scheme.name!r} declares l2_transparent but granted "
+            f"line {lines[i]} {problem}")
+
+    start = 0
+    for end in stream.drain_at:
+        for i in range(start, end):
+            mask = fetched[i]
+            if mask:
+                issued.append(i)
+                fetch(ports[i], lines[i], mask, partial(grant, i))
+            elif evicts[i]:
+                schedule(0, writeback, *next(writebacks), False)
+        pending.extend(issued)
+        issued.clear()
+        drain()
+        if pending:
+            raise SimulationError(_UNFINISHED)
+        start = end
+    queue.account(record.completions)
+    if flush:
+        for args in writebacks:
+            schedule(0, writeback, *args, False)
+        scheme.drain()
+        drain()
+    for sl, values in zip(slices, record.counters):
+        for (_key, stat), value in zip(sl.stats.walk(), values):
+            stat.add(value)
+    _add_tallies(sms, stream)
 
 
 # -- parity helpers ----------------------------------------------------------

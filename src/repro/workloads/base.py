@@ -138,8 +138,12 @@ def make_workload(name: str, **params) -> Workload:
 # schemes — or a parity test running event and functional back-to-back
 # — compiles each trace once and shares the artifact; the op lists live
 # only until they are compiled.  The L2 request stream derived from an
-# artifact memoizes under the same argument; both are immutable (frozen
-# columns).
+# artifact, and the L2's recording of that stream, memoize under the
+# same argument; all three are immutable (frozen columns).
+
+#: What :meth:`_Memo.get` finds for a key it does not hold (a build may
+#: memoize None: the L2 recording declines some streams).
+_MISSING = object()
 
 
 class _Memo:
@@ -159,11 +163,11 @@ class _Memo:
         builds uncached: the ``TypeError`` surfaces when the key is
         hashed, at the probe."""
         try:
-            value = self.entries.get(key)
+            value = self.entries.get(key, _MISSING)
         except TypeError:
             self.misses += 1
             return build()
-        if value is not None:
+        if value is not _MISSING:
             self.entries.move_to_end(key)
             self.hits += 1
             return value
@@ -185,9 +189,12 @@ class _Memo:
 COMPILED_CACHE_CAPACITY = 16
 #: Maximum memoized L2 request streams per process.
 STREAM_CACHE_CAPACITY = 16
+#: Maximum memoized L2 recordings per process.
+RECORD_CACHE_CAPACITY = 16
 
 _compiled = _Memo(COMPILED_CACHE_CAPACITY)
 _streams = _Memo(STREAM_CACHE_CAPACITY)
+_records = _Memo(RECORD_CACHE_CAPACITY)
 
 
 def _trace_key(workload: Workload, ctx: GenContext) -> tuple:
@@ -211,13 +218,16 @@ def trace_cache_stats() -> Dict[str, int]:
             "compiled_misses": _compiled.misses,
             "stream_entries": len(_streams.entries),
             "stream_hits": _streams.hits,
-            "stream_misses": _streams.misses}
+            "stream_misses": _streams.misses,
+            "record_entries": len(_records.entries),
+            "record_hits": _records.hits,
+            "record_misses": _records.misses}
 
 
 def trace_cache_clear() -> None:
-    """Empty the compiled and L2-stream memos and reset their hit/miss
-    counters."""
-    for memo in (_compiled, _streams):
+    """Empty the compiled, L2-stream and L2-record memos and reset their
+    hit/miss counters."""
+    for memo in (_compiled, _streams, _records):
         memo.clear()
 
 
@@ -271,6 +281,41 @@ def materialize_l2_stream(compiled, geometry):
 
     return _streams.get((compiled.digest, geometry),
                         lambda: compile_l2_stream(compiled, geometry))
+
+
+def l2_stream_memoized(compiled, geometry) -> bool:
+    """Whether this process holds the :func:`materialize_l2_stream` of
+    ``compiled`` on ``geometry``: it has replayed the trace on those
+    L1s before, or materialized it for workers it forks.  Counts
+    neither a hit nor a miss."""
+    return (compiled.digest, geometry) in _streams.entries
+
+
+# -- L2 recordings (stage 2 of the functional tier) --------------------------
+#
+# Under a scheme that leaves the L2 alone, what the L2 does with a stream
+# depends only on the stream and the L2's shape, so every such scheme
+# replays against one recording per trace and machine.  A recording
+# costs about one fused replay, so it pays only where it is reused: the
+# functional tier records a trace the process has replayed before (see
+# repro.core.system.GpuSystem._run_functional).
+
+
+def materialize_l2_record(compiled, stream, l1_geometry, l2_geometry,
+                          flush_at_end: bool):
+    """Memoized stage 2 of the functional tier: the
+    :class:`repro.sim.functional.L2Record` of ``stream`` (the
+    :func:`materialize_l2_stream` of ``compiled`` on ``l1_geometry``)
+    on L2 slices of ``l2_geometry`` (a
+    :class:`repro.sim.functional.L2Geometry`), flushed at the end or
+    not; None when the recording declines the stream.  Keyed on the
+    trace's digest, both geometries and ``flush_at_end``; the record's
+    columns are frozen and callers share it."""
+    from repro.sim.functional import record_l2
+
+    return _records.get(
+        (compiled.digest, l1_geometry, l2_geometry, flush_at_end),
+        lambda: record_l2(stream, l2_geometry, flush_at_end))
 
 
 def array_layout(sizes_bytes: List[int], align: int = 4096,

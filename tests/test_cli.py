@@ -192,6 +192,48 @@ def test_compare_no_cache_silences_notice(tmp_path, capsys):
     assert "note: persistent result cache" not in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("argv", [
+    ["run", "-w", "vecadd", "--scale", "0.02", "--no-ledger",
+     "--trace-out", "{missing}/t.json"],
+    ["run", "-w", "vecadd", "--scale", "0.02", "--no-ledger",
+     "--metrics-out", "{missing}/m.jsonl"],
+    ["profile", "-w", "vecadd", "--scale", "0.02",
+     "--flame-out", "{missing}/f.folded"],
+    ["compare", "-w", "vecadd", "--scale", "0.02", "--no-cache",
+     "--no-ledger", "--inspect-out", "{missing}/vecadd.json"],
+    ["obs", "flame", "-w", "vecadd", "--scale", "0.02",
+     "--out", "{missing}/f.folded"],
+    ["obs", "inspect", "-w", "vecadd", "--scale", "0.02",
+     "--json-out", "{missing}/i.json"],
+    ["obs", "inspect", "-w", "vecadd", "--scale", "0.02",
+     "--html", "{missing}/i.html"],
+], ids=["trace-out", "metrics-out", "flame-out", "inspect-out",
+        "obs-flame-out", "obs-inspect-json-out", "obs-inspect-html"])
+def test_missing_output_directory_fails_before_simulating(
+        argv, tmp_path, capsys, monkeypatch):
+    """An observer output whose directory does not exist is refused
+    with status 2 and a one-line error before any system is built (the
+    files are written only after every run)."""
+    from repro.core.system import GpuSystem
+
+    built = []
+    real_init = GpuSystem.__init__
+
+    def init(system, *args, **kwargs):
+        built.append(system)
+        real_init(system, *args, **kwargs)
+
+    monkeypatch.setattr(GpuSystem, "__init__", init)
+    missing = tmp_path / "nodir"
+    with pytest.raises(SystemExit) as exc:
+        main([arg.format(missing=missing) for arg in argv])
+    assert exc.value.code == 2
+    assert not built
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1
+    assert str(missing) in err and "does not exist" in err
+
+
 def test_compare_workers_with_obs_degrades_to_serial(tmp_path, capsys):
     """--workers must not silently lose --metrics-out: the CLI warns
     and runs serially so every per-scheme file is still written."""

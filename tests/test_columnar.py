@@ -443,6 +443,7 @@ class TestReplayEquivalence:
         assert result.stats[f"sm0.{stall}"] > 0  # the shape does stall
 
     def test_columnar_engages_by_default(self, monkeypatch):
+        """An L2-visible scheme takes the fused replay."""
         import repro.core.system as system_mod
 
         calls = []
@@ -450,6 +451,22 @@ class TestReplayEquivalence:
         monkeypatch.setattr(system_mod, "replay_columnar",
                             lambda *a, **k: (calls.append(1),
                                              real(*a, **k))[1])
+        self._system("vecadd", "cachecraft").run()
+        assert calls
+
+    def test_recorded_replay_engages_by_default(self, monkeypatch):
+        """An L2-transparent scheme replays a trace its process has
+        replayed before against the L2's recording, not through the
+        fused replay."""
+        import repro.core.system as system_mod
+
+        calls = []
+        real = system_mod.replay_record
+        monkeypatch.setattr(system_mod, "replay_record",
+                            lambda *a, **k: (calls.append(1),
+                                             real(*a, **k))[1])
+        self._system("vecadd", "cachecraft").run()
+        monkeypatch.setattr(system_mod, "replay_columnar", None)
         self._system("vecadd", "none").run()
         assert calls
 
@@ -503,17 +520,34 @@ class TestReplayEquivalence:
 
 
 class TestStageTwoGuard:
-    """Stage 2 checks at each drain point that every request issued
-    since the previous one completed."""
+    """The fused replay checks at each drain point that every request
+    issued since the previous one completed; the recorded replay checks
+    that every fetch issued since then was granted."""
 
     @pytest.mark.parametrize("method", ["receive_load", "receive_store"])
     def test_an_unanswered_request_raises(self, method):
         config = small_config(num_sms=2, warps_per_sm=3) \
-            .with_scheme("none").with_fidelity("functional")
+            .with_scheme("cachecraft").with_fidelity("functional")
         system = GpuSystem(config)
         system.load_workload(make_workload("histogram"),
                              TestReplayEquivalence.CTX)
         setattr(system.slices[1], method, lambda line, mask, done: None)
+        with pytest.raises(SimulationError, match="did not complete"):
+            system.run()
+
+    def test_an_ungranted_fetch_raises(self, monkeypatch):
+        import repro.core.system as system_mod
+
+        config = small_config(num_sms=2, warps_per_sm=3) \
+            .with_scheme("none").with_fidelity("functional")
+        systems = [GpuSystem(config) for _ in range(2)]
+        for system in systems:
+            system.load_workload(make_workload("histogram"),
+                                 TestReplayEquivalence.CTX)
+        systems[0].run()  # the trace's first replay in this process
+        monkeypatch.setattr(system_mod, "replay_columnar", None)
+        system = systems[1]
+        system.scheme.fetch = lambda slice_id, line, mask, on_ready: None
         with pytest.raises(SimulationError, match="did not complete"):
             system.run()
 
